@@ -38,41 +38,51 @@ class RunConfig:
     t_final: Optional[float] = None
     out: Optional[str] = None
     fmt: str = "csv"
-    seed: int = 0
+
+
+# Rows formatted per %-format call: bounds the size of the argument tuple
+# and of each piece of text held in memory before it is written.
+_CSV_CHUNK_ROWS = 4096
 
 
 def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _write_text(path, text):
+def _write_text(path, pieces):
+    """Write the strings of the iterable pieces, in order, to path or to
+    standard output."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
-def _csv_1d(result: bench1d.CaseResult, gamma: float) -> str:
+def _csv(header, columns):
+    """Header lines, then one row per element of the equal-sized columns,
+    every value written as _fmt writes it.  Yields the text in pieces of
+    at most _CSV_CHUNK_ROWS rows."""
+    yield "".join(line + "\n" for line in header)
+    table = np.stack([np.ravel(c) for c in columns], axis=1)
+    row = ",".join(["%.16e"] * len(columns)) + "\n"
+    for k in range(0, len(table), _CSV_CHUNK_ROWS):
+        chunk = table[k:k + _CSV_CHUNK_ROWS]
+        yield row * len(chunk) % tuple(chunk.ravel().tolist())
+
+
+def _csv_1d(result: bench1d.CaseResult, gamma: float):
     e = result.p / (result.rho * (gamma - 1.0))   # specific internal energy
-    lines = ["x,rho,u,p,e"]
-    for row in zip(result.x, result.rho, result.u, result.p, e):
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _csv(["x,rho,u,p,e"], (result.x, result.rho, result.u, result.p, e))
 
 
-def _csv_2d(grid, U, gas, contour_levels) -> str:
+def _csv_2d(grid, U, gas, contour_levels):
     rho, u, v, p = euler2d.cons_to_prim_fields(U, gas.gamma)
-    lines = [f"ni,nj={grid.ni},{grid.nj}"]
+    header = [f"ni,nj={grid.ni},{grid.nj}"]
     if contour_levels:
-        lines.append(f"contour-levels={contour_levels}")
-    lines.append("x,y,rho,u,v,p")
-    for i in range(grid.ni):
-        for j in range(grid.nj):
-            row = (grid.xc[i, j], grid.yc[i, j], rho[i, j], u[i, j],
-                   v[i, j], p[i, j])
-            lines.append(",".join(_fmt(val) for val in row))
-    return "\n".join(lines) + "\n"
+        header.append(f"contour-levels={contour_levels}")
+    header.append("x,y,rho,u,v,p")
+    return _csv(header, (grid.xc, grid.yc, rho, u, v, p))
 
 
 def _eoc_table(case, scheme, order, gas) -> str:
@@ -101,7 +111,7 @@ def run(config: RunConfig) -> int:
                       "an EOC table", file=sys.stderr)
                 return EXIT_CONFIG
             _write_text(config.out,
-                        _eoc_table(case1d, scheme, config.order, gas))
+                        [_eoc_table(case1d, scheme, config.order, gas)])
             return EXIT_OK
         result = bench1d.run_case(case1d, scheme, order=config.order,
                                   n_cells=config.cells, cfl=config.cfl,
@@ -114,7 +124,7 @@ def run(config: RunConfig) -> int:
                 lines.append(f"L1={_fmt(result.errors.l1)} "
                              f"L2={_fmt(result.errors.l2)} "
                              f"Linf={_fmt(result.errors.linf)}")
-            _write_text(config.out, "\n".join(lines) + "\n")
+            _write_text(config.out, ["\n".join(lines) + "\n"])
         else:
             _write_text(config.out, _csv_1d(result, gas.gamma))
         return EXIT_OK
@@ -126,8 +136,8 @@ def run(config: RunConfig) -> int:
                 cfl=config.cfl, t_final=config.t_final)
             if config.fmt == "report":
                 _write_text(config.out,
-                            f"case={case2d.name} grid={grid.ni}x{grid.nj} "
-                            f"steps={log.steps} t={log.t:.6f}\n")
+                            [f"case={case2d.name} grid={grid.ni}x{grid.nj} "
+                             f"steps={log.steps} t={log.t:.6f}\n"])
             else:
                 _write_text(config.out,
                             _csv_2d(grid, U, gas, case2d.contour_levels))
@@ -358,7 +368,6 @@ def build_parser():
     p_run.add_argument("--out")
     p_run.add_argument("--format", dest="fmt",
                        choices=("csv", "eoc", "report"))
-    p_run.add_argument("--seed", type=int)
     p_run.add_argument("--config", help="key=value file; flags win")
 
     p_list = sub.add_parser("list-cases", help="print the case registries")
@@ -389,7 +398,7 @@ def main(argv=None) -> int:
             print(f"config error: {err}", file=sys.stderr)
             return EXIT_CONFIG
     for key in ("case", "scheme", "order", "cells", "grid", "cfl",
-                "t_final", "out", "fmt", "seed"):
+                "t_final", "out", "fmt"):
         val = getattr(args, key)
         if val is not None:
             merged[key] = val
@@ -408,8 +417,7 @@ def main(argv=None) -> int:
             t_final=(float(merged["t_final"])
                      if "t_final" in merged else None),
             out=merged.get("out"),
-            fmt=str(merged.get("fmt", "csv")),
-            seed=int(merged.get("seed", 0)))
+            fmt=str(merged.get("fmt", "csv")))
         if config.scheme not in _SCHEMES or config.order not in (1, 2) \
                 or config.fmt not in ("csv", "eoc", "report"):
             raise ValueError("invalid scheme/order/format")

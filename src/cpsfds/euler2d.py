@@ -120,6 +120,10 @@ class StructuredGrid2D:
         self.jface_ds = np.hypot(dxj, dyj)
         self.jface_nx = dyj / self.jface_ds
         self.jface_ny = -dxj / self.jface_ds
+        # (nx, ny, ds) of the j faces with j on axis 0, contiguous, so the
+        # j sweep of residual_2d reads its row blocks from contiguous memory
+        self.jface_sweep = tuple(np.ascontiguousarray(q.T) for q in (
+            self.jface_nx, self.jface_ny, self.jface_ds))
 
         # representative spacing for the limiter threshold
         self.h = float(np.sqrt(np.mean(self.area)))
@@ -338,45 +342,54 @@ def wave_strengths_2d(avg: Averages2D, drho, du_perp, du_par, dp,
     return np.array([a1, a2, a3, a4])
 
 
-def _flux_2d_kernel(rL, uL, vL, pL, rR, uR, vR, pR, nx, ny, gamma):
-    """Vectorized face flux; all arguments broadcastable arrays."""
+def _flux_2d_kernel(rL, uL, vL, pL, rR, uR, vR, pR, nx, ny, gamma,
+                    ds=1.0, out=None):
+    """Vectorized face flux times the face length ds, written into out.
+
+    All arguments broadcast; out has shape (4, *broadcast shape) and is
+    allocated if not given.  The flux is the average of the two normal
+    fluxes minus half the dissipation |u_perp| dU + sum_i alpha_i
+    |lambda_i| R_i at the sqrt(rho)-weighted state (a, rb, u_perp).  The
+    strengths a1, a4 of the two acoustic waves, of speed
+    lam = sqrt((gamma - 1) / gamma) a, enter only as
+    lam (a1 + a4) = lam rb du_perp and
+    lam s (a4 - a1) = a dp / sqrt(gamma (gamma - 1)) = lam dp / (gamma - 1),
+    with s = a / sqrt(gamma (gamma - 1)).
+    """
+    if out is None:
+        out = np.empty((4,) + np.broadcast(rL, uL, vL, pL, rR, uR, vR, pR,
+                                           nx, ny, ds).shape)
+    g1 = gamma - 1.0
     sL, sR = np.sqrt(rL), np.sqrt(rR)
     w = sL + sR
-    ub = (sL * uL + sR * uR) / w
-    vb = (sL * vL + sR * vR) / w
+    fL, fR = sL / w, sR / w
     rb = sL * sR
-    a2b = (sL * gamma * pL / rL + sR * gamma * pR / rR) / w
-    ab = np.sqrt(a2b)
-    upb = ub * nx + vb * ny
-
-    drho, du, dv, dp = rR - rL, uR - uL, vR - vL, pR - pL
-    dup = du * nx + dv * ny
-
+    ub = fL * uL + fR * uR
+    vb = fL * vL + fR * vR
+    upL = uL * nx + vL * ny
+    upR = uR * nx + vR * ny
+    upb = fL * upL + fR * upR
     absu = np.abs(upb)
-    d0 = absu * drho
-    d1 = absu * (rb * du + ub * drho)
-    d2 = absu * (rb * dv + vb * drho)
-    d3 = absu * (dp / (gamma - 1.0)
-                 + 0.5 * (ub * ub + vb * vb) * drho
-                 + rb * (ub * du + vb * dv))
+    lam = np.sqrt(g1 * (pL / sL + pR / sR) / w)
+    drho, du, dv, dp = rR - rL, uR - uL, vR - vL, pR - pL
 
-    acoustic = np.sqrt(gamma / (gamma - 1.0)) * dp / (2.0 * ab)
-    a1 = 0.5 * rb * dup - acoustic
-    a4 = 0.5 * rb * dup + acoustic
-    lam = np.sqrt((gamma - 1.0) / gamma) * ab
-    s = ab / np.sqrt(gamma * (gamma - 1.0))
-    d1 = d1 + lam * (a1 + a4) * nx
-    d2 = d2 + lam * (a1 + a4) * ny
-    d3 = d3 + lam * (a1 * (upb - s) + a4 * (upb + s))
+    mL, mR = rL * upL, rR * upR
+    q = lam * rb * (upR - upL)
+    pn = pL + pR - q
+    half_ds = 0.5 * ds
 
-    def normal_flux(r, u, v, p):
-        up = u * nx + v * ny
-        rE = p / (gamma - 1.0) + 0.5 * r * (u * u + v * v)
-        return np.stack([r * up, r * u * up + p * nx,
-                         r * v * up + p * ny, (rE + p) * up])
-
-    return 0.5 * (normal_flux(rL, uL, vL, pL) + normal_flux(rR, uR, vR, pR)) \
-        - 0.5 * np.stack([d0, d1, d2, d3])
+    np.multiply(mL + mR - absu * drho, half_ds, out=out[0])
+    np.multiply(mL * uL + mR * uR + pn * nx
+                - absu * (rb * du + ub * drho), half_ds, out=out[1])
+    np.multiply(mL * vL + mR * vR + pn * ny
+                - absu * (rb * dv + vb * drho), half_ds, out=out[2])
+    central = (gamma / g1 * (pL * upL + pR * upR)
+               + 0.5 * (mL * (uL * uL + vL * vL) + mR * (uR * uR + vR * vR)))
+    dissipation = (absu * (0.5 * (ub * ub + vb * vb) * drho
+                           + rb * (ub * du + vb * dv))
+                   + (absu + lam) * dp / g1 + q * upb)
+    np.multiply(central - dissipation, half_ds, out=out[3])
+    return out
 
 
 def interface_flux_2d(wL: Prim2D, wR: Prim2D, geom: FaceGeometry,
@@ -384,11 +397,9 @@ def interface_flux_2d(wL: Prim2D, wR: Prim2D, geom: FaceGeometry,
     wL.require_physical()
     wR.require_physical()
     return _flux_2d_kernel(
-        np.float64(wL.rho), np.float64(wL.u), np.float64(wL.v),
-        np.float64(wL.p),
-        np.float64(wR.rho), np.float64(wR.u), np.float64(wR.v),
-        np.float64(wR.p),
-        geom.n_x, geom.n_y, gas.gamma)
+        *(np.array([q]) for q in (wL.rho, wL.u, wL.v, wL.p,
+                                  wR.rho, wR.u, wR.v, wR.p)),
+        geom.n_x, geom.n_y, gas.gamma)[:, 0]
 
 
 # --------------------------------------------------------------------------
@@ -474,11 +485,16 @@ def _ghost_layers(rho, u, v, p, spec: BoundarySpec, ng, low, nxb, nyb):
 
 
 def _extend_sweep(rho, u, v, p, ng, bc_lo, bc_hi, normals_lo, normals_hi):
-    """Interior field plus ghost layers on both ends of axis 0."""
+    """Interior field plus ghost layers on both ends of axis 0, as
+    C-contiguous arrays (also for transposed inputs)."""
     lo = _ghost_layers(rho, u, v, p, bc_lo, ng, True, *normals_lo)
     hi = _ghost_layers(rho, u, v, p, bc_hi, ng, False, *normals_hi)
-    return [np.concatenate([g_lo, q, g_hi])
-            for g_lo, q, g_hi in zip(lo, (rho, u, v, p), hi)]
+    out = []
+    for g_lo, q, g_hi in zip(lo, (rho, u, v, p), hi):
+        e = np.empty((q.shape[0] + 2 * ng, q.shape[1]))
+        e[:ng], e[ng:-ng], e[-ng:] = g_lo, q, g_hi
+        out.append(e)
+    return out
 
 
 def _sweep_face_states(fields, ng, order, h, limiter_k):
@@ -547,6 +563,35 @@ def _check_faces(arrays, step):
                                         "positive", cell=idx, step=step)
 
 
+# Faces per flux block: the kernel's temporaries for one block fit the
+# 2 MiB L2 cache.  A block is a whole number of face rows (at least one).
+_BLOCK_FACES = 8192
+
+
+def _sweep_net_flux(net, L, R, nx, ny, ds, gamma):
+    """Write into net each cell's flux times face length through its high
+    face minus that through its low face, for one sweep.
+
+    Axis 0 of the face arrays runs along the sweep (n + 1 face rows for n
+    cells) and matches axis 1 of net.  The faces are evaluated in row
+    blocks; the last face row of a block is carried into the next, so every
+    cell takes the same single subtraction whatever the block size.
+    """
+    n_faces, m = ds.shape
+    rows = min(n_faces, max(1, _BLOCK_FACES // m))
+    buf = np.empty((4, rows + 1, m))     # row 0: last face of the block before
+    for k0 in range(0, n_faces, rows):
+        k1 = min(k0 + rows, n_faces)
+        n = k1 - k0
+        blk = slice(k0, k1)
+        _flux_2d_kernel(*(q[blk] for q in L), *(q[blk] for q in R),
+                        nx[blk], ny[blk], gamma, ds[blk], out=buf[:, 1:n + 1])
+        first = 1 if k0 == 0 else 0      # face row 0 has no cell below it
+        np.subtract(buf[:, first + 1:n + 1], buf[:, first:n],
+                    out=net[:, k0 - 1 + first:k1 - 1])
+        buf[:, 0] = buf[:, n]
+
+
 def residual_2d(U, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
                 gas: GasModel, step=None):
     """-(1/A) sum of face fluxes times face lengths; shape (4, ni, nj)."""
@@ -564,7 +609,9 @@ def residual_2d(U, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
     if controls.order == 2:
         _check_faces(L, step)
         _check_faces(R, step)
-    Fi = _flux_2d_kernel(*L, *R, grid.iface_nx, grid.iface_ny, g)
+    net = np.empty((4, grid.ni, grid.nj))
+    _sweep_net_flux(net, L, R, grid.iface_nx, grid.iface_ny, grid.iface_ds,
+                    g)
 
     # j-direction sweep (transpose so the sweep axis is axis 0)
     fields = _extend_sweep(
@@ -576,14 +623,12 @@ def residual_2d(U, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
     if controls.order == 2:
         _check_faces(L, step)
         _check_faces(R, step)
-    Fj = _flux_2d_kernel(*L, *R, grid.jface_nx.T, grid.jface_ny.T, g)
-    Fj = Fj.transpose(0, 2, 1)
+    net_j = np.empty((4, grid.nj, grid.ni))
+    _sweep_net_flux(net_j, L, R, *grid.jface_sweep, g)
 
-    net = (Fi[:, 1:, :] * grid.iface_ds[1:, :]
-           - Fi[:, :-1, :] * grid.iface_ds[:-1, :]
-           + Fj[:, :, 1:] * grid.jface_ds[:, 1:]
-           - Fj[:, :, :-1] * grid.jface_ds[:, :-1])
-    return -net / grid.area
+    net += net_j.transpose(0, 2, 1)
+    net /= -grid.area
+    return net
 
 
 def advance_2d(U, grid: StructuredGrid2D, bc: dict, controls: Controls2D,

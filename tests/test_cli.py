@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from cpsfds import cli
+from cpsfds import cli, euler2d
+from cpsfds.state import GasModel
 
 
 def run_main(argv):
@@ -106,7 +107,9 @@ def test_blow_up_exit_code_with_diagnostics(capsys):
 
 def test_config_file_is_read_and_flags_win(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("case=sod\ncells=40\nscheme=tvs\n# comment line\n")
+    # keys that are no run option, such as seed=, are ignored
+    cfg.write_text("case=sod\ncells=40\nscheme=tvs\nseed=3\n"
+                   "# comment line\n")
     out = tmp_path / "out.csv"
     code = run_main(["run", "--config", str(cfg), "--cells", "60",
                      "--out", str(out)])
@@ -130,6 +133,30 @@ def test_2d_run_emits_grid_header_and_contours(tmp_path):
     assert lines[1].startswith("contour-levels=")
     assert lines[2] == "x,y,rho,u,v,p"
     assert len(lines) == 3 + 10 * 12
+
+
+def test_2d_csv_matches_a_per_cell_rendering(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 7)   # chunks end mid-row
+    out = tmp_path / "cyl.csv"
+    assert run_main(["run", "--case", "half-cylinder", "--grid", "10x12",
+                     "--t-final", "0.05", "--out", str(out)]) == cli.EXIT_OK
+    gas = GasModel(1.4)
+    case = euler2d.half_cylinder_case()
+    grid, U, _ = euler2d.run_case_2d(case, gas, grid_shape=(10, 12),
+                                     t_final=0.05)
+    rho, u, v, p = euler2d.cons_to_prim_fields(U, gas.gamma)
+    lines = ["ni,nj=10,12", f"contour-levels={case.contour_levels}",
+             "x,y,rho,u,v,p"]
+    for i in range(10):
+        for j in range(12):
+            lines.append(",".join(f"{q[i, j]:.16e}" for q in
+                                  (grid.xc, grid.yc, rho, u, v, p)))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_run_has_no_seed_option(capsys):
+    with pytest.raises(SystemExit):
+        run_main(["run", "--case", "sod", "--seed", "1"])
 
 
 def test_verify_suites_pass_and_are_reproducible(capsys):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cpsfds import euler2d
 from cpsfds.euler2d import (Prim2D, prim_to_cons_2d, FaceGeometry,
                             face_geometry, StructuredGrid2D, cartesian_grid,
                             ramp_grid, half_cylinder_grid, split_flux_2d,
@@ -14,7 +15,8 @@ from cpsfds.euler2d import (Prim2D, prim_to_cons_2d, FaceGeometry,
                             averages_2d, wave_strengths_2d, interface_flux_2d,
                             DegenerateWaveBasisError, cons_to_prim_fields,
                             prim_to_cons_fields, Bc2DKind, BoundarySpec,
-                            Controls2D, advance_2d, post_shock_state,
+                            Controls2D, advance_2d, residual_2d,
+                            post_shock_state,
                             case_registry_2d, half_cylinder_case, run_case_2d,
                             stagnation_line_pressure)
 from cpsfds.splittings import jordan_matrix, verify_jordan, \
@@ -187,6 +189,50 @@ def test_wave_strengths_stagnant_state_regularization(gas):
     np.testing.assert_allclose(al, [0.0, 0.0, -0.5, 0.0], atol=1e-14)
 
 
+@pytest.mark.parametrize("x1,xt,x4", [(-3.0, 0.5, 2.0), (0.7, -1.3, -0.4)])
+def test_flux_kernel_matches_the_eigenstructure(x1, xt, x4, gas, rng):
+    """The kernel is 0.5 (F_L + F_R) - 0.5 (R_c|L_c|R_c^-1 dU + sum_i
+    alpha_i |lambda_i| R_i), assembled from the face eigensystems at the
+    averaged state, times the face length.  The free constants of the
+    generalized eigenvector must leave no trace."""
+    for _ in range(200):
+        wL, wR = random_state_2d(rng), random_state_2d(rng)
+        geom = random_normal(rng)
+        ds = rng.uniform(0.1, 10.0)
+        avg = averages_2d(wL, wR, geom, gas)
+        du, dv = wR.u - wL.u, wR.v - wL.v
+        try:
+            alpha = wave_strengths_2d(
+                avg, wR.rho - wL.rho, du * geom.n_x + dv * geom.n_y,
+                -du * geom.n_y + dv * geom.n_x, wR.p - wL.p, gas,
+                regularize=False)
+        except DegenerateWaveBasisError:
+            continue
+        w_avg = Prim2D(avg.rho_bar, avg.u_bar, avg.v_bar,
+                       avg.rho_bar * avg.a2_bar / gas.gamma)
+        dU = (prim_to_cons_2d(wR, gas).as_array()
+              - prim_to_cons_2d(wL, gas).as_array())
+        conv = convection_eigensystem_2d(w_avg, geom, gas, x1=x1, xt=xt,
+                                         x4=x4)
+        beta = np.linalg.solve(conv.vectors, dU)
+        press = pressure_eigensystem_2d(w_avg, geom, gas)
+        dissipation = conv.vectors @ (np.abs(conv.eigenvalues) * beta) \
+            + press.vectors @ (np.abs(press.eigenvalues) * alpha)
+        FL = split_flux_2d(wL, geom, gas).total
+        FR = split_flux_2d(wR, geom, gas).total
+        want = ds * (0.5 * (FL + FR) - 0.5 * dissipation)
+        got = euler2d._flux_2d_kernel(
+            *(np.array([q]) for q in (wL.rho, wL.u, wL.v, wL.p,
+                                      wR.rho, wR.u, wR.v, wR.p)),
+            geom.n_x, geom.n_y, gas.gamma, np.array([ds]))[:, 0]
+        speed = abs(avg.u_perp) + avg.a_bar
+        scale = ds * max(
+            np.max(np.abs(FL)), np.max(np.abs(FR)),
+            np.max(np.abs(conv.vectors) @ np.abs(avg.u_perp * beta)),
+            np.max(np.abs(press.vectors) @ np.abs(speed * alpha)))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
 def test_interface_flux_2d_consistency_and_rotation(gas, rng):
     for _ in range(50):
         w = random_state_2d(rng)
@@ -227,6 +273,22 @@ def test_free_stream_is_preserved_on_a_curvilinear_grid(gas):
     U, log = advance_2d(U0, grid, bc, Controls2D(t_final=0.05, cfl=0.5), gas)
     assert log.steps >= 3
     assert np.max(np.abs(U - U0)) <= 1e-12 * np.max(np.abs(U0))
+
+
+def test_residual_does_not_depend_on_the_flux_block_size(gas, monkeypatch):
+    grid = half_cylinder_grid(12, 16)
+    rng = np.random.default_rng(5)
+    shape = grid.xc.shape
+    U = prim_to_cons_fields(1.4 + 0.2 * rng.uniform(size=shape),
+                            2.0 + 0.5 * rng.uniform(-1, 1, shape),
+                            0.5 * rng.uniform(-1, 1, shape),
+                            1.0 + 0.2 * rng.uniform(size=shape), gas.gamma)
+    case = half_cylinder_case(mach=2.0)
+    ctrl = Controls2D(t_final=1.0, order=2)
+    ref = residual_2d(U, grid, case.bc, ctrl, gas)
+    for faces in (1, 40, 10 ** 6):     # one face row, a few rows, one block
+        monkeypatch.setattr(euler2d, "_BLOCK_FACES", faces)
+        assert np.array_equal(residual_2d(U, grid, case.bc, ctrl, gas), ref)
 
 
 def test_rotational_objectivity_quarter_turn(gas):
