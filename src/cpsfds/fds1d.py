@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import GasModel, PrimitiveState, physical_flux, \
-    physical_flux_arrays
+from .state import GasModel, PrimitiveState, physical_flux
 
 
 class SchemeKind(enum.Enum):
@@ -138,43 +137,54 @@ def interface_flux(scheme: SchemeKind, wL: PrimitiveState, wR: PrimitiveState,
 
 def interface_flux_batch(scheme: SchemeKind, rhoL, uL, pL, rhoR, uR, pR,
                          gamma: float) -> np.ndarray:
-    """Vectorized interface flux over many faces; returns (3, n)."""
+    """Vectorized interface flux over many faces; returns (3, n).
+
+    The algebra of `interface_flux`, folded.  With d0 = |u_bar| drho both
+    schemes write the dissipation as
+
+        D = (d0, t + u_bar d0, u_bar (t + u_bar d0 / 2) + e),
+
+    where t holds the remaining momentum-row terms and e the remaining
+    energy-row terms.  ZBS: lam (a1 + a3) = lam rho_bar du, and
+    lam (a1 (u_bar - s) + a3 (u_bar + s))
+    = u_bar lam rho_bar du + a_bar dp / sqrt(g (g - 1)).  TVS: beta > |u_bar|,
+    so |lambda_1,3| = (beta -+ u_bar)/2 = l1, l3, and the energy entries of
+    R_1,3 are u_bar -+ l1,3 / (g - 1).  The central flux is built from the
+    mass fluxes m = rho u.
+    """
+    gm1 = gamma - 1.0
     sL, sR = np.sqrt(rhoL), np.sqrt(rhoR)
     wsum = sL + sR
     ub = (sL * uL + sR * uR) / wsum
     rb = sL * sR
-    a2b = (sL * gamma * pL / rhoL + sR * gamma * pR / rhoR) / wsum
-    ab = np.sqrt(a2b)
-    drho, du, dp = rhoR - rhoL, uR - uL, pR - pL
-
+    a2b = gamma * (pL / sL + pR / sR) / wsum
     absu = np.abs(ub)
-    d0 = absu * drho
-    d1 = absu * (rb * du + ub * drho)
-    d2 = absu * 0.5 * (ub * ub * drho + 2.0 * rb * ub * du)
+    dp = pR - pL
+    rbdu = rb * (uR - uL)
+    d0 = absu * (rhoR - rhoL)
 
     if scheme is SchemeKind.ZBS_FDS:
-        d2 = d2 + absu * dp / (gamma - 1.0)
-        acoustic = np.sqrt(gamma / (gamma - 1.0)) * dp / (2.0 * ab)
-        shear = 0.5 * rb * du
-        a1 = shear - acoustic
-        a3 = shear + acoustic
-        lam = np.sqrt((gamma - 1.0) / gamma) * ab
-        s = ab / np.sqrt(gamma * (gamma - 1.0))
-        d1 = d1 + lam * (a1 + a3)
-        d2 = d2 + lam * (a1 * (ub - s) + a3 * (ub + s))
+        ab = np.sqrt(a2b)
+        t = (absu + np.sqrt(gm1 / gamma) * ab) * rbdu
+        e = (absu / gm1 + ab / np.sqrt(gamma * gm1)) * dp
     else:
         beta = np.sqrt(ub * ub + 4.0 * a2b)
-        half = 0.5 * rb * du
-        skew = rb * ub * du / (2.0 * beta)
-        a1 = half + skew - dp / beta
-        a3 = half - skew + dp / beta
-        l1 = np.abs(0.5 * (ub - beta))
-        l3 = np.abs(0.5 * (ub + beta))
-        r1 = ub + 0.5 * (ub - beta) / (gamma - 1.0)
-        r3 = ub + 0.5 * (ub + beta) / (gamma - 1.0)
-        d1 = d1 + a1 * l1 + a3 * l3
-        d2 = d2 + a1 * l1 * r1 + a3 * l3 * r3
+        l1 = 0.5 * (beta - ub)
+        l3 = 0.5 * (beta + ub)
+        half = 0.5 * rbdu
+        odd = (half * ub - dp) / beta           # alpha_1,3 = half +- odd
+        e1 = (half + odd) * l1                  # alpha_1 |lambda_1|
+        e3 = (half - odd) * l3                  # alpha_3 |lambda_3|
+        t = absu * rbdu + e1 + e3
+        e = (e3 * l3 - e1 * l1) / gm1
 
-    FL = physical_flux_arrays(rhoL, uL, pL, gamma)
-    FR = physical_flux_arrays(rhoR, uR, pR, gamma)
-    return 0.5 * (FL + FR) - 0.5 * np.stack([d0, d1, d2])
+    mL, mR = rhoL * uL, rhoR * uR
+    muL, muR = mL * uL, mR * uR
+    h = gamma / gm1
+    v = ub * d0
+    F = np.empty((3,) + ub.shape)
+    F[0] = 0.5 * (mL + mR - d0)
+    F[1] = 0.5 * (pL + muL + pR + muR - t - v)
+    F[2] = 0.5 * ((h * pL + 0.5 * muL) * uL + (h * pR + 0.5 * muR) * uR
+                  - ub * (t + 0.5 * v) - e)
+    return F

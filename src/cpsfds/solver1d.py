@@ -108,57 +108,55 @@ def muscl_reconstruct(q: np.ndarray, dx: float, k: float):
     return q[1:-1] - 0.5 * psi, q[1:-1] + 0.5 * psi
 
 
-def _extend(q, ng, bc, negate=False):
-    """Pad a cell array with ng ghost values per the boundary conditions."""
+# per-row ghost factor at a reflective wall: rho and p mirror, u flips sign
+_WALL_SIGN = np.array([[1.0], [-1.0], [1.0]])
+
+
+def _extend(W, ng, bc):
+    """Pad the (3, n) primitive rows (rho, u, p) with ng ghost columns at
+    each end per the boundary conditions."""
     bc_l, bc_r = bc
-    out = np.empty(q.size + 2 * ng)
-    out[ng:-ng] = q
+    out = np.empty((3, W.shape[1] + 2 * ng))
+    out[:, ng:-ng] = W
     if bc_l is BoundaryCondition.PERIODIC:
-        out[:ng] = q[-ng:]
+        out[:, :ng] = W[:, -ng:]
     elif bc_l is BoundaryCondition.REFLECTIVE:
-        out[:ng] = (-1.0 if negate else 1.0) * q[ng - 1::-1]
+        out[:, :ng] = _WALL_SIGN * W[:, ng - 1::-1]
     else:
-        out[:ng] = q[0]
+        out[:, :ng] = W[:, :1]
     if bc_r is BoundaryCondition.PERIODIC:
-        out[-ng:] = q[:ng]
+        out[:, -ng:] = W[:, :ng]
     elif bc_r is BoundaryCondition.REFLECTIVE:
-        out[-ng:] = (-1.0 if negate else 1.0) * q[:-ng - 1:-1]
+        out[:, -ng:] = _WALL_SIGN * W[:, :-ng - 1:-1]
     else:
-        out[-ng:] = q[-1]
+        out[:, -ng:] = W[:, -1:]
     return out
 
 
-def _face_states(rho, u, p, bc, recon: ReconstructionConfig, dx):
-    """Left/right primitive states at the n+1 faces of an n-cell grid."""
+def _residual(W, scheme, bc, recon, dx, gas, step):
+    """-dF/dx for the (3, n) primitive cell array W."""
     if recon.order == 1:
-        re = _extend(rho, 1, bc)
-        ue = _extend(u, 1, bc, negate=True)
-        pe = _extend(p, 1, bc)
-        return (re[:-1], ue[:-1], pe[:-1]), (re[1:], ue[1:], pe[1:])
-    left, right = [], []
-    for q, neg in ((rho, False), (u, True), (p, False)):
-        qe = _extend(q, 2, bc, negate=neg)
-        lo, hi = muscl_reconstruct(qe, dx, recon.limiter_k)
+        We = _extend(W, 1, bc)
+        L, R = We[:, :-1], We[:, 1:]
+    else:
+        # muscl_reconstruct slices axis 0, so it takes the cells as rows
+        lo, hi = muscl_reconstruct(_extend(W, 2, bc).T, dx,
+                                   recon.limiter_k)
         # face j sits between extended cells j+1 and j+2
-        left.append(hi[:-1])
-        right.append(lo[1:])
-    return tuple(left), tuple(right)
-
-
-def _residual(U, scheme, bc, recon, dx, gas, step):
-    rho, u, p = cons_to_prim_arrays(U, gas.gamma, step=step)
-    (rl, ul, pl), (rr, ur, pr) = _face_states(rho, u, p, bc, recon, dx)
-    if recon.order == 2:
+        L, R = hi[:-1].T, lo[1:].T
         # limited face states can momentarily lose positivity only if the
-        # underlying cells already did; reject them the same way
-        for name, arr in (("rho", rl), ("p", pl), ("rho", rr), ("p", pr)):
-            bad = ~(arr > 0.0) | ~np.isfinite(arr)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise NonPhysicalStateError(
-                    f"reconstructed {name} not positive", cell=i, step=step)
-    F = interface_flux_batch(scheme, rl, ul, pl, rr, ur, pr, gas.gamma)
-    return -(F[:, 1:] - F[:, :-1]) / dx
+        # underlying cells already did; reject them the same way.  The rows
+        # are scanned in the order rho_L, p_L, rho_R, p_R.
+        Q = np.concatenate((L[::2], R[::2]))
+        ok = (Q > 0.0) & (Q < np.inf)
+        if not ok.all():
+            row, i = divmod(int(np.argmin(ok)), Q.shape[1])
+            name = ("rho", "p")[row % 2]
+            raise NonPhysicalStateError(
+                f"reconstructed {name} not positive", cell=i, step=step)
+    F = interface_flux_batch(scheme, L[0], L[1], L[2], R[0], R[1], R[2],
+                             gas.gamma)
+    return (F[:, :-1] - F[:, 1:]) / dx
 
 
 def advance(U: np.ndarray, grid: Grid1D, scheme: SchemeKind,
@@ -166,28 +164,29 @@ def advance(U: np.ndarray, grid: Grid1D, scheme: SchemeKind,
             gas: GasModel):
     """March U (3, n_cells) to controls.t_final.  Returns (U, StepLog).
 
-    Raises SolverBlowUp when a non-physical state appears anywhere.
+    Primitives are recovered once per stage; the first stage's serve both
+    dt and the residual.  Raises SolverBlowUp when a non-physical state
+    appears anywhere.
     """
     U = np.array(U, dtype=float)
     log = StepLog()
     dx = grid.dx
     while log.t < controls.t_final and log.steps < controls.max_steps:
+        step = log.steps
         try:
-            rho, u, p = cons_to_prim_arrays(U, gas.gamma, step=log.steps)
-            dt = compute_dt(rho, u, p, gas, dx, controls.cfl)
+            W = np.array(cons_to_prim_arrays(U, gas.gamma, step=step))
+            dt = compute_dt(W[0], W[1], W[2], gas, dx, controls.cfl)
             dt = min(dt, controls.t_final - log.t)
+            U1 = U + dt * _residual(W, scheme, bc, recon, dx, gas, step)
             if recon.order == 1:
-                U = U + dt * _residual(U, scheme, bc, recon, dx, gas,
-                                       log.steps)
+                U = U1
             else:
-                U1 = U + dt * _residual(U, scheme, bc, recon, dx, gas,
-                                        log.steps)
+                W1 = np.array(cons_to_prim_arrays(U1, gas.gamma, step=step))
                 U = 0.5 * U + 0.5 * (
-                    U1 + dt * _residual(U1, scheme, bc, recon, dx, gas,
-                                        log.steps))
+                    U1 + dt * _residual(W1, scheme, bc, recon, dx, gas,
+                                        step))
         except NonPhysicalStateError as err:
-            raise SolverBlowUp(scheme.value, log.steps, err.cell,
-                               err) from err
+            raise SolverBlowUp(scheme.value, step, err.cell, err) from err
         log.steps += 1
         log.t += dt
         log.dt_min = min(log.dt_min, dt)

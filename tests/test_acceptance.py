@@ -430,8 +430,8 @@ def _embedding_drift():
     for step in range(50):
         r, u, p = cons_to_prim_arrays(U1, GAS.gamma)
         dt = compute_dt(r, u, p, GAS, g1.dx, 0.5)
-        U1 = U1 + dt * _residual(U1, SchemeKind.ZBS_FDS, bc1, recon,
-                                 g1.dx, GAS, step)
+        U1 = U1 + dt * _residual(np.array([r, u, p]), SchemeKind.ZBS_FDS,
+                                 bc1, recon, g1.dx, GAS, step)
         U2 = U2 + dt * residual_2d(U2, g2, bc2, ctrl, GAS, step=step)
     diff = max(
         float(np.max(np.abs(U2[0] - U1[0][:, None]))),

@@ -1,13 +1,17 @@
 """1D finite-volume driver: grid/controls validation, reconstruction,
 boundary conditions, conservation and blow-up reporting."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from cpsfds import solver1d
+from cpsfds.bench1d import get_case, run_case
 from cpsfds.fds1d import SchemeKind
 from cpsfds.solver1d import (Grid1D, BoundaryCondition, TimeControls,
                              ReconstructionConfig, SolverBlowUp, compute_dt,
-                             muscl_reconstruct, advance, initialize)
+                             muscl_reconstruct, advance, initialize, _extend)
 from cpsfds.state import GasModel, cons_to_prim_arrays
 
 SCHEMES = list(SchemeKind)
@@ -167,3 +171,77 @@ def test_time_marching_hits_t_final_exactly(gas):
     _, log = advance(U0, grid, SchemeKind.TVS_FDS, ReconstructionConfig(1),
                      TRANSMISSIVE, TimeControls(0.123), gas)
     assert log.t == pytest.approx(0.123, abs=1e-14)
+
+
+def _ghost_columns(W, ng, bc, side):
+    """The ng ghost columns of one side, built one column at a time, nearest
+    the boundary first."""
+    n = W.shape[1]
+    left = side == "left"
+    cols = []
+    for g in range(ng):
+        if bc is BoundaryCondition.PERIODIC:
+            col = W[:, n - 1 - g] if left else W[:, g]
+        elif bc is BoundaryCondition.REFLECTIVE:
+            rho, u, p = W[:, g] if left else W[:, n - 1 - g]
+            col = np.array([rho, -u, p])
+        else:
+            col = W[:, 0] if left else W[:, n - 1]
+        cols.append(col)
+    return cols
+
+
+@pytest.mark.parametrize("ng", [1, 2])
+@pytest.mark.parametrize("bc", list(itertools.product(BoundaryCondition,
+                                                       repeat=2)))
+def test_extend_matches_a_column_by_column_construction(bc, ng, rng):
+    n = 7
+    W = np.array([rng.uniform(0.5, 2.0, n), rng.uniform(-1.0, 1.0, n),
+                  rng.uniform(0.5, 2.0, n)])
+    out = _extend(W, ng, bc)
+    assert out.shape == (3, n + 2 * ng)
+    np.testing.assert_array_equal(out[:, ng:ng + n], W)
+    for g, col in enumerate(_ghost_columns(W, ng, bc[0], "left")):
+        np.testing.assert_array_equal(out[:, ng - 1 - g], col)
+    for g, col in enumerate(_ghost_columns(W, ng, bc[1], "right")):
+        np.testing.assert_array_equal(out[:, ng + n + g], col)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_primitives_are_recovered_once_per_stage(order, scheme, gas,
+                                                 monkeypatch):
+    """One primitive recovery per stage serves dt and the residual; order 2
+    reconstructs all three variables in one MUSCL call per stage."""
+    calls = {"prim": 0, "muscl": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver1d, "cons_to_prim_arrays",
+                        counting("prim", solver1d.cons_to_prim_arrays))
+    monkeypatch.setattr(solver1d, "muscl_reconstruct",
+                        counting("muscl", solver1d.muscl_reconstruct))
+    case = get_case("sod")
+    grid = Grid1D(case.x_min, case.x_max, 50)
+    U0 = initialize(grid, case.initial_profile, gas)
+    _, log = advance(U0, grid, scheme, ReconstructionConfig(order), case.bc,
+                     TimeControls(case.t_final, case.cfl), gas)
+    assert log.steps > 0
+    assert calls["prim"] == order * log.steps
+    assert calls["muscl"] == (2 * log.steps if order == 2 else 0)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_second_order_blast_blows_up_in_reconstruction(scheme, gas):
+    """Pins a known defect (ROADMAP item 4): at order 2 the limited MUSCL
+    face pressure on the blast case turns non-positive while the cells are
+    still physical, at the same step and cell for both schemes.  A remedy
+    for that item changes this test."""
+    with pytest.raises(SolverBlowUp) as err:
+        run_case(get_case("blast"), scheme, order=2, gas=gas)
+    assert (err.value.step, err.value.cell) == (7291, 2079)
+    assert "reconstructed p not positive" in str(err.value)
