@@ -1,39 +1,15 @@
 """Convection-pressure split flux-difference-splitting solvers for the
 compressible Euler equations, with the associated 1D/2D benchmark suite
-and an exact Riemann reference solver."""
+and an exact Riemann reference solver.
 
-from .state import (GasModel, PrimitiveState, ConservedState,
-                    NonPhysicalStateError, prim_to_cons, cons_to_prim,
-                    sound_speed, physical_flux, total_energy)
-from .splittings import (SplittingKind, SplitFlux, EigenSystem,
-                         JordanDecomposition, split_flux,
-                         convection_jacobian, pressure_jacobian,
-                         convection_eigensystem, pressure_eigensystem,
-                         convection_jordan, jordan_block_signature,
-                         verify_jordan, RankTestError)
-from .fds1d import (SchemeKind, InterfaceAverages, WaveStrengths,
-                    interface_averages, zbs_pressure_strengths,
-                    tvs_pressure_strengths, zbs_dissipation,
-                    tvs_dissipation, interface_flux)
-from .exact_riemann import (StarState, VacuumError, ConvergenceError,
-                            solve_star, sample, sample_profile,
-                            pressure_function)
+The package root exports the names of the 1D library example in README;
+everything else is imported from its module (`cpsfds.euler2d`,
+`cpsfds.bench1d`, `cpsfds.splittings`, ...)."""
+
+from .state import GasModel
+from .fds1d import SchemeKind
 from .solver1d import (Grid1D, BoundaryCondition, TimeControls,
-                       ReconstructionConfig, SolverBlowUp, StepLog,
-                       compute_dt, muscl_reconstruct, advance, initialize)
-from .bench1d import (CaseSpec, ErrorReport, ReferenceKind, CaseResult,
-                      case_registry, get_case, run_case, error_norms, eoc,
-                      convergence_table, reference_profile,
-                      steady_shock_states, error3, error3_sweep,
-                      fan_jump_ratio)
-from .euler2d import (Prim2D, Cons2D, FaceGeometry, StructuredGrid2D,
-                      Averages2D, Bc2DKind, BoundarySpec, Controls2D,
-                      CaseSpec2D, face_geometry, split_flux_2d,
-                      convection_eigensystem_2d, pressure_eigensystem_2d,
-                      wave_strengths_2d, interface_flux_2d, averages_2d,
-                      advance_2d, residual_2d, case_registry_2d,
-                      run_case_2d, post_shock_state, cartesian_grid,
-                      ramp_grid, half_cylinder_grid, half_cylinder_case,
-                      stagnation_line_pressure)
+                       ReconstructionConfig, SolverBlowUp, advance,
+                       initialize)
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import numpy as np
 from . import bench1d, euler2d, exact_riemann, fds1d, splittings
 from .fds1d import SchemeKind
 from .solver1d import SolverBlowUp
-from .state import GasModel, PrimitiveState, physical_flux, \
+from .state import GasModel, PrimitiveState, physical_flux, prim_to_cons, \
     prim_to_cons_arrays
 
 EXIT_OK = 0
@@ -197,8 +197,8 @@ def _suite_algebra(seed, n=200):
                                splittings.verify_jordan(A, dec)
                                / max(1.0, float(np.max(np.abs(A)))))
         wR = _random_state(rng)
-        f_ref = fds1d.interface_flux(SchemeKind.ZBS_FDS, w, wR, gas)
-        # the generalized-eigenvector free constants never reach the flux
+        # the free constants of the generalized eigenvectors leave the
+        # Jordan residual small ...
         for x1 in (-1.0, 2.0):
             dec = splittings.convection_jordan(
                 splittings.SplittingKind.ZHA_BILGEN, w, gas, x1=x1, x3=x1)
@@ -206,20 +206,34 @@ def _suite_algebra(seed, n=200):
                 splittings.SplittingKind.ZHA_BILGEN, w, gas)
             worst_free = max(worst_free, splittings.verify_jordan(A, dec)
                              / max(1.0, float(np.max(np.abs(A)))))
-        worst_free = max(worst_free, float(np.max(np.abs(
-            fds1d.interface_flux(SchemeKind.ZBS_FDS, w, wR, gas) - f_ref))))
-        # U-property of the pressure parts: flux jump = sum alpha lambda R
-        for kind, strengths in (
-                (splittings.SplittingKind.ZHA_BILGEN,
+        avg = fds1d.interface_averages(w, wR, gas)
+        wb = PrimitiveState(avg.rho_bar, avg.u_bar,
+                            avg.rho_bar * avg.a2_bar / gas.gamma)
+        dU = (prim_to_cons(wR, gas).as_array()
+              - prim_to_cons(w, gas).as_array())
+        central = 0.5 * (physical_flux(w, gas) + physical_flux(wR, gas))
+        for scheme, kind, strengths in (
+                (SchemeKind.ZBS_FDS, splittings.SplittingKind.ZHA_BILGEN,
                  fds1d.zbs_pressure_strengths),
-                (splittings.SplittingKind.TORO_VAZQUEZ,
+                (SchemeKind.TVS_FDS, splittings.SplittingKind.TORO_VAZQUEZ,
                  fds1d.tvs_pressure_strengths)):
-            avg = fds1d.interface_averages(w, wR, gas)
-            wb = PrimitiveState(avg.rho_bar, avg.u_bar,
-                                avg.rho_bar * avg.a2_bar / gas.gamma)
             es = splittings.pressure_eigensystem(kind, wb, gas)
             al = strengths(avg, wR.rho - w.rho, wR.u - w.u, wR.p - w.p,
                            gas).alpha
+            # ... and never reach the flux: it equals the dissipation
+            # assembled from the eigensystems at the averaged state
+            flux = fds1d.interface_flux(scheme, w, wR, gas)
+            d_press = es.vectors @ (np.abs(es.eigenvalues) * al)
+            for x1 in (-1.0, 2.0):
+                conv = splittings.convection_eigensystem(kind, wb, gas,
+                                                         x1=x1, x3=x1)
+                d_conv = conv.vectors @ (np.abs(conv.eigenvalues)
+                                         * np.linalg.solve(conv.vectors, dU))
+                want = central - 0.5 * (d_conv + d_press)
+                worst_free = max(worst_free,
+                                 float(np.max(np.abs(flux - want)))
+                                 / max(1.0, float(np.max(np.abs(flux)))))
+            # U-property of the pressure parts: flux jump = sum alpha lambda R
             jump = splittings.split_flux(kind, wR, gas).pressure \
                 - splittings.split_flux(kind, w, gas).pressure
             model = es.vectors @ (al * es.eigenvalues)

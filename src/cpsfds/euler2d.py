@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .splittings import EigenSystem, SplitFlux
-from .solver1d import StepLog, SolverBlowUp
+from .solver1d import march
 from .state import GasModel, NonPhysicalStateError
 
 
@@ -43,21 +43,11 @@ class Prim2D:
                                         rho=self.rho, p=self.p)
 
 
-@dataclass(frozen=True)
-class Cons2D:
-    rho: float
-    rho_u: float
-    rho_v: float
-    rho_E: float
-
-    def as_array(self):
-        return np.array([self.rho, self.rho_u, self.rho_v, self.rho_E])
-
-
-def prim_to_cons_2d(w: Prim2D, gas: GasModel) -> Cons2D:
+def prim_to_cons_2d(w: Prim2D, gas: GasModel) -> np.ndarray:
+    """(rho, rho u, rho v, rho E) of one state."""
     w.require_physical()
     E = w.p / (w.rho * (gas.gamma - 1.0)) + 0.5 * (w.u ** 2 + w.v ** 2)
-    return Cons2D(w.rho, w.rho * w.u, w.rho * w.v, w.rho * E)
+    return np.array([w.rho, w.rho * w.u, w.rho * w.v, w.rho * E])
 
 
 @dataclass(frozen=True)
@@ -405,12 +395,18 @@ def interface_flux_2d(wL: Prim2D, wR: Prim2D, geom: FaceGeometry,
 # --------------------------------------------------------------------------
 # conserved <-> primitive field kernels
 
+def _first_cell(bad):
+    """Index tuple of the first True entry of bad, as Python ints."""
+    return tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)),
+                                                  bad.shape))
+
+
 def cons_to_prim_fields(U, gamma, *, step=None):
     """(4, ni, nj) conserved field -> (rho, u, v, p); raises on breakdown."""
     rho = U[0]
     bad = ~(rho > 0.0) | ~np.isfinite(rho)
     if bad.any():
-        i, j = np.unravel_index(int(np.argmax(bad)), rho.shape)
+        i, j = _first_cell(bad)
         raise NonPhysicalStateError("non-physical density in 2D solution",
                                     rho=float(rho[i, j]), cell=(i, j),
                                     step=step)
@@ -419,7 +415,7 @@ def cons_to_prim_fields(U, gamma, *, step=None):
     p = (gamma - 1.0) * (U[3] - 0.5 * (U[1] ** 2 + U[2] ** 2) / rho)
     bad = ~(p > 0.0) | ~np.isfinite(p)
     if bad.any():
-        i, j = np.unravel_index(int(np.argmax(bad)), p.shape)
+        i, j = _first_cell(bad)
         raise NonPhysicalStateError("non-physical pressure in 2D solution",
                                     rho=float(rho[i, j]), p=float(p[i, j]),
                                     cell=(i, j), step=step)
@@ -552,15 +548,14 @@ def _check_faces(arrays, step):
     for q in arrays:
         bad = ~np.isfinite(q)
         if bad.any():
-            idx = np.unravel_index(int(np.argmax(bad)), q.shape)
             raise NonPhysicalStateError("non-finite reconstructed face state",
-                                        cell=idx, step=step)
+                                        cell=_first_cell(bad), step=step)
     for q in (arrays[0], arrays[3]):        # rho and p must stay positive
         bad = ~(q > 0.0)
         if bad.any():
-            idx = np.unravel_index(int(np.argmax(bad)), q.shape)
             raise NonPhysicalStateError("reconstructed face state not "
-                                        "positive", cell=idx, step=step)
+                                        "positive", cell=_first_cell(bad),
+                                        step=step)
 
 
 # Faces per flux block: the kernel's temporaries for one block fit the
@@ -592,11 +587,13 @@ def _sweep_net_flux(net, L, R, nx, ny, ds, gamma):
         buf[:, 0] = buf[:, n]
 
 
-def residual_2d(U, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
+def residual_2d(W, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
                 gas: GasModel, step=None):
-    """-(1/A) sum of face fluxes times face lengths; shape (4, ni, nj)."""
+    """-(1/A) sum of face fluxes times face lengths; shape (4, ni, nj).
+
+    W holds the primitive cell fields (rho, u, v, p)."""
     g = gas.gamma
-    rho, u, v, p = cons_to_prim_fields(U, g, step=step)
+    rho, u, v, p = W
     ng = 1 if controls.order == 1 else 2
 
     # i-direction sweep
@@ -634,33 +631,12 @@ def residual_2d(U, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
 def advance_2d(U, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
                gas: GasModel):
     """March a (4, ni, nj) conserved field to t_final (or steady state)."""
-    U = np.array(U, dtype=float)
-    log = StepLog()
-    res0 = None
-    while log.t < controls.t_final and log.steps < controls.max_steps:
-        try:
-            rho, u, v, p = cons_to_prim_fields(U, gas.gamma, step=log.steps)
-            dt = compute_dt_2d(rho, u, v, p, grid, gas, controls.cfl)
-            dt = min(dt, controls.t_final - log.t)
-            R = residual_2d(U, grid, bc, controls, gas, step=log.steps)
-            if controls.order == 1:
-                U = U + dt * R
-            else:
-                U1 = U + dt * R
-                R1 = residual_2d(U1, grid, bc, controls, gas, step=log.steps)
-                U = 0.5 * U + 0.5 * (U1 + dt * R1)
-        except NonPhysicalStateError as err:
-            raise SolverBlowUp("zbs-2d", log.steps, err.cell, err) from err
-        log.steps += 1
-        log.t += dt
-        log.dt_min = min(log.dt_min, dt)
-        if controls.steady_drop is not None:
-            res = float(np.sqrt(np.sum(R[0] ** 2)))
-            if res0 is None:
-                res0 = res
-            elif res <= res0 / controls.steady_drop:
-                break
-    return U, log
+    return march(
+        U,
+        lambda U, step: cons_to_prim_fields(U, gas.gamma, step=step),
+        lambda W: compute_dt_2d(*W, grid, gas, controls.cfl),
+        lambda W, step: residual_2d(W, grid, bc, controls, gas, step=step),
+        controls, controls.order, "zbs-2d", controls.steady_drop)
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,12 @@ through the Roe-type averages) and D_p is the characteristic pressure
 dissipation sum alpha_i |lambda_i| R_i evaluated at the averaged state.  No
 entropy fix is applied anywhere.
 
-The module exposes a scalar API built on PrimitiveState plus array kernels
-(`interface_flux_batch`) that the 1D solver uses for whole-grid sweeps.
+`interface_flux_batch` is the one implementation of the flux; the 1D
+solver calls it on whole-grid sweeps and `interface_flux` on one-element
+arrays for a single face.  `interface_averages` and the `*_pressure_strengths`
+functions spell out the averaged state and the wave strengths alpha_i of a
+single face; they serve as the reference that the kernel's closed form is
+checked against.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import GasModel, PrimitiveState, physical_flux
+from .state import GasModel, PrimitiveState
 
 
 class SchemeKind(enum.Enum):
@@ -80,67 +84,23 @@ def tvs_pressure_strengths(avg: InterfaceAverages, drho: float, du: float,
                                    half - skew + dp / beta]))
 
 
-def _convection_dissipation(avg, drho, du, dp, gamma, with_dp):
-    """|u_bar| * dU with dU expressed through the averages.
-
-    ZBS upwinds the whole conserved jump (with_dp=True).  TVS carries the
-    internal-energy jump dp/(gamma-1) on the zero-speed eigenvector of its
-    convection part, so that term drops from the dissipation.
-    """
-    ub, rb = avg.u_bar, avg.rho_bar
-    third = 0.5 * (ub * ub * drho + 2.0 * rb * ub * du)
-    if with_dp:
-        third = third + dp / (gamma - 1.0)
-    return np.abs(ub) * np.array([drho, rb * du + ub * drho, third])
-
-
-def zbs_dissipation(wL: PrimitiveState, wR: PrimitiveState,
-                    gas: GasModel) -> np.ndarray:
-    avg = interface_averages(wL, wR, gas)
-    g = gas.gamma
-    drho, du, dp = wR.rho - wL.rho, wR.u - wL.u, wR.p - wL.p
-    d = _convection_dissipation(avg, drho, du, dp, g, with_dp=True)
-    a1, _, a3 = zbs_pressure_strengths(avg, drho, du, dp, gas).alpha
-    lam = np.sqrt((g - 1.0) / g) * avg.a_bar      # |lambda_1| = |lambda_3|
-    s = avg.a_bar / np.sqrt(g * (g - 1.0))
-    ub = avg.u_bar
-    d += lam * np.array([0.0, a1 + a3, a1 * (ub - s) + a3 * (ub + s)])
-    return d
-
-
-def tvs_dissipation(wL: PrimitiveState, wR: PrimitiveState,
-                    gas: GasModel) -> np.ndarray:
-    avg = interface_averages(wL, wR, gas)
-    g = gas.gamma
-    drho, du, dp = wR.rho - wL.rho, wR.u - wL.u, wR.p - wL.p
-    d = _convection_dissipation(avg, drho, du, dp, g, with_dp=False)
-    a1, _, a3 = tvs_pressure_strengths(avg, drho, du, dp, gas).alpha
-    ub, beta = avg.u_bar, avg.beta_bar
-    l1 = np.abs(0.5 * (ub - beta))
-    l3 = np.abs(0.5 * (ub + beta))
-    r1 = ub + 0.5 * (ub - beta) / (g - 1.0)
-    r3 = ub + 0.5 * (ub + beta) / (g - 1.0)
-    d += np.array([0.0,
-                   a1 * l1 + a3 * l3,
-                   a1 * l1 * r1 + a3 * l3 * r3])
-    return d
-
-
 def interface_flux(scheme: SchemeKind, wL: PrimitiveState, wR: PrimitiveState,
                    gas: GasModel) -> np.ndarray:
-    if scheme is SchemeKind.ZBS_FDS:
-        d = zbs_dissipation(wL, wR, gas)
-    else:
-        d = tvs_dissipation(wL, wR, gas)
-    return 0.5 * (physical_flux(wL, gas) + physical_flux(wR, gas)) - 0.5 * d
+    """Flux across one face: `interface_flux_batch` on one-element arrays."""
+    wL.require_physical()
+    wR.require_physical()
+    return interface_flux_batch(
+        scheme, *(np.array([q]) for q in (wL.rho, wL.u, wL.p,
+                                          wR.rho, wR.u, wR.p)),
+        gas.gamma)[:, 0]
 
 
 def interface_flux_batch(scheme: SchemeKind, rhoL, uL, pL, rhoR, uR, pR,
                          gamma: float) -> np.ndarray:
     """Vectorized interface flux over many faces; returns (3, n).
 
-    The algebra of `interface_flux`, folded.  With d0 = |u_bar| drho both
-    schemes write the dissipation as
+    The dissipation |u_bar| dU + sum_i alpha_i |lambda_i| R_i at the
+    averaged state, folded.  With d0 = |u_bar| drho both schemes write it as
 
         D = (d0, t + u_bar d0, u_bar (t + u_bar d0 / 2) + e),
 

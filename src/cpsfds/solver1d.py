@@ -159,38 +159,62 @@ def _residual(W, scheme, bc, recon, dx, gas, step):
     return (F[:, :-1] - F[:, 1:]) / dx
 
 
+def march(U, to_prim, dt_fn, residual_fn, controls, order, label,
+          steady_drop=None):
+    """Time-step policy shared by the 1D and 2D solvers.  Returns (U, StepLog).
+
+    to_prim(U, step) recovers the primitives once per stage; the first
+    stage's serve both dt_fn(W) and residual_fn(W, step).  Order 1 takes a
+    forward Euler step, order 2 the two-stage SSP Runge-Kutta step.  dt is
+    clamped to land on controls.t_final.  With steady_drop set, the march
+    stops once the L2 norm of the first-stage density residual has fallen
+    by that factor from its value at the first step.  A NonPhysicalStateError
+    anywhere becomes SolverBlowUp(label, step, cell).
+    """
+    U = np.array(U, dtype=float)
+    log = StepLog()
+    res0 = None
+    while log.t < controls.t_final and log.steps < controls.max_steps:
+        step = log.steps
+        try:
+            W = to_prim(U, step)
+            dt = min(dt_fn(W), controls.t_final - log.t)
+            R = residual_fn(W, step)
+            U1 = U + dt * R
+            if order == 1:
+                U = U1
+            else:
+                U = 0.5 * U + 0.5 * (
+                    U1 + dt * residual_fn(to_prim(U1, step), step))
+        except NonPhysicalStateError as err:
+            raise SolverBlowUp(label, step, err.cell, err) from err
+        log.steps += 1
+        log.t += dt
+        log.dt_min = min(log.dt_min, dt)
+        if steady_drop is not None:
+            res = float(np.sqrt(np.sum(R[0] ** 2)))
+            if res0 is None:
+                res0 = res
+            elif res <= res0 / steady_drop:
+                break
+    return U, log
+
+
 def advance(U: np.ndarray, grid: Grid1D, scheme: SchemeKind,
             recon: ReconstructionConfig, bc, controls: TimeControls,
             gas: GasModel):
     """March U (3, n_cells) to controls.t_final.  Returns (U, StepLog).
 
-    Primitives are recovered once per stage; the first stage's serve both
-    dt and the residual.  Raises SolverBlowUp when a non-physical state
-    appears anywhere.
+    Raises SolverBlowUp when a non-physical state appears anywhere.
     """
-    U = np.array(U, dtype=float)
-    log = StepLog()
     dx = grid.dx
-    while log.t < controls.t_final and log.steps < controls.max_steps:
-        step = log.steps
-        try:
-            W = np.array(cons_to_prim_arrays(U, gas.gamma, step=step))
-            dt = compute_dt(W[0], W[1], W[2], gas, dx, controls.cfl)
-            dt = min(dt, controls.t_final - log.t)
-            U1 = U + dt * _residual(W, scheme, bc, recon, dx, gas, step)
-            if recon.order == 1:
-                U = U1
-            else:
-                W1 = np.array(cons_to_prim_arrays(U1, gas.gamma, step=step))
-                U = 0.5 * U + 0.5 * (
-                    U1 + dt * _residual(W1, scheme, bc, recon, dx, gas,
-                                        step))
-        except NonPhysicalStateError as err:
-            raise SolverBlowUp(scheme.value, step, err.cell, err) from err
-        log.steps += 1
-        log.t += dt
-        log.dt_min = min(log.dt_min, dt)
-    return U, log
+    return march(
+        U,
+        lambda U, step: np.array(cons_to_prim_arrays(U, gas.gamma,
+                                                     step=step)),
+        lambda W: compute_dt(*W, gas, dx, controls.cfl),
+        lambda W, step: _residual(W, scheme, bc, recon, dx, gas, step),
+        controls, recon.order, scheme.value)
 
 
 def initialize(grid: Grid1D, init_fn, gas: GasModel):

@@ -75,9 +75,6 @@ class ConservedState:
         return np.array([self.u1, self.u2, self.u3])
 
 
-FluxVector = np.ndarray  # three components: mass, momentum, energy flux
-
-
 def total_energy(w: PrimitiveState, gas: GasModel) -> float:
     """Specific total energy E = p / (rho (gamma - 1)) + u^2 / 2."""
     return w.p / (w.rho * (gas.gamma - 1.0)) + 0.5 * w.u * w.u
@@ -109,7 +106,7 @@ def sound_speed(w: PrimitiveState, gas: GasModel) -> float:
     return math.sqrt(gas.gamma * w.p / w.rho)
 
 
-def physical_flux(w: PrimitiveState, gas: GasModel) -> FluxVector:
+def physical_flux(w: PrimitiveState, gas: GasModel) -> np.ndarray:
     """Unsplit Euler flux (rho u, p + rho u^2, p u + rho u E)."""
     w.require_physical()
     E = total_energy(w, gas)

@@ -22,11 +22,10 @@ from cpsfds.euler2d import (Prim2D, BoundarySpec, Bc2DKind, Controls2D,
                             advance_2d, residual_2d, run_case_2d,
                             shock_reflection_case, wedge_case,
                             half_cylinder_case, stagnation_line_pressure)
-from cpsfds.fds1d import (SchemeKind, interface_averages, interface_flux,
+from cpsfds.fds1d import (SchemeKind, interface_averages,
                           zbs_pressure_strengths, tvs_pressure_strengths)
-from cpsfds.solver1d import (BoundaryCondition, Grid1D, ReconstructionConfig,
-                             SolverBlowUp, TimeControls, _residual, advance,
-                             compute_dt, initialize)
+from cpsfds.solver1d import (Grid1D, ReconstructionConfig, SolverBlowUp,
+                             _residual, compute_dt, initialize)
 from cpsfds.splittings import (SplittingKind, split_flux, convection_jacobian,
                                pressure_jacobian, convection_jordan,
                                pressure_eigensystem, verify_jordan)
@@ -432,7 +431,8 @@ def _embedding_drift():
         dt = compute_dt(r, u, p, GAS, g1.dx, 0.5)
         U1 = U1 + dt * _residual(np.array([r, u, p]), SchemeKind.ZBS_FDS,
                                  bc1, recon, g1.dx, GAS, step)
-        U2 = U2 + dt * residual_2d(U2, g2, bc2, ctrl, GAS, step=step)
+        U2 = U2 + dt * residual_2d(cons_to_prim_fields(U2, GAS.gamma), g2,
+                                   bc2, ctrl, GAS, step=step)
     diff = max(
         float(np.max(np.abs(U2[0] - U1[0][:, None]))),
         float(np.max(np.abs(U2[1] - U1[1][:, None]))),

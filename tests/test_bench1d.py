@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_pair
 
-from cpsfds.bench1d import (ReferenceKind, case_registry, get_case, run_case,
+from cpsfds.bench1d import (case_registry, get_case, run_case,
                             error_norms, eoc, convergence_table,
                             reference_profile, steady_shock_states, error3,
                             error3_sweep, fan_jump_ratio)

@@ -166,3 +166,14 @@ def test_verify_suites_pass_and_are_reproducible(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert "FAIL" not in first
+
+
+def test_free_parameter_check_fails_on_a_perturbed_flux(monkeypatch, capsys):
+    """The flux part of the check compares interface_flux with the flux
+    assembled from the eigensystems, so a 1e-9 relative error fails it."""
+    flux = cli.fds1d.interface_flux
+    monkeypatch.setattr(cli.fds1d, "interface_flux",
+                        lambda *args: flux(*args) * (1.0 + 1e-9))
+    assert run_main(["verify", "algebra", "--seed", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] algebra: free-parameter invariance" in out

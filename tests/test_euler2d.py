@@ -19,9 +19,9 @@ from cpsfds.euler2d import (Prim2D, prim_to_cons_2d, FaceGeometry,
                             post_shock_state,
                             case_registry_2d, half_cylinder_case, run_case_2d,
                             stagnation_line_pressure)
+from cpsfds.solver1d import SolverBlowUp
 from cpsfds.splittings import jordan_matrix, verify_jordan, \
     JordanDecomposition
-from cpsfds.state import GasModel
 
 
 def random_state_2d(rng) -> Prim2D:
@@ -101,7 +101,7 @@ def test_2d_jacobians_match_finite_differences(part, gas, rng):
         else:
             A = pressure_jacobian_2d(w, geom, gas)
             pick = lambda sf: sf.pressure
-        U0 = prim_to_cons_2d(w, gas).as_array()
+        U0 = prim_to_cons_2d(w, gas)
 
         def f(U):
             g = gas.gamma
@@ -210,8 +210,7 @@ def test_flux_kernel_matches_the_eigenstructure(x1, xt, x4, gas, rng):
             continue
         w_avg = Prim2D(avg.rho_bar, avg.u_bar, avg.v_bar,
                        avg.rho_bar * avg.a2_bar / gas.gamma)
-        dU = (prim_to_cons_2d(wR, gas).as_array()
-              - prim_to_cons_2d(wL, gas).as_array())
+        dU = prim_to_cons_2d(wR, gas) - prim_to_cons_2d(wL, gas)
         conv = convection_eigensystem_2d(w_avg, geom, gas, x1=x1, xt=xt,
                                          x4=x4)
         beta = np.linalg.solve(conv.vectors, dU)
@@ -285,10 +284,11 @@ def test_residual_does_not_depend_on_the_flux_block_size(gas, monkeypatch):
                             1.0 + 0.2 * rng.uniform(size=shape), gas.gamma)
     case = half_cylinder_case(mach=2.0)
     ctrl = Controls2D(t_final=1.0, order=2)
-    ref = residual_2d(U, grid, case.bc, ctrl, gas)
+    W = cons_to_prim_fields(U, gas.gamma)
+    ref = residual_2d(W, grid, case.bc, ctrl, gas)
     for faces in (1, 40, 10 ** 6):     # one face row, a few rows, one block
         monkeypatch.setattr(euler2d, "_BLOCK_FACES", faces)
-        assert np.array_equal(residual_2d(U, grid, case.bc, ctrl, gas), ref)
+        assert np.array_equal(residual_2d(W, grid, case.bc, ctrl, gas), ref)
 
 
 def test_rotational_objectivity_quarter_turn(gas):
@@ -358,3 +358,14 @@ def test_half_cylinder_coarse_run_is_physical(gas):
     assert p.min() > 0.0
     ps = stagnation_line_pressure(grid, U, gas)
     assert ps.shape == (15,)
+
+
+def test_second_order_half_cylinder_blows_up_at_the_wall_outflow_corner(gas):
+    """Pins a known defect (ROADMAP item 4): at order 2 the default half
+    cylinder (M6, 45x45) loses positivity in cell (44, 0), where the body
+    slip wall meets the j-outflow boundary.  The diagnostic names the cell
+    with plain integers.  A remedy for that item changes this test."""
+    with pytest.raises(SolverBlowUp) as err:
+        run_case_2d(half_cylinder_case(), gas, order=2)
+    assert (err.value.step, err.value.cell) == (104, (44, 0))
+    assert "cell (44, 0)" in str(err.value)

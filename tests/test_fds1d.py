@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_pair, random_primitive
+from conftest import random_pair
 
 from cpsfds.fds1d import (SchemeKind, interface_averages,
                           zbs_pressure_strengths, tvs_pressure_strengths,
-                          zbs_dissipation, tvs_dissipation, interface_flux,
-                          interface_flux_batch)
+                          interface_flux, interface_flux_batch)
 from cpsfds.splittings import (SplittingKind, split_flux,
                                convection_eigensystem, pressure_eigensystem)
 from cpsfds.state import GasModel, PrimitiveState, physical_flux, prim_to_cons
@@ -105,23 +104,6 @@ def test_mirror_symmetry(scheme, gas, rng):
         scale = max(np.max(np.abs(F)), 1.0)
         np.testing.assert_allclose(Fm, [-F[0], F[1], -F[2]],
                                    atol=1e-11 * scale)
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_batch_kernel_matches_scalar_flux(scheme, gas, rng):
-    n = 64
-    rhoL = 10.0 ** rng.uniform(-2, 2, n)
-    rhoR = 10.0 ** rng.uniform(-2, 2, n)
-    uL = rng.uniform(-50, 50, n)
-    uR = rng.uniform(-50, 50, n)
-    pL = 10.0 ** rng.uniform(-2, 3, n)
-    pR = 10.0 ** rng.uniform(-2, 3, n)
-    F = interface_flux_batch(scheme, rhoL, uL, pL, rhoR, uR, pR, gas.gamma)
-    for i in range(n):
-        Fi = interface_flux(scheme, PrimitiveState(rhoL[i], uL[i], pL[i]),
-                            PrimitiveState(rhoR[i], uR[i], pR[i]), gas)
-        np.testing.assert_allclose(F[:, i], Fi, rtol=1e-13,
-                                   atol=1e-13 * max(np.max(np.abs(Fi)), 1.0))
 
 
 @pytest.mark.parametrize("scheme,kind,strengths", [

@@ -6,13 +6,13 @@ import itertools
 import numpy as np
 import pytest
 
-from cpsfds import solver1d
+from cpsfds import euler2d, solver1d
 from cpsfds.bench1d import get_case, run_case
 from cpsfds.fds1d import SchemeKind
 from cpsfds.solver1d import (Grid1D, BoundaryCondition, TimeControls,
                              ReconstructionConfig, SolverBlowUp, compute_dt,
                              muscl_reconstruct, advance, initialize, _extend)
-from cpsfds.state import GasModel, cons_to_prim_arrays
+from cpsfds.state import cons_to_prim_arrays
 
 SCHEMES = list(SchemeKind)
 PERIODIC = (BoundaryCondition.PERIODIC,) * 2
@@ -233,6 +233,25 @@ def test_primitives_are_recovered_once_per_stage(order, scheme, gas,
     assert log.steps > 0
     assert calls["prim"] == order * log.steps
     assert calls["muscl"] == (2 * log.steps if order == 2 else 0)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_2d_primitives_are_recovered_once_per_stage(order, gas, monkeypatch):
+    """The 2D solver shares the marcher: one primitive recovery per stage,
+    the first stage's serving both dt and the residual."""
+    calls = [0]
+    convert = euler2d.cons_to_prim_fields
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return convert(*args, **kwargs)
+
+    monkeypatch.setattr(euler2d, "cons_to_prim_fields", counting)
+    _, _, log = euler2d.run_case_2d(euler2d.shock_reflection_case(), gas,
+                                    grid_shape=(24, 8), order=order,
+                                    t_final=0.2)
+    assert log.steps > 0
+    assert calls[0] == order * log.steps
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -10,8 +10,7 @@ from cpsfds.splittings import (SplittingKind, split_flux, convection_jacobian,
                                pressure_eigensystem, convection_jordan,
                                jordan_block_signature, jordan_matrix,
                                verify_jordan, JordanDecomposition)
-from cpsfds.state import GasModel, PrimitiveState, physical_flux, \
-    prim_to_cons
+from cpsfds.state import PrimitiveState, physical_flux, prim_to_cons
 
 ALL_KINDS = list(SplittingKind)
 CHAINED_KINDS = [SplittingKind.ZHA_BILGEN, SplittingKind.TORO_VAZQUEZ]
