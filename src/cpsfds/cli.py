@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bench1d, euler2d, exact_riemann, fds1d, splittings
 from .fds1d import SchemeKind
-from .solver1d import SolverBlowUp
+from .solver1d import MIN_CELLS, SolverBlowUp
 from .state import GasModel, PrimitiveState, physical_flux, prim_to_cons, \
     prim_to_cons_arrays
 
@@ -365,6 +365,25 @@ def _parse_grid(text):
     return int(ni), int(nj)
 
 
+def _check_run_config(config: RunConfig):
+    """Raise ValueError for an option value that no case accepts, so that
+    it is reported before any solve starts."""
+    if config.scheme not in _SCHEMES or config.order not in (1, 2) \
+            or config.fmt not in ("csv", "eoc", "report"):
+        raise ValueError("invalid scheme/order/format")
+    if config.cells is not None and config.cells < MIN_CELLS:
+        raise ValueError(f"cells must be at least {MIN_CELLS}, "
+                         f"got {config.cells}")
+    if config.grid is not None and min(config.grid) < 2:
+        ni, nj = config.grid
+        raise ValueError(f"grid must be at least 2x2, got {ni}x{nj}")
+    if config.cfl is not None and not 0.0 < config.cfl <= 1.0:
+        raise ValueError(f"cfl must be in (0, 1], got {config.cfl}")
+    if config.t_final is not None and not 0.0 < config.t_final < math.inf:
+        raise ValueError(f"t-final must be positive and finite, "
+                         f"got {config.t_final}")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cpsfds",
@@ -432,9 +451,7 @@ def main(argv=None) -> int:
                      if "t_final" in merged else None),
             out=merged.get("out"),
             fmt=str(merged.get("fmt", "csv")))
-        if config.scheme not in _SCHEMES or config.order not in (1, 2) \
-                or config.fmt not in ("csv", "eoc", "report"):
-            raise ValueError("invalid scheme/order/format")
+        _check_run_config(config)
     except (ValueError, TypeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -110,10 +110,9 @@ class StructuredGrid2D:
         self.jface_ds = np.hypot(dxj, dyj)
         self.jface_nx = dyj / self.jface_ds
         self.jface_ny = -dxj / self.jface_ds
-        # (nx, ny, ds) of the j faces with j on axis 0, contiguous, so the
-        # j sweep of residual_2d reads its row blocks from contiguous memory
-        self.jface_sweep = tuple(np.ascontiguousarray(q.T) for q in (
-            self.jface_nx, self.jface_ny, self.jface_ds))
+        # length of each cell's boundary, for the time-step scan
+        self.perimeter = (self.iface_ds[:-1] + self.iface_ds[1:]
+                          + self.jface_ds[:, :-1] + self.jface_ds[:, 1:])
 
         # representative spacing for the limiter threshold
         self.h = float(np.sqrt(np.mean(self.area)))
@@ -332,54 +331,73 @@ def wave_strengths_2d(avg: Averages2D, drho, du_perp, du_par, dp,
     return np.array([a1, a2, a3, a4])
 
 
-def _flux_2d_kernel(rL, uL, vL, pL, rR, uR, vR, pR, nx, ny, gamma,
-                    ds=1.0, out=None):
-    """Vectorized face flux times the face length ds, written into out.
+def _face_sides(rho, u, v, p, gamma):
+    """What the face flux reads from the states on one side of its faces:
+    (rho, u, v, p, sqrt(rho), (gamma - 1) p / sqrt(rho), rho u, rho v,
+    rho H).  At order 1 the face states are the cells, so the residual
+    computes these once per cell and sweep, not once per face and side."""
+    s = np.sqrt(rho)
+    ru, rv = rho * u, rho * v
+    rH = gamma / (gamma - 1.0) * p + 0.5 * (ru * u + rv * v)
+    return rho, u, v, p, s, (gamma - 1.0) * p / s, ru, rv, rH
+
+
+def _sides_flux(left, right, nx, ny, gamma, ds=1.0, out=None):
+    """Vectorized face flux times the face length ds, written into out,
+    from the side tuples of _face_sides.
 
     All arguments broadcast; out has shape (4, *broadcast shape) and is
     allocated if not given.  The flux is the average of the two normal
-    fluxes minus half the dissipation |u_perp| dU + sum_i alpha_i
-    |lambda_i| R_i at the sqrt(rho)-weighted state (a, rb, u_perp).  The
-    strengths a1, a4 of the two acoustic waves, of speed
+    fluxes u_perp (rho, rho u, rho v, rho H) + p (0, n_x, n_y, 0) minus
+    half the dissipation |u_perp| dU + sum_i alpha_i |lambda_i| R_i at the
+    sqrt(rho)-weighted state (a, rb = sqrt(rho_L rho_R), u_perp).
+
+    The convection part has the single eigenvalue u_perp with an order-two
+    Jordan chain, so R_c |L_c| R_c^-1 dU is |u_perp| dU whatever the
+    generalized eigenvector: with the weighted averages the Roe identities
+    d(rho u) = rb du + u d(rho) and d(rho |u|^2 / 2) = |u|^2 d(rho) / 2
+    + rb u . du hold exactly, so the conserved jump dU is used as it is.
+    Central part and |u_perp| dU combine into U_L (u_perp,L + |u_perp|)
+    + U_R (u_perp,R - |u_perp|); in the energy row
+    d(rho E) = d(rho H) - dp.
+
+    The strengths a1, a4 of the two acoustic waves, of speed
     lam = sqrt((gamma - 1) / gamma) a, enter only as
     lam (a1 + a4) = lam rb du_perp and
     lam s (a4 - a1) = a dp / sqrt(gamma (gamma - 1)) = lam dp / (gamma - 1),
     with s = a / sqrt(gamma (gamma - 1)).
     """
+    rL, uL, vL, pL, sL, psL, ruL, rvL, rHL = left
+    rR, uR, vR, pR, sR, psR, ruR, rvR, rHR = right
     if out is None:
         out = np.empty((4,) + np.broadcast(rL, uL, vL, pL, rR, uR, vR, pR,
                                            nx, ny, ds).shape)
-    g1 = gamma - 1.0
-    sL, sR = np.sqrt(rL), np.sqrt(rR)
-    w = sL + sR
-    fL, fR = sL / w, sR / w
-    rb = sL * sR
-    ub = fL * uL + fR * uR
-    vb = fL * vL + fR * vR
+    iw = 1.0 / (sL + sR)
     upL = uL * nx + vL * ny
     upR = uR * nx + vR * ny
-    upb = fL * upL + fR * upR
+    upb = (sL * upL + sR * upR) * iw
     absu = np.abs(upb)
-    lam = np.sqrt(g1 * (pL / sL + pR / sR) / w)
-    drho, du, dv, dp = rR - rL, uR - uL, vR - vL, pR - pL
-
-    mL, mR = rL * upL, rR * upR
-    q = lam * rb * (upR - upL)
+    lam = np.sqrt((psL + psR) * iw)
+    q = lam * (sL * sR) * (upR - upL)
     pn = pL + pR - q
+    cL, cR = upL + absu, upR - absu
     half_ds = 0.5 * ds
 
-    np.multiply(mL + mR - absu * drho, half_ds, out=out[0])
-    np.multiply(mL * uL + mR * uR + pn * nx
-                - absu * (rb * du + ub * drho), half_ds, out=out[1])
-    np.multiply(mL * vL + mR * vR + pn * ny
-                - absu * (rb * dv + vb * drho), half_ds, out=out[2])
-    central = (gamma / g1 * (pL * upL + pR * upR)
-               + 0.5 * (mL * (uL * uL + vL * vL) + mR * (uR * uR + vR * vR)))
-    dissipation = (absu * (0.5 * (ub * ub + vb * vb) * drho
-                           + rb * (ub * du + vb * dv))
-                   + (absu + lam) * dp / g1 + q * upb)
-    np.multiply(central - dissipation, half_ds, out=out[3])
+    np.multiply(rL * cL + rR * cR, half_ds, out=out[0])
+    np.multiply(ruL * cL + ruR * cR + pn * nx, half_ds, out=out[1])
+    np.multiply(rvL * cL + rvR * cR + pn * ny, half_ds, out=out[2])
+    np.multiply(rHL * cL + rHR * cR + (pR - pL) * (absu - lam / (gamma - 1.0))
+                - q * upb, half_ds, out=out[3])
     return out
+
+
+def _flux_2d_kernel(rL, uL, vL, pL, rR, uR, vR, pR, nx, ny, gamma,
+                    ds=1.0, out=None):
+    """_sides_flux of the primitive face states (rL, uL, vL, pL) and
+    (rR, uR, vR, pR)."""
+    return _sides_flux(_face_sides(rL, uL, vL, pL, gamma),
+                       _face_sides(rR, uR, vR, pR, gamma), nx, ny, gamma,
+                       ds, out)
 
 
 def interface_flux_2d(wL: Prim2D, wR: Prim2D, geom: FaceGeometry,
@@ -481,29 +499,18 @@ def _ghost_layers(rho, u, v, p, spec: BoundarySpec, ng, low, nxb, nyb):
 
 
 def _extend_sweep(rho, u, v, p, ng, bc_lo, bc_hi, normals_lo, normals_hi):
-    """Interior field plus ghost layers on both ends of axis 0, as
-    C-contiguous arrays (also for transposed inputs)."""
+    """Interior field plus ghost layers on both ends of axis 0, laid out
+    like the input: transposed (Fortran-ordered) inputs give Fortran-ordered
+    arrays, whose lines along axis 0 are contiguous."""
     lo = _ghost_layers(rho, u, v, p, bc_lo, ng, True, *normals_lo)
     hi = _ghost_layers(rho, u, v, p, bc_hi, ng, False, *normals_hi)
     out = []
     for g_lo, q, g_hi in zip(lo, (rho, u, v, p), hi):
-        e = np.empty((q.shape[0] + 2 * ng, q.shape[1]))
+        e = np.empty((q.shape[0] + 2 * ng, q.shape[1]),
+                     order="F" if q.flags.f_contiguous else "C")
         e[:ng], e[ng:-ng], e[-ng:] = g_lo, q, g_hi
         out.append(e)
     return out
-
-
-def _sweep_face_states(fields, ng, order, h, limiter_k):
-    """Left/right face states along axis 0 from extended fields."""
-    if order == 1:
-        return ([q[:-1] for q in fields], [q[1:] for q in fields])
-    from .solver1d import muscl_reconstruct
-    left, right = [], []
-    for q in fields:
-        lo, hi = muscl_reconstruct(q, h, limiter_k)
-        left.append(hi[:-1])
-        right.append(lo[1:])
-    return left, right
 
 
 # --------------------------------------------------------------------------
@@ -528,9 +535,11 @@ class Controls2D:
 
 def compute_dt_2d(rho, u, v, p, grid: StructuredGrid2D, gas: GasModel,
                   cfl: float) -> float:
-    a = np.sqrt(gas.gamma * p / rho)
-    # per-cell sum of face signal speeds, using the cell's own state
-    tot = np.zeros_like(rho)
+    """cfl times the smallest area / sum over the cell's four faces of
+    (|u . n| + a) ds, with the cell's own state: a P + sum |u . n| ds."""
+    tot = np.sqrt(gas.gamma * p / rho)
+    tot *= grid.perimeter
+    un, t = np.empty_like(tot), np.empty_like(tot)
     for nx, ny, ds in (
             (grid.iface_nx[:-1, :], grid.iface_ny[:-1, :],
              grid.iface_ds[:-1, :]),
@@ -540,8 +549,14 @@ def compute_dt_2d(rho, u, v, p, grid: StructuredGrid2D, gas: GasModel,
              grid.jface_ds[:, :-1]),
             (grid.jface_nx[:, 1:], grid.jface_ny[:, 1:],
              grid.jface_ds[:, 1:])):
-        tot += (np.abs(u * nx + v * ny) + a) * ds
-    return cfl * float(np.min(grid.area / tot))
+        np.multiply(u, nx, out=un)       # |u . n| ds, in place
+        np.multiply(v, ny, out=t)
+        un += t
+        np.abs(un, out=un)
+        un *= ds
+        tot += un
+    np.divide(grid.area, tot, out=tot)
+    return cfl * float(np.min(tot))
 
 
 def _check_faces(arrays, step):
@@ -559,18 +574,49 @@ def _check_faces(arrays, step):
 
 
 # Faces per flux block: the kernel's temporaries for one block fit the
-# 2 MiB L2 cache.  A block is a whole number of face rows (at least one).
+# 2 MiB L2 cache.  A block is a whole number of face rows or lines (at
+# least one).
 _BLOCK_FACES = 8192
 
 
-def _sweep_net_flux(net, L, R, nx, ny, ds, gamma):
-    """Write into net each cell's flux times face length through its high
-    face minus that through its low face, for one sweep.
+def _sweep_sides(fields, controls: Controls2D, h, gamma, step):
+    """Face sides of one sweep from its extended fields, by block.
 
-    Axis 0 of the face arrays runs along the sweep (n + 1 face rows for n
-    cells) and matches axis 1 of net.  The faces are evaluated in row
-    blocks; the last face row of a block is carried into the next, so every
-    cell takes the same single subtraction whatever the block size.
+    Returns sides(k0, k1, cols), the left and right _face_sides tuples of
+    face rows k0 .. k1 - 1 (faces lie between cells along axis 0) and the
+    columns cols.  At order 1 the sides are the cells on either side of the
+    faces, evaluated once per cell of the block; at order 2 the MUSCL face
+    states are reconstructed and checked here, before any flux is formed.
+    """
+    if controls.order == 1:
+        def sides(k0, k1, cols):
+            cells = _face_sides(*(q[k0:k1 + 1, cols] for q in fields), gamma)
+            return tuple(q[:-1] for q in cells), tuple(q[1:] for q in cells)
+        return sides
+    from .solver1d import muscl_reconstruct
+    left, right = [], []
+    for q in fields:
+        lo, hi = muscl_reconstruct(q, h, controls.limiter_k)
+        left.append(hi[:-1])
+        right.append(lo[1:])
+    _check_faces(left, step)
+    _check_faces(right, step)
+
+    def sides(k0, k1, cols):
+        return (_face_sides(*(q[k0:k1, cols] for q in left), gamma),
+                _face_sides(*(q[k0:k1, cols] for q in right), gamma))
+    return sides
+
+
+def _sweep_rows(net, sides, nx, ny, ds, gamma):
+    """Write into net each cell's flux times face length through its high
+    face minus that through its low face, for a sweep along axis 0 of
+    C-ordered arrays.
+
+    There are n + 1 face rows for n cells.  The faces are evaluated in
+    blocks of face rows; the last face row of a block is carried into the
+    next, so every cell takes the same single subtraction whatever the
+    block size.
     """
     n_faces, m = ds.shape
     rows = min(n_faces, max(1, _BLOCK_FACES // m))
@@ -579,12 +625,32 @@ def _sweep_net_flux(net, L, R, nx, ny, ds, gamma):
         k1 = min(k0 + rows, n_faces)
         n = k1 - k0
         blk = slice(k0, k1)
-        _flux_2d_kernel(*(q[blk] for q in L), *(q[blk] for q in R),
-                        nx[blk], ny[blk], gamma, ds[blk], out=buf[:, 1:n + 1])
+        _sides_flux(*sides(k0, k1, slice(None)), nx[blk], ny[blk], gamma,
+                    ds[blk], out=buf[:, 1:n + 1])
         first = 1 if k0 == 0 else 0      # face row 0 has no cell below it
         np.subtract(buf[:, first + 1:n + 1], buf[:, first:n],
                     out=net[:, k0 - 1 + first:k1 - 1])
         buf[:, 0] = buf[:, n]
+
+
+def _sweep_lines(net, sides, nx, ny, ds, gamma):
+    """Add into net each cell's flux times face length through its high
+    face minus that through its low face, for a sweep along axis 0 of
+    Fortran-ordered arrays (the transposed views of the j sweep).
+
+    Each block holds whole lines along axis 0, which are contiguous in
+    memory, so no face is shared between blocks.
+    """
+    n_faces, m = ds.shape
+    cols = min(m, max(1, _BLOCK_FACES // n_faces))
+    buf = np.empty((4, cols, n_faces)).transpose(0, 2, 1)
+    for c0 in range(0, m, cols):
+        c1 = min(c0 + cols, m)
+        blk = slice(c0, c1)
+        out = buf[:, :, :c1 - c0]
+        _sides_flux(*sides(0, n_faces, blk), nx[:, blk], ny[:, blk], gamma,
+                    ds[:, blk], out=out)
+        net[:, :, blk] += out[:, 1:] - out[:, :-1]
 
 
 def residual_2d(W, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
@@ -595,35 +661,25 @@ def residual_2d(W, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
     g = gas.gamma
     rho, u, v, p = W
     ng = 1 if controls.order == 1 else 2
+    net = np.empty((4, grid.ni, grid.nj))
 
     # i-direction sweep
     fields = _extend_sweep(
         rho, u, v, p, ng, bc["imin"], bc["imax"],
         (grid.iface_nx[0], grid.iface_ny[0]),
         (grid.iface_nx[-1], grid.iface_ny[-1]))
-    L, R = _sweep_face_states(fields, ng, controls.order, grid.h,
-                              controls.limiter_k)
-    if controls.order == 2:
-        _check_faces(L, step)
-        _check_faces(R, step)
-    net = np.empty((4, grid.ni, grid.nj))
-    _sweep_net_flux(net, L, R, grid.iface_nx, grid.iface_ny, grid.iface_ds,
-                    g)
+    sides = _sweep_sides(fields, controls, grid.h, g, step)
+    _sweep_rows(net, sides, grid.iface_nx, grid.iface_ny, grid.iface_ds, g)
 
-    # j-direction sweep (transpose so the sweep axis is axis 0)
+    # j-direction sweep, on transposed views so the sweep axis is axis 0
     fields = _extend_sweep(
         rho.T, u.T, v.T, p.T, ng, bc["jmin"], bc["jmax"],
         (grid.jface_nx[:, 0], grid.jface_ny[:, 0]),
         (grid.jface_nx[:, -1], grid.jface_ny[:, -1]))
-    L, R = _sweep_face_states(fields, ng, controls.order, grid.h,
-                              controls.limiter_k)
-    if controls.order == 2:
-        _check_faces(L, step)
-        _check_faces(R, step)
-    net_j = np.empty((4, grid.nj, grid.ni))
-    _sweep_net_flux(net_j, L, R, *grid.jface_sweep, g)
+    sides = _sweep_sides(fields, controls, grid.h, g, step)
+    _sweep_lines(net.transpose(0, 2, 1), sides, grid.jface_nx.T,
+                 grid.jface_ny.T, grid.jface_ds.T, g)
 
-    net += net_j.transpose(0, 2, 1)
     net /= -grid.area
     return net
 

@@ -23,6 +23,10 @@ class BoundaryCondition(enum.Enum):
     PERIODIC = "periodic"
 
 
+# Fewest cells of a 1D grid.
+MIN_CELLS = 4
+
+
 @dataclass(frozen=True)
 class Grid1D:
     x_min: float
@@ -30,8 +34,8 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self):
-        if self.n_cells < 4:
-            raise ValueError("need at least 4 cells")
+        if self.n_cells < MIN_CELLS:
+            raise ValueError(f"need at least {MIN_CELLS} cells")
         if not self.x_max > self.x_min:
             raise ValueError("empty domain")
 

@@ -96,6 +96,24 @@ def test_missing_case_is_a_config_error(capsys):
     assert run_main(["run", "--scheme", "zbs"]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--case", "sod", "--cells", "2"], "cells must be at least 4"),
+    (["--case", "sod", "--cfl", "1.5"], "cfl must be in (0, 1]"),
+    (["--case", "shock-reflection", "--cfl", "0"], "cfl must be in (0, 1]"),
+    (["--case", "wedge", "--grid", "0x5"], "grid must be at least 2x2"),
+    (["--case", "sod", "--t-final", "nan"], "t-final must be positive"),
+])
+def test_invalid_run_option_is_a_config_error(argv, message, capsys,
+                                              monkeypatch):
+    """Checked before the solve: no solver is called."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver called")
+    monkeypatch.setattr(cli.bench1d, "run_case", no_solve)
+    monkeypatch.setattr(cli.euler2d, "run_case_2d", no_solve)
+    assert run_main(["run"] + argv) == cli.EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_blow_up_exit_code_with_diagnostics(capsys):
     code = run_main(["run", "--case", "blast", "--scheme", "tvs",
                      "--order", "2", "--cells", "400", "--out", "/dev/null"])

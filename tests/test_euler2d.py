@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cpsfds import euler2d
 from cpsfds.euler2d import (Prim2D, prim_to_cons_2d, FaceGeometry,
@@ -16,10 +17,11 @@ from cpsfds.euler2d import (Prim2D, prim_to_cons_2d, FaceGeometry,
                             DegenerateWaveBasisError, cons_to_prim_fields,
                             prim_to_cons_fields, Bc2DKind, BoundarySpec,
                             Controls2D, advance_2d, residual_2d,
-                            post_shock_state,
+                            compute_dt_2d, post_shock_state,
                             case_registry_2d, half_cylinder_case, run_case_2d,
                             stagnation_line_pressure)
 from cpsfds.solver1d import SolverBlowUp
+from cpsfds.state import GasModel
 from cpsfds.splittings import jordan_matrix, verify_jordan, \
     JordanDecomposition
 
@@ -242,6 +244,73 @@ def test_interface_flux_2d_consistency_and_rotation(gas, rng):
                                    atol=1e-12 * max(np.max(np.abs(F)), 1.0))
 
 
+positive = st.floats(min_value=1e-2, max_value=1e2,
+                     allow_nan=False, allow_infinity=False)
+velocity = st.floats(min_value=-20.0, max_value=20.0,
+                     allow_nan=False, allow_infinity=False)
+angle = st.floats(min_value=0.0, max_value=2.0 * math.pi,
+                  allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@example(left=(5.0, 0.0, 18.25, 1.0), right=(1.0, 0.0, 0.0, 1.0), phi=0.0,
+         theta=1.0)          # no normal flux, large tangential energy
+@given(left=st.tuples(positive, velocity, velocity, positive),
+       right=st.tuples(positive, velocity, velocity, positive),
+       phi=angle, theta=angle)
+def test_interface_flux_2d_is_rotationally_invariant(left, right, phi, theta):
+    """Turning both velocities and the normal by theta leaves the mass and
+    energy fluxes alone and turns the momentum flux by theta."""
+    gas = GasModel(1.4)
+    c, s = math.cos(theta), math.sin(theta)
+
+    def turn(x, y):
+        return c * x - s * y, s * x + c * y
+
+    def state(w, rotate):
+        rho, u, v, p = w
+        return Prim2D(rho, *(turn(u, v) if rotate else (u, v)), p)
+
+    geom = FaceGeometry(math.cos(phi), math.sin(phi), 1.0)
+    turned = FaceGeometry(*turn(geom.n_x, geom.n_y), 1.0)
+    F = interface_flux_2d(state(left, False), state(right, False), geom, gas)
+    G = interface_flux_2d(state(left, True), state(right, True), turned, gas)
+    want = np.array([F[0], *turn(F[1], F[2]), F[3]])
+    # rounding in u . n scales with the full speed, not with u_perp
+    scale = max(np.max(np.abs(prim_to_cons_2d(state(w, False), gas)))
+                * (math.hypot(w[1], w[2]) + math.sqrt(gas.gamma * w[3] / w[0]))
+                + w[3] for w in (left, right))
+    np.testing.assert_allclose(G, want, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("grid", [half_cylinder_grid(9, 13),
+                                  ramp_grid(0.0, 3.0, 1.0, 10, 7, 0.5, 15.0)],
+                         ids=["half-cylinder", "ramp"])
+def test_time_step_matches_a_face_by_face_reference(grid, gas, rng):
+    """dt = cfl min over cells of area / sum over the four faces of
+    (|u . n| + a) ds, with n and ds taken from the vertices of each face."""
+    shape = (grid.ni, grid.nj)
+    rho = 10.0 ** rng.uniform(-1.0, 1.0, shape)
+    u, v = rng.uniform(-5.0, 5.0, shape), rng.uniform(-5.0, 5.0, shape)
+    p = 10.0 ** rng.uniform(-1.0, 1.0, shape)
+    cfl = 0.5
+    want = math.inf
+    for i in range(grid.ni):
+        for j in range(grid.nj):
+            corners = [(grid.xv[a, b], grid.yv[a, b]) for a, b in
+                       ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))]
+            a = math.sqrt(gas.gamma * p[i, j] / rho[i, j])
+            total = area = 0.0
+            for k in range(4):
+                (x0, y0), (x1, y1) = corners[k], corners[(k + 1) % 4]
+                f = face_geometry((x0, y0), (x1, y1))
+                total += (abs(u[i, j] * f.n_x + v[i, j] * f.n_y) + a) * f.ds
+                area += 0.5 * (x0 * y1 - x1 * y0)
+            want = min(want, cfl * area / total)
+    got = compute_dt_2d(rho, u, v, p, grid, gas, cfl)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_interface_flux_reduces_to_1d_along_the_x_axis(gas, rng):
     from cpsfds.fds1d import SchemeKind, interface_flux
     from cpsfds.state import PrimitiveState
@@ -274,7 +343,13 @@ def test_free_stream_is_preserved_on_a_curvilinear_grid(gas):
     assert np.max(np.abs(U - U0)) <= 1e-12 * np.max(np.abs(U0))
 
 
-def test_residual_does_not_depend_on_the_flux_block_size(gas, monkeypatch):
+@pytest.mark.parametrize("order", [1, 2])
+def test_residual_does_not_depend_on_the_flux_block_size(order, gas,
+                                                        monkeypatch):
+    """At order 1 adjacent i-sweep blocks share one cell row of face
+    sides, at order 2 they read the reconstructed face states; the j sweep
+    is blocked by whole lines.  A side row or line off by one at a block
+    edge changes the residual."""
     grid = half_cylinder_grid(12, 16)
     rng = np.random.default_rng(5)
     shape = grid.xc.shape
@@ -283,7 +358,7 @@ def test_residual_does_not_depend_on_the_flux_block_size(gas, monkeypatch):
                             0.5 * rng.uniform(-1, 1, shape),
                             1.0 + 0.2 * rng.uniform(size=shape), gas.gamma)
     case = half_cylinder_case(mach=2.0)
-    ctrl = Controls2D(t_final=1.0, order=2)
+    ctrl = Controls2D(t_final=1.0, order=order)
     W = cons_to_prim_fields(U, gas.gamma)
     ref = residual_2d(W, grid, case.bc, ctrl, gas)
     for faces in (1, 40, 10 ** 6):     # one face row, a few rows, one block
