@@ -374,9 +374,8 @@ def _check_run_config(config: RunConfig):
     if config.cells is not None and config.cells < MIN_CELLS:
         raise ValueError(f"cells must be at least {MIN_CELLS}, "
                          f"got {config.cells}")
-    if config.grid is not None and min(config.grid) < 2:
-        ni, nj = config.grid
-        raise ValueError(f"grid must be at least 2x2, got {ni}x{nj}")
+    if config.grid is not None:
+        euler2d.check_grid_shape(*config.grid)
     if config.cfl is not None and not 0.0 < config.cfl <= 1.0:
         raise ValueError(f"cfl must be in (0, 1], got {config.cfl}")
     if config.t_final is not None and not 0.0 < config.t_final < math.inf:

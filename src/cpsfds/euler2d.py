@@ -331,25 +331,36 @@ def wave_strengths_2d(avg: Averages2D, drho, du_perp, du_par, dp,
     return np.array([a1, a2, a3, a4])
 
 
-def _face_sides(rho, u, v, p, gamma):
+def _face_sides(rho, u, v, p, gamma, out):
     """What the face flux reads from the states on one side of its faces:
     (rho, u, v, p, sqrt(rho), (gamma - 1) p / sqrt(rho), rho u, rho v,
-    rho H).  At order 1 the face states are the cells, so the residual
-    computes these once per cell and sweep, not once per face and side."""
-    s = np.sqrt(rho)
-    ru, rv = rho * u, rho * v
-    rH = gamma / (gamma - 1.0) * p + 0.5 * (ru * u + rv * v)
-    return rho, u, v, p, s, (gamma - 1.0) * p / s, ru, rv, rH
+    rho H), the last five written into the five arrays of out.  At order 1
+    the face states are the cells, so the residual computes these once per
+    cell and sweep, not once per face and side."""
+    s, ps, ru, rv, rH = out
+    np.sqrt(rho, out=s)
+    np.multiply(rho, u, out=ru)
+    np.multiply(rho, v, out=rv)
+    np.multiply(ru, u, out=rH)           # rH = 0.5 (ru u + rv v)
+    np.multiply(rv, v, out=ps)
+    rH += ps
+    rH *= 0.5
+    np.multiply(gamma / (gamma - 1.0), p, out=ps)   # + gamma p / (gamma - 1)
+    rH += ps
+    np.multiply(gamma - 1.0, p, out=ps)
+    ps /= s
+    return rho, u, v, p, s, ps, ru, rv, rH
 
 
-def _sides_flux(left, right, nx, ny, gamma, ds=1.0, out=None):
+def _sides_flux(left, right, nx, ny, gamma, ds, out, tmp):
     """Vectorized face flux times the face length ds, written into out,
     from the side tuples of _face_sides.
 
-    All arguments broadcast; out has shape (4, *broadcast shape) and is
-    allocated if not given.  The flux is the average of the two normal
-    fluxes u_perp (rho, rho u, rho v, rho H) + p (0, n_x, n_y, 0) minus
-    half the dissipation |u_perp| dU + sum_i alpha_i |lambda_i| R_i at the
+    out holds the four flux components, tmp ten arrays of the same shape
+    for the temporaries; the other arguments broadcast to that shape.  The
+    flux is the average of the two normal fluxes
+    u_perp (rho, rho u, rho v, rho H) + p (0, n_x, n_y, 0) minus half the
+    dissipation |u_perp| dU + sum_i alpha_i |lambda_i| R_i at the
     sqrt(rho)-weighted state (a, rb = sqrt(rho_L rho_R), u_perp).
 
     The convection part has the single eigenvalue u_perp with an order-two
@@ -366,38 +377,79 @@ def _sides_flux(left, right, nx, ny, gamma, ds=1.0, out=None):
     lam (a1 + a4) = lam rb du_perp and
     lam s (a4 - a1) = a dp / sqrt(gamma (gamma - 1)) = lam dp / (gamma - 1),
     with s = a / sqrt(gamma (gamma - 1)).
+
+    Every temporary is written in place, one operation at a time in the
+    order of evaluation of the plain expressions, so the result does not
+    depend on the buffers it is given.
     """
     rL, uL, vL, pL, sL, psL, ruL, rvL, rHL = left
     rR, uR, vR, pR, sR, psR, ruR, rvR, rHR = right
-    if out is None:
-        out = np.empty((4,) + np.broadcast(rL, uL, vL, pL, rR, uR, vR, pR,
-                                           nx, ny, ds).shape)
-    iw = 1.0 / (sL + sR)
-    upL = uL * nx + vL * ny
-    upR = uR * nx + vR * ny
-    upb = (sL * upL + sR * upR) * iw
-    absu = np.abs(upb)
-    lam = np.sqrt((psL + psR) * iw)
-    q = lam * (sL * sR) * (upR - upL)
-    pn = pL + pR - q
-    cL, cR = upL + absu, upR - absu
-    half_ds = 0.5 * ds
+    a, iw, upL, upR, upb, absu, lam, q, pn, half_ds = tmp
+    np.add(sL, sR, out=iw)               # iw = 1 / (sL + sR)
+    np.divide(1.0, iw, out=iw)
+    np.multiply(uL, nx, out=upL)         # upL = uL nx + vL ny
+    np.multiply(vL, ny, out=a)
+    upL += a
+    np.multiply(uR, nx, out=upR)
+    np.multiply(vR, ny, out=a)
+    upR += a
+    np.multiply(sL, upL, out=upb)        # upb = (sL upL + sR upR) iw
+    np.multiply(sR, upR, out=a)
+    upb += a
+    upb *= iw
+    np.abs(upb, out=absu)
+    np.add(psL, psR, out=lam)            # lam = sqrt((psL + psR) iw)
+    lam *= iw
+    np.sqrt(lam, out=lam)
+    b = iw                               # iw is free from here on
+    np.multiply(sL, sR, out=q)           # q = lam (sL sR) (upR - upL)
+    np.multiply(lam, q, out=q)
+    np.subtract(upR, upL, out=a)
+    q *= a
+    np.add(pL, pR, out=pn)               # pn = pL + pR - q
+    pn -= q
+    cL, cR = upL, upR                    # cL = upL + absu, cR = upR - absu
+    cL += absu
+    cR -= absu
+    np.multiply(0.5, ds, out=half_ds)
 
-    np.multiply(rL * cL + rR * cR, half_ds, out=out[0])
-    np.multiply(ruL * cL + ruR * cR + pn * nx, half_ds, out=out[1])
-    np.multiply(rvL * cL + rvR * cR + pn * ny, half_ds, out=out[2])
-    np.multiply(rHL * cL + rHR * cR + (pR - pL) * (absu - lam / (gamma - 1.0))
-                - q * upb, half_ds, out=out[3])
+    np.multiply(rL, cL, out=a)           # (rL cL + rR cR) half_ds
+    np.multiply(rR, cR, out=b)
+    a += b
+    np.multiply(a, half_ds, out=out[0])
+    for k, rqL, rqR, n in ((1, ruL, ruR, nx), (2, rvL, rvR, ny)):
+        np.multiply(rqL, cL, out=a)      # (rqL cL + rqR cR + pn n) half_ds
+        np.multiply(rqR, cR, out=b)
+        a += b
+        np.multiply(pn, n, out=b)
+        a += b
+        np.multiply(a, half_ds, out=out[k])
+    np.multiply(rHL, cL, out=a)          # (rHL cL + rHR cR
+    np.multiply(rHR, cR, out=b)
+    a += b
+    lam /= gamma - 1.0                   # + (pR - pL) (absu - lam / (g - 1))
+    np.subtract(absu, lam, out=lam)
+    np.subtract(pR, pL, out=b)
+    b *= lam
+    a += b
+    np.multiply(q, upb, out=b)           # - q upb) half_ds
+    a -= b
+    np.multiply(a, half_ds, out=out[3])
     return out
 
 
 def _flux_2d_kernel(rL, uL, vL, pL, rR, uR, vR, pR, nx, ny, gamma,
                     ds=1.0, out=None):
     """_sides_flux of the primitive face states (rL, uL, vL, pL) and
-    (rR, uR, vR, pR)."""
-    return _sides_flux(_face_sides(rL, uL, vL, pL, gamma),
-                       _face_sides(rR, uR, vR, pR, gamma), nx, ny, gamma,
-                       ds, out)
+    (rR, uR, vR, pR), which broadcast together with nx, ny and ds; out is
+    allocated if not given.  The call makes its own workspace."""
+    shape = np.broadcast(rL, uL, vL, pL, rR, uR, vR, pR, nx, ny, ds).shape
+    if out is None:
+        out = np.empty((4,) + shape)
+    ws = np.empty((20,) + shape)
+    return _sides_flux(_face_sides(rL, uL, vL, pL, gamma, ws[10:15]),
+                       _face_sides(rR, uR, vR, pR, gamma, ws[15:]), nx, ny,
+                       gamma, ds, out, ws[:10])
 
 
 def interface_flux_2d(wL: Prim2D, wR: Prim2D, geom: FaceGeometry,
@@ -466,16 +518,15 @@ class BoundarySpec:
             raise ValueError(f"{self.kind.value} needs a fixed state")
 
 
-def _ghost_layers(rho, u, v, p, spec: BoundarySpec, ng, low, nxb, nyb):
-    """ng ghost layers for one boundary of an i-oriented sweep.
+def _ghost_layers(rho, u, v, p, spec: BoundarySpec, ng, low, nxb, nyb, out):
+    """Write ng ghost layers for one boundary of an i-oriented sweep into
+    the four (ng, m) arrays of out.
 
     rho, u, v, p have the sweep direction on axis 0; low selects which end.
     nxb, nyb are the boundary face normals (one per transverse index).
-    Layers are returned ordered ready to stack against the interior:
-    for the low side, row ng-1 is adjacent to the interior.
+    Layers are ordered ready to stack against the interior: for the low
+    side, row ng-1 is adjacent to the interior.
     """
-    m = rho.shape[1]
-    out = [np.empty((ng, m)) for _ in range(4)]
     for k in range(ng):          # k = 0 is the layer nearest the wall
         row = (ng - 1 - k) if low else k
         if spec.kind in (Bc2DKind.SUPERSONIC_INFLOW,
@@ -495,21 +546,19 @@ def _ghost_layers(rho, u, v, p, spec: BoundarySpec, ng, low, nxb, nyb):
             out[1][row] = u[src] - 2.0 * un * nxb
             out[2][row] = v[src] - 2.0 * un * nyb
             out[3][row] = p[src]
-    return out
 
 
-def _extend_sweep(rho, u, v, p, ng, bc_lo, bc_hi, normals_lo, normals_hi):
-    """Interior field plus ghost layers on both ends of axis 0, laid out
-    like the input: transposed (Fortran-ordered) inputs give Fortran-ordered
-    arrays, whose lines along axis 0 are contiguous."""
-    lo = _ghost_layers(rho, u, v, p, bc_lo, ng, True, *normals_lo)
-    hi = _ghost_layers(rho, u, v, p, bc_hi, ng, False, *normals_hi)
-    out = []
-    for g_lo, q, g_hi in zip(lo, (rho, u, v, p), hi):
-        e = np.empty((q.shape[0] + 2 * ng, q.shape[1]),
-                     order="F" if q.flags.f_contiguous else "C")
-        e[:ng], e[ng:-ng], e[-ng:] = g_lo, q, g_hi
-        out.append(e)
+def _extend_sweep(rho, u, v, p, ng, bc_lo, bc_hi, normals_lo, normals_hi,
+                  out):
+    """Write the interior field plus ng ghost layers on both ends of axis 0
+    into the four arrays of out, each of shape (n + 2 ng, m); returns
+    out."""
+    for e, q in zip(out, (rho, u, v, p)):
+        e[ng:-ng] = q
+    _ghost_layers(rho, u, v, p, bc_lo, ng, True, *normals_lo,
+                  [e[:ng] for e in out])
+    _ghost_layers(rho, u, v, p, bc_hi, ng, False, *normals_hi,
+                  [e[-ng:] for e in out])
     return out
 
 
@@ -533,11 +582,25 @@ class Controls2D:
             raise ValueError("cfl out of range")
 
 
+# Fewest cells of a 2D grid along each direction.
+MIN_CELLS_2D = 2
+
+
+def check_grid_shape(ni, nj):
+    """Raise ValueError unless an ni x nj grid has at least MIN_CELLS_2D
+    cells along each direction."""
+    if min(ni, nj) < MIN_CELLS_2D:
+        raise ValueError(f"grid must be at least {MIN_CELLS_2D}x"
+                         f"{MIN_CELLS_2D}, got {ni}x{nj}")
+
+
 def compute_dt_2d(rho, u, v, p, grid: StructuredGrid2D, gas: GasModel,
                   cfl: float) -> float:
     """cfl times the smallest area / sum over the cell's four faces of
     (|u . n| + a) ds, with the cell's own state: a P + sum |u . n| ds."""
-    tot = np.sqrt(gas.gamma * p / rho)
+    tot = np.multiply(gas.gamma, p)      # a = sqrt(gamma p / rho), in place
+    tot /= rho
+    np.sqrt(tot, out=tot)
     tot *= grid.perimeter
     un, t = np.empty_like(tot), np.empty_like(tot)
     for nx, ny, ds in (
@@ -560,37 +623,96 @@ def compute_dt_2d(rho, u, v, p, grid: StructuredGrid2D, gas: GasModel,
 
 
 def _check_faces(arrays, step):
+    """Raise NonPhysicalStateError unless the reconstructed face values
+    (rho, u, v, p) are all finite, with rho and p positive.  A non-finite
+    value in rho, u, v or p, in that order, is reported before a
+    non-positive rho, then p, each at the first cell where it occurs."""
+    rho, u, v, p = arrays
+    ok = ((rho > 0.0) & (rho < np.inf), np.isfinite(u), np.isfinite(v),
+          (p > 0.0) & (p < np.inf))
+    if all(m.all() for m in ok):
+        return
     for q in arrays:
         bad = ~np.isfinite(q)
         if bad.any():
             raise NonPhysicalStateError("non-finite reconstructed face state",
                                         cell=_first_cell(bad), step=step)
-    for q in (arrays[0], arrays[3]):        # rho and p must stay positive
-        bad = ~(q > 0.0)
-        if bad.any():
+    for m in (ok[0], ok[3]):                # all finite: rho or p <= 0
+        if not m.all():
             raise NonPhysicalStateError("reconstructed face state not "
-                                        "positive", cell=_first_cell(bad),
+                                        "positive", cell=_first_cell(~m),
                                         step=step)
 
 
 # Faces per flux block: the kernel's temporaries for one block fit the
 # 2 MiB L2 cache.  A block is a whole number of face rows or lines (at
-# least one).
+# least one).  The value also sizes the buffers of a _Workspace, so it is
+# read both when a workspace is made and when a sweep is cut into blocks.
 _BLOCK_FACES = 8192
 
 
-def _sweep_sides(fields, controls: Controls2D, h, gamma, step):
+def _per_block(count, length):
+    """Face rows or lines of the given length in one flux block, out of
+    count."""
+    return min(count, max(1, _BLOCK_FACES // length))
+
+
+# Buffers of _Workspace.blocks: ten flux temporaries, the four components
+# of the block flux, then the face sides, five per set: one set of cells
+# at order 1, the left and the right face states at order 2.
+_TMP, _FLUX, _SIDES = 0, 10, 14
+
+
+@dataclass(frozen=True)
+class _Workspace:
+    """Buffers that residual_2d reuses in every sweep and flux block.
+
+    fields holds the four extended fields of one sweep, with room for
+    either sweep and two ghost layers on each end.  Each row of blocks
+    holds the cells of the largest flux block of either sweep: its faces
+    plus one face row or line.
+    """
+    fields: np.ndarray
+    blocks: np.ndarray
+
+
+def _workspace(grid: StructuredGrid2D, order: int) -> _Workspace:
+    """The workspace of residual_2d for grid at the given order."""
+    ni, nj = grid.ni, grid.nj
+    block = max((_per_block(ni + 1, nj) + 1) * nj,
+                _per_block(ni, nj + 1) * (nj + 2))
+    return _Workspace(np.empty((4, max((ni + 4) * nj, (nj + 4) * ni))),
+                      np.empty((_SIDES + 5 * order, block)))
+
+
+def _take(buffers, shape, layout):
+    """The leading cells of each row of buffers, as one
+    (len(buffers), *shape) array of views whose rows are C-ordered for
+    layout "C" and Fortran-ordered for "F".  Both only split the
+    contiguous last axis, which never copies, so writes reach the
+    buffers."""
+    lead = buffers[:, :shape[0] * shape[1]]
+    if layout == "C":
+        return lead.reshape((len(buffers),) + shape)
+    return lead.reshape((len(buffers),) + shape[::-1]).transpose(0, 2, 1)
+
+
+def _sweep_sides(fields, controls: Controls2D, h, gamma, step, blocks,
+                 layout):
     """Face sides of one sweep from its extended fields, by block.
 
     Returns sides(k0, k1, cols), the left and right _face_sides tuples of
     face rows k0 .. k1 - 1 (faces lie between cells along axis 0) and the
-    columns cols.  At order 1 the sides are the cells on either side of the
+    columns cols, computed into the side buffers of blocks in the given
+    layout.  At order 1 the sides are the cells on either side of the
     faces, evaluated once per cell of the block; at order 2 the MUSCL face
     states are reconstructed and checked here, before any flux is formed.
     """
     if controls.order == 1:
         def sides(k0, k1, cols):
-            cells = _face_sides(*(q[k0:k1 + 1, cols] for q in fields), gamma)
+            cells = [q[k0:k1 + 1, cols] for q in fields]
+            cells = _face_sides(*cells, gamma, _take(
+                blocks[_SIDES:], cells[0].shape, layout))
             return tuple(q[:-1] for q in cells), tuple(q[1:] for q in cells)
         return sides
     from .solver1d import muscl_reconstruct
@@ -603,12 +725,15 @@ def _sweep_sides(fields, controls: Controls2D, h, gamma, step):
     _check_faces(right, step)
 
     def sides(k0, k1, cols):
-        return (_face_sides(*(q[k0:k1, cols] for q in left), gamma),
-                _face_sides(*(q[k0:k1, cols] for q in right), gamma))
+        shape = left[0][k0:k1, cols].shape
+        return tuple(
+            _face_sides(*(q[k0:k1, cols] for q in states), gamma,
+                        _take(blocks[k:k + 5], shape, layout))
+            for states, k in ((left, _SIDES), (right, _SIDES + 5)))
     return sides
 
 
-def _sweep_rows(net, sides, nx, ny, ds, gamma):
+def _sweep_rows(net, sides, nx, ny, ds, gamma, blocks):
     """Write into net each cell's flux times face length through its high
     face minus that through its low face, for a sweep along axis 0 of
     C-ordered arrays.
@@ -619,21 +744,23 @@ def _sweep_rows(net, sides, nx, ny, ds, gamma):
     block size.
     """
     n_faces, m = ds.shape
-    rows = min(n_faces, max(1, _BLOCK_FACES // m))
-    buf = np.empty((4, rows + 1, m))     # row 0: last face of the block before
+    rows = _per_block(n_faces, m)
+    # row 0: the last face row of the block before
+    buf = _take(blocks[_FLUX:_SIDES], (rows + 1, m), "C")
     for k0 in range(0, n_faces, rows):
         k1 = min(k0 + rows, n_faces)
         n = k1 - k0
         blk = slice(k0, k1)
         _sides_flux(*sides(k0, k1, slice(None)), nx[blk], ny[blk], gamma,
-                    ds[blk], out=buf[:, 1:n + 1])
+                    ds[blk], buf[:, 1:n + 1],
+                    _take(blocks[_TMP:_FLUX], (n, m), "C"))
         first = 1 if k0 == 0 else 0      # face row 0 has no cell below it
         np.subtract(buf[:, first + 1:n + 1], buf[:, first:n],
                     out=net[:, k0 - 1 + first:k1 - 1])
         buf[:, 0] = buf[:, n]
 
 
-def _sweep_lines(net, sides, nx, ny, ds, gamma):
+def _sweep_lines(net, sides, nx, ny, ds, gamma, blocks):
     """Add into net each cell's flux times face length through its high
     face minus that through its low face, for a sweep along axis 0 of
     Fortran-ordered arrays (the transposed views of the j sweep).
@@ -642,43 +769,52 @@ def _sweep_lines(net, sides, nx, ny, ds, gamma):
     memory, so no face is shared between blocks.
     """
     n_faces, m = ds.shape
-    cols = min(m, max(1, _BLOCK_FACES // n_faces))
-    buf = np.empty((4, cols, n_faces)).transpose(0, 2, 1)
+    cols = _per_block(m, n_faces)
     for c0 in range(0, m, cols):
         c1 = min(c0 + cols, m)
         blk = slice(c0, c1)
-        out = buf[:, :, :c1 - c0]
+        out = _take(blocks[_FLUX:_SIDES], (n_faces, c1 - c0), "F")
+        tmp = _take(blocks[_TMP:_FLUX], (n_faces, c1 - c0), "F")
         _sides_flux(*sides(0, n_faces, blk), nx[:, blk], ny[:, blk], gamma,
-                    ds[:, blk], out=out)
-        net[:, :, blk] += out[:, 1:] - out[:, :-1]
+                    ds[:, blk], out, tmp)
+        net[:, :, blk] += np.subtract(out[:, 1:], out[:, :-1],
+                                      out=tmp[:4, 1:])
 
 
 def residual_2d(W, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
-                gas: GasModel, step=None):
+                gas: GasModel, step=None, ws: Optional[_Workspace] = None):
     """-(1/A) sum of face fluxes times face lengths; shape (4, ni, nj).
 
-    W holds the primitive cell fields (rho, u, v, p)."""
+    W holds the primitive cell fields (rho, u, v, p).  ws is the workspace
+    that a march made for this grid and order; a call without one makes
+    its own."""
     g = gas.gamma
     rho, u, v, p = W
     ng = 1 if controls.order == 1 else 2
+    if ws is None:
+        ws = _workspace(grid, controls.order)
     net = np.empty((4, grid.ni, grid.nj))
 
     # i-direction sweep
     fields = _extend_sweep(
         rho, u, v, p, ng, bc["imin"], bc["imax"],
         (grid.iface_nx[0], grid.iface_ny[0]),
-        (grid.iface_nx[-1], grid.iface_ny[-1]))
-    sides = _sweep_sides(fields, controls, grid.h, g, step)
-    _sweep_rows(net, sides, grid.iface_nx, grid.iface_ny, grid.iface_ds, g)
+        (grid.iface_nx[-1], grid.iface_ny[-1]),
+        _take(ws.fields, (grid.ni + 2 * ng, grid.nj), "C"))
+    sides = _sweep_sides(fields, controls, grid.h, g, step, ws.blocks, "C")
+    _sweep_rows(net, sides, grid.iface_nx, grid.iface_ny, grid.iface_ds, g,
+                ws.blocks)
 
-    # j-direction sweep, on transposed views so the sweep axis is axis 0
+    # j-direction sweep, on transposed views so the sweep axis is axis 0;
+    # its extended fields are Fortran-ordered, so each j line is contiguous
     fields = _extend_sweep(
         rho.T, u.T, v.T, p.T, ng, bc["jmin"], bc["jmax"],
         (grid.jface_nx[:, 0], grid.jface_ny[:, 0]),
-        (grid.jface_nx[:, -1], grid.jface_ny[:, -1]))
-    sides = _sweep_sides(fields, controls, grid.h, g, step)
+        (grid.jface_nx[:, -1], grid.jface_ny[:, -1]),
+        _take(ws.fields, (grid.nj + 2 * ng, grid.ni), "F"))
+    sides = _sweep_sides(fields, controls, grid.h, g, step, ws.blocks, "F")
     _sweep_lines(net.transpose(0, 2, 1), sides, grid.jface_nx.T,
-                 grid.jface_ny.T, grid.jface_ds.T, g)
+                 grid.jface_ny.T, grid.jface_ds.T, g, ws.blocks)
 
     net /= -grid.area
     return net
@@ -686,12 +822,18 @@ def residual_2d(W, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
 
 def advance_2d(U, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
                gas: GasModel):
-    """March a (4, ni, nj) conserved field to t_final (or steady state)."""
+    """March a (4, ni, nj) conserved field to t_final (or steady state).
+
+    Raises ValueError, before any step, for a grid with fewer than
+    MIN_CELLS_2D cells along a direction.  All residuals of the march
+    share one workspace."""
+    check_grid_shape(grid.ni, grid.nj)
+    ws = _workspace(grid, controls.order)
     return march(
         U,
         lambda U, step: cons_to_prim_fields(U, gas.gamma, step=step),
         lambda W: compute_dt_2d(*W, grid, gas, controls.cfl),
-        lambda W, step: residual_2d(W, grid, bc, controls, gas, step=step),
+        lambda W, step: residual_2d(W, grid, bc, controls, gas, step, ws),
         controls, controls.order, "zbs-2d", controls.steady_drop)
 
 

@@ -174,6 +174,10 @@ def march(U, to_prim, dt_fn, residual_fn, controls, order, label,
     stops once the L2 norm of the first-stage density residual has fallen
     by that factor from its value at the first step.  A NonPhysicalStateError
     anywhere becomes SolverBlowUp(label, step, cell).
+
+    residual_fn returns a new array, which the step then overwrites.  The
+    updates run in place, in the order of U1 = U + dt R and
+    U = 0.5 U + 0.5 (U1 + dt R1), so they round as those expressions do.
     """
     U = np.array(U, dtype=float)
     log = StepLog()
@@ -184,19 +188,26 @@ def march(U, to_prim, dt_fn, residual_fn, controls, order, label,
             W = to_prim(U, step)
             dt = min(dt_fn(W), controls.t_final - log.t)
             R = residual_fn(W, step)
-            U1 = U + dt * R
+            if steady_drop is not None:
+                res = float(np.sqrt(np.sum(R[0] ** 2)))
+            U1 = R                       # U1 = U + dt R, in R
+            U1 *= dt
+            U1 += U
             if order == 1:
                 U = U1
             else:
-                U = 0.5 * U + 0.5 * (
-                    U1 + dt * residual_fn(to_prim(U1, step), step))
+                R1 = residual_fn(to_prim(U1, step), step)
+                R1 *= dt                 # U = 0.5 U + 0.5 (U1 + dt R1)
+                R1 += U1
+                R1 *= 0.5
+                U *= 0.5
+                U += R1
         except NonPhysicalStateError as err:
             raise SolverBlowUp(label, step, err.cell, err) from err
         log.steps += 1
         log.t += dt
         log.dt_min = min(log.dt_min, dt)
         if steady_drop is not None:
-            res = float(np.sqrt(np.sum(R[0] ** 2)))
             if res0 is None:
                 res0 = res
             elif res <= res0 / steady_drop:

@@ -1,5 +1,10 @@
 """Command-line front end: output formats, determinism and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -90,6 +95,18 @@ def test_report_format_has_error_norms(tmp_path):
 def test_unknown_case_is_a_config_error(capsys):
     assert run_main(["run", "--case", "nope"]) == cli.EXIT_CONFIG
     assert "unknown case" in capsys.readouterr().err
+
+
+def test_module_runs_the_cli_from_a_plain_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-m", "cpsfds", "list-cases"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert "half-cylinder" in done.stdout
 
 
 def test_missing_case_is_a_config_error(capsys):

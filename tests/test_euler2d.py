@@ -20,8 +20,8 @@ from cpsfds.euler2d import (Prim2D, prim_to_cons_2d, FaceGeometry,
                             compute_dt_2d, post_shock_state,
                             case_registry_2d, half_cylinder_case, run_case_2d,
                             stagnation_line_pressure)
-from cpsfds.solver1d import SolverBlowUp
-from cpsfds.state import GasModel
+from cpsfds.solver1d import SolverBlowUp, muscl_reconstruct
+from cpsfds.state import GasModel, NonPhysicalStateError
 from cpsfds.splittings import jordan_matrix, verify_jordan, \
     JordanDecomposition
 
@@ -364,6 +364,135 @@ def test_residual_does_not_depend_on_the_flux_block_size(order, gas,
     for faces in (1, 40, 10 ** 6):     # one face row, a few rows, one block
         monkeypatch.setattr(euler2d, "_BLOCK_FACES", faces)
         assert np.array_equal(residual_2d(W, grid, case.bc, ctrl, gas), ref)
+
+
+@pytest.mark.parametrize("faces", [40, 8192])
+@pytest.mark.parametrize("order", [1, 2])
+def test_residual_matches_a_face_by_face_reference(order, faces, gas,
+                                                   monkeypatch):
+    """On cells at least two away from every boundary, the residual is
+    -(1/A) times the sum of interface_flux_2d times the face length over
+    the cell's four faces, each face taken from its vertices.  At order 2
+    the face states are the MUSCL values of the two cells on either side.
+    A face side, flux buffer or sweep that reads another's storage changes
+    the residual."""
+    monkeypatch.setattr(euler2d, "_BLOCK_FACES", faces)
+    grid = half_cylinder_grid(9, 11)
+    rng = np.random.default_rng(11)
+    shape = grid.xc.shape
+    W = (1.0 + rng.uniform(size=shape), rng.uniform(-2.0, 2.0, shape),
+         rng.uniform(-2.0, 2.0, shape), 1.0 + rng.uniform(size=shape))
+    ctrl = Controls2D(t_final=1.0, order=order)
+    got = residual_2d(W, grid, half_cylinder_case(mach=2.0).bc, ctrl, gas)
+
+    def state(i, j):
+        return [q[i, j] for q in W]
+
+    def face_states(cells):
+        """Left and right states of the face between the middle two of
+        the four cells, given along the sweep direction."""
+        if order == 1:
+            return state(*cells[1]), state(*cells[2])
+        q = np.array([state(*c) for c in cells]).T     # (4 fields, 4 cells)
+        left = [muscl_reconstruct(f[:3], grid.h, ctrl.limiter_k)[1][0]
+                for f in q]
+        right = [muscl_reconstruct(f[1:], grid.h, ctrl.limiter_k)[0][0]
+                 for f in q]
+        return left, right
+
+    def flux(cells, a, b):
+        wL, wR = face_states(cells)
+        geom = face_geometry((grid.xv[a], grid.yv[a]),
+                             (grid.xv[b], grid.yv[b]))
+        return geom.ds * interface_flux_2d(Prim2D(*wL), Prim2D(*wR), geom,
+                                           gas)
+
+    for i in range(2, grid.ni - 2):
+        for j in range(2, grid.nj - 2):
+            terms = []
+            for k in (i, i + 1):               # i faces, normal along +i
+                cells = [(k + d, j) for d in (-2, -1, 0, 1)]
+                terms.append((flux(cells, (k, j), (k, j + 1)),
+                              1.0 if k > i else -1.0))
+            for k in (j, j + 1):               # j faces, normal along +j
+                cells = [(i, k + d) for d in (-2, -1, 0, 1)]
+                terms.append((flux(cells, (i + 1, k), (i, k)),
+                              1.0 if k > j else -1.0))
+            want = -sum(sign * f for f, sign in terms) / grid.area[i, j]
+            scale = sum(np.abs(f) for f, _ in terms) / grid.area[i, j]
+            np.testing.assert_allclose(got[:, i, j], want, rtol=0,
+                                       atol=1e-12 * float(np.max(scale)))
+
+
+def test_flux_kernel_allocates_nothing_block_sized(gas):
+    """With its sides, temporaries and output given, one 8192-face block
+    of the kernel allocates less than one block-sized array."""
+    import tracemalloc
+    rng = np.random.default_rng(2)
+    shape = (64, 128)
+    ws = np.empty((24,) + shape)
+    states = [[1.0 + rng.uniform(size=shape), rng.uniform(-2, 2, shape),
+               rng.uniform(-2, 2, shape), 1.0 + rng.uniform(size=shape)]
+              for _ in range(2)]
+    nx, ny = np.cos(rng.uniform(0, 6, shape)), np.sin(rng.uniform(0, 6,
+                                                                  shape))
+    ds = rng.uniform(0.5, 1.0, shape)
+
+    def block():
+        left = euler2d._face_sides(*states[0], gas.gamma, ws[:5])
+        right = euler2d._face_sides(*states[1], gas.gamma, ws[5:10])
+        euler2d._sides_flux(left, right, nx, ny, gas.gamma, ds, ws[10:14],
+                            ws[14:])
+
+    block()                                    # warm
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        block()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < np.empty(shape).nbytes
+    assert np.array_equal(
+        ws[10:14],
+        euler2d._flux_2d_kernel(*states[0], *states[1], nx, ny, gas.gamma,
+                                ds))
+
+
+@pytest.mark.parametrize("arrays,message,cell", [
+    # a non-finite value anywhere comes before a non-positive rho or p
+    ({"rho": [(0, 2, -1.0)], "p": [(1, 0, np.nan)]}, "non-finite", (1, 0)),
+    ({"rho": [(0, 0, 0.0)], "p": [(1, 1, -np.inf)]}, "non-finite", (1, 1)),
+    # and non-finite values are reported in the order rho, u, v, p
+    ({"rho": [(2, 2, np.nan)], "u": [(0, 0, np.inf)]}, "non-finite", (2, 2)),
+    ({"v": [(1, 2, -np.inf)], "p": [(0, 0, np.nan)]}, "non-finite", (1, 2)),
+    ({"u": [(2, 0, np.nan)], "v": [(0, 1, np.nan)]}, "non-finite", (2, 0)),
+    # non-positive rho before non-positive p; first cell in C order
+    ({"rho": [(1, 2, 0.0), (2, 0, -1.0)], "p": [(0, 0, -1.0)]},
+     "not positive", (1, 2)),
+    ({"p": [(2, 1, 0.0)], "u": [(0, 0, -5.0)]}, "not positive", (2, 1)),
+])
+def test_face_scan_reports_in_a_fixed_precedence(arrays, message, cell):
+    faces = {k: np.ones((3, 4)) for k in ("rho", "u", "v", "p")}
+    for name, entries in arrays.items():
+        for i, j, val in entries:
+            faces[name][i, j] = val
+    with pytest.raises(NonPhysicalStateError) as err:
+        euler2d._check_faces([faces[k] for k in ("rho", "u", "v", "p")],
+                             step=7)
+    assert message in str(err.value)
+    assert err.value.cell == cell
+    euler2d._check_faces([np.ones((3, 4))] * 4, step=7)   # all valid
+
+
+@pytest.mark.parametrize("shape,order", [((1, 1), 2), ((1, 5), 1)])
+def test_march_rejects_a_grid_below_two_cells_per_direction(shape, order,
+                                                            gas):
+    with pytest.raises(ValueError) as err:
+        run_case_2d(half_cylinder_case(), gas, grid_shape=shape, order=order)
+    ni, nj = shape
+    assert str(err.value) == f"grid must be at least 2x2, got {ni}x{nj}"
 
 
 def test_rotational_objectivity_quarter_turn(gas):
