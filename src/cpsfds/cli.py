@@ -227,8 +227,7 @@ def _suite_algebra(seed, n=200):
             for x1 in (-1.0, 2.0):
                 conv = splittings.convection_eigensystem(kind, wb, gas,
                                                          x1=x1, x3=x1)
-                d_conv = conv.vectors @ (np.abs(conv.eigenvalues)
-                                         * np.linalg.solve(conv.vectors, dU))
+                d_conv = splittings.upwind_dissipation(conv, dU)
                 want = central - 0.5 * (d_conv + d_press)
                 worst_free = max(worst_free,
                                  float(np.max(np.abs(flux - want)))

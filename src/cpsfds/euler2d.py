@@ -4,7 +4,7 @@ Faces of quadrilateral cells carry the convection-pressure split interface
 flux in the face-normal direction; the convection part has all four
 eigenvalues equal to the normal velocity (one Jordan block of order two),
 the pressure part contributes two acoustic waves.  Only the Zha-Bilgen form
-of the split is used in 2D.
+of the split is used in 2D; its face eigenstructure is in `splittings`.
 
 Includes the four benchmark cases (regular shock reflection, compression
 ramp, planar-shock/wedge interaction, half cylinder) with body-fitted grid
@@ -20,56 +20,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .splittings import EigenSystem, SplitFlux
-from .solver1d import march
-from .state import GasModel, NonPhysicalStateError
+from .splittings import FaceGeometry
+from .solver1d import ReconstructionConfig, march, muscl_reconstruct
+from .state import GasModel, NonPhysicalStateError, Prim2D, check_faces, \
+    first_index
 
 
 # --------------------------------------------------------------------------
-# states and geometry
-
-@dataclass(frozen=True)
-class Prim2D:
-    rho: float
-    u: float
-    v: float
-    p: float
-
-    def require_physical(self):
-        if not (self.rho > 0.0 and self.p > 0.0
-                and all(math.isfinite(q)
-                        for q in (self.rho, self.u, self.v, self.p))):
-            raise NonPhysicalStateError("non-physical 2D state",
-                                        rho=self.rho, p=self.p)
-
-
-def prim_to_cons_2d(w: Prim2D, gas: GasModel) -> np.ndarray:
-    """(rho, rho u, rho v, rho E) of one state."""
-    w.require_physical()
-    E = w.p / (w.rho * (gas.gamma - 1.0)) + 0.5 * (w.u ** 2 + w.v ** 2)
-    return np.array([w.rho, w.rho * w.u, w.rho * w.v, w.rho * E])
-
-
-@dataclass(frozen=True)
-class FaceGeometry:
-    n_x: float
-    n_y: float
-    ds: float
-
-
-def face_geometry(a, b) -> FaceGeometry:
-    """Unit normal and length of the face from vertex a to vertex b.
-
-    The normal (dy/ds, -dx/ds) points to the right of the traversal
-    direction.
-    """
-    dx = b[0] - a[0]
-    dy = b[1] - a[1]
-    ds = math.hypot(dx, dy)
-    if ds == 0.0:
-        raise ValueError("degenerate zero-length face")
-    return FaceGeometry(dy / ds, -dx / ds, ds)
-
+# geometry
 
 class StructuredGrid2D:
     """Quadrilateral cells from an (ni+1) x (nj+1) vertex array.
@@ -155,181 +113,7 @@ def half_cylinder_grid(ni, nj, r_body=1.0, a_out=3.0,
 
 
 # --------------------------------------------------------------------------
-# split flux and eigenstructure at a face
-
-def split_flux_2d(w: Prim2D, geom: FaceGeometry, gas: GasModel) -> SplitFlux:
-    """Normal-flux split F = u_perp U + (0, p n_x, p n_y, p u_perp)."""
-    w.require_physical()
-    up = w.u * geom.n_x + w.v * geom.n_y
-    E = w.p / (w.rho * (gas.gamma - 1.0)) + 0.5 * (w.u ** 2 + w.v ** 2)
-    fc = up * np.array([w.rho, w.rho * w.u, w.rho * w.v, w.rho * E])
-    fp = np.array([0.0, w.p * geom.n_x, w.p * geom.n_y, w.p * up])
-    return SplitFlux(fc, fp)
-
-
-def convection_jacobian_2d(w: Prim2D, geom: FaceGeometry,
-                           gas: GasModel) -> np.ndarray:
-    """d(u_perp U)/dU = u_perp I + U (grad u_perp)^T."""
-    w.require_physical()
-    nx, ny = geom.n_x, geom.n_y
-    up = w.u * nx + w.v * ny
-    E = w.p / (w.rho * (gas.gamma - 1.0)) + 0.5 * (w.u ** 2 + w.v ** 2)
-    U = np.array([1.0, w.u, w.v, E]) * w.rho
-    grad = np.array([-up, nx, ny, 0.0]) / w.rho
-    return up * np.eye(4) + np.outer(U, grad)
-
-
-def pressure_jacobian_2d(w: Prim2D, geom: FaceGeometry,
-                         gas: GasModel) -> np.ndarray:
-    w.require_physical()
-    g = gas.gamma
-    nx, ny = geom.n_x, geom.n_y
-    u, v = w.u, w.v
-    up = u * nx + v * ny
-    theta2 = 0.5 * (u * u + v * v)
-    a2 = g * w.p / w.rho
-    phi2 = a2 / (g * (g - 1.0))
-    return (g - 1.0) * np.array([
-        [0.0, 0.0, 0.0, 0.0],
-        [theta2 * nx, -nx * u, -nx * v, nx],
-        [theta2 * ny, -ny * u, -ny * v, ny],
-        [(theta2 - phi2) * up, phi2 * nx - up * u, phi2 * ny - up * v, up],
-    ])
-
-
-def convection_eigensystem_2d(w: Prim2D, geom: FaceGeometry, gas: GasModel,
-                              x1: float = 0.0, xt: float = 0.0,
-                              x4: float = 0.0) -> EigenSystem:
-    """All four eigenvalues equal u_perp; one order-two Jordan chain.
-
-    The generalized eigenvector is fixed only up to the constraint
-    n_x x2 + n_y x3 = 1 + u_perp x1; the free parameters (x1, tangential
-    component xt, x4) never reach the scheme.
-    """
-    w.require_physical()
-    nx, ny = geom.n_x, geom.n_y
-    up = w.u * nx + w.v * ny
-    E = w.p / (w.rho * (gas.gamma - 1.0)) + 0.5 * (w.u ** 2 + w.v ** 2)
-    head = np.array([1.0, w.u, w.v, E])
-    c = 1.0 + up * x1
-    gen = np.array([x1, c * nx - xt * ny, c * ny + xt * nx, x4])
-    vecs = np.column_stack([
-        head,
-        gen,
-        [0.0, -ny, nx, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
-    return EigenSystem(np.array([up, up, up, up]), vecs,
-                       chain_links={1: 0},
-                       free_params={"x1": x1, "xt": xt, "x4": x4})
-
-
-def pressure_eigensystem_2d(w: Prim2D, geom: FaceGeometry,
-                            gas: GasModel) -> EigenSystem:
-    """Two acoustic waves at +-a sqrt((gamma-1)/gamma), two zero speeds.
-
-    The second vector degenerates to zero at a stagnant state (u = v = 0);
-    the flux never uses it there (zero eigenvalue), and the wave-strength
-    computation regularizes that limit.
-    """
-    w.require_physical()
-    g = gas.gamma
-    nx, ny = geom.n_x, geom.n_y
-    u, v = w.u, w.v
-    up = u * nx + v * ny
-    upar = -u * ny + v * nx
-    theta2 = 0.5 * (u * u + v * v)
-    a = math.sqrt(g * w.p / w.rho)
-    s = a / math.sqrt(g * (g - 1.0))
-    c = math.sqrt((g - 1.0) / g) * a
-    vecs = np.column_stack([
-        [0.0, nx, ny, up - s],
-        [upar, u * upar + theta2 * ny, v * upar - theta2 * nx, 0.0],
-        [1.0, nx * up, ny * up, up * up - theta2],
-        [0.0, nx, ny, up + s],
-    ])
-    return EigenSystem(np.array([-c, 0.0, 0.0, c]), vecs)
-
-
-# --------------------------------------------------------------------------
 # interface flux
-
-@dataclass(frozen=True)
-class Averages2D:
-    """sqrt(rho)-weighted face averages."""
-
-    rho_bar: float
-    u_bar: float
-    v_bar: float
-    a2_bar: float
-    n_x: float
-    n_y: float
-
-    @property
-    def a_bar(self):
-        return math.sqrt(self.a2_bar)
-
-    @property
-    def u_perp(self):
-        return self.u_bar * self.n_x + self.v_bar * self.n_y
-
-    @property
-    def u_par(self):
-        return -self.u_bar * self.n_y + self.v_bar * self.n_x
-
-    @property
-    def theta2(self):
-        return 0.5 * (self.u_bar ** 2 + self.v_bar ** 2)
-
-
-def averages_2d(wL: Prim2D, wR: Prim2D, geom: FaceGeometry,
-                gas: GasModel) -> Averages2D:
-    wL.require_physical()
-    wR.require_physical()
-    sL, sR = math.sqrt(wL.rho), math.sqrt(wR.rho)
-    w = sL + sR
-    g = gas.gamma
-    return Averages2D(
-        sL * sR,
-        (sL * wL.u + sR * wR.u) / w,
-        (sL * wL.v + sR * wR.v) / w,
-        (sL * g * wL.p / wL.rho + sR * g * wR.p / wR.rho) / w,
-        geom.n_x, geom.n_y)
-
-
-class DegenerateWaveBasisError(RuntimeError):
-    """The alpha_2/alpha_3 denominator is too close to zero to invert."""
-
-    def __init__(self, denominator, scale):
-        super().__init__(
-            f"theta2 - u_perp^2 = {denominator:.3e} below the "
-            f"regularization threshold (scale {scale:.3e})")
-        self.denominator = denominator
-
-
-REGULARIZATION_RTOL = 1e-8
-
-
-def wave_strengths_2d(avg: Averages2D, drho, du_perp, du_par, dp,
-                      gas: GasModel, regularize: bool = True) -> np.ndarray:
-    """Expansion coefficients of the conserved jump over the pressure
-    eigenvectors at the averaged state."""
-    g = gas.gamma
-    acoustic = math.sqrt(g / (g - 1.0)) * dp / (2.0 * avg.a_bar)
-    a1 = 0.5 * avg.rho_bar * du_perp - acoustic
-    a4 = 0.5 * avg.rho_bar * du_perp + acoustic
-    denom = avg.theta2 - avg.u_perp ** 2
-    scale = REGULARIZATION_RTOL * max(avg.theta2, avg.a2_bar)
-    if abs(denom) < scale:
-        if not regularize:
-            raise DegenerateWaveBasisError(denom, scale)
-        a2, a3 = 0.0, drho
-    else:
-        a2 = (avg.u_par * drho + avg.rho_bar * du_par) / denom
-        a3 = drho - (avg.u_par ** 2 * drho
-                     + avg.rho_bar * avg.u_par * du_par) / denom
-    return np.array([a1, a2, a3, a4])
-
 
 def _face_sides(rho, u, v, p, gamma, out):
     """What the face flux reads from the states on one side of its faces:
@@ -465,30 +249,24 @@ def interface_flux_2d(wL: Prim2D, wR: Prim2D, geom: FaceGeometry,
 # --------------------------------------------------------------------------
 # conserved <-> primitive field kernels
 
-def _first_cell(bad):
-    """Index tuple of the first True entry of bad, as Python ints."""
-    return tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)),
-                                                  bad.shape))
-
-
 def cons_to_prim_fields(U, gamma, *, step=None):
     """(4, ni, nj) conserved field -> (rho, u, v, p); raises on breakdown."""
     rho = U[0]
     bad = ~(rho > 0.0) | ~np.isfinite(rho)
     if bad.any():
-        i, j = _first_cell(bad)
+        cell = first_index(bad)
         raise NonPhysicalStateError("non-physical density in 2D solution",
-                                    rho=float(rho[i, j]), cell=(i, j),
+                                    rho=float(rho[cell]), cell=cell,
                                     step=step)
     u = U[1] / rho
     v = U[2] / rho
     p = (gamma - 1.0) * (U[3] - 0.5 * (U[1] ** 2 + U[2] ** 2) / rho)
     bad = ~(p > 0.0) | ~np.isfinite(p)
     if bad.any():
-        i, j = _first_cell(bad)
+        cell = first_index(bad)
         raise NonPhysicalStateError("non-physical pressure in 2D solution",
-                                    rho=float(rho[i, j]), p=float(p[i, j]),
-                                    cell=(i, j), step=step)
+                                    rho=float(rho[cell]), p=float(p[cell]),
+                                    cell=cell, step=step)
     return rho, u, v, p
 
 
@@ -576,8 +354,8 @@ class Controls2D:
     # falls by this factor from its initial value
 
     def __post_init__(self):
-        if self.order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
+        # the order and limiter rules of 1D
+        ReconstructionConfig(self.order, self.limiter_k)
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl out of range")
 
@@ -620,28 +398,6 @@ def compute_dt_2d(rho, u, v, p, grid: StructuredGrid2D, gas: GasModel,
         tot += un
     np.divide(grid.area, tot, out=tot)
     return cfl * float(np.min(tot))
-
-
-def _check_faces(arrays, step):
-    """Raise NonPhysicalStateError unless the reconstructed face values
-    (rho, u, v, p) are all finite, with rho and p positive.  A non-finite
-    value in rho, u, v or p, in that order, is reported before a
-    non-positive rho, then p, each at the first cell where it occurs."""
-    rho, u, v, p = arrays
-    ok = ((rho > 0.0) & (rho < np.inf), np.isfinite(u), np.isfinite(v),
-          (p > 0.0) & (p < np.inf))
-    if all(m.all() for m in ok):
-        return
-    for q in arrays:
-        bad = ~np.isfinite(q)
-        if bad.any():
-            raise NonPhysicalStateError("non-finite reconstructed face state",
-                                        cell=_first_cell(bad), step=step)
-    for m in (ok[0], ok[3]):                # all finite: rho or p <= 0
-        if not m.all():
-            raise NonPhysicalStateError("reconstructed face state not "
-                                        "positive", cell=_first_cell(~m),
-                                        step=step)
 
 
 # Faces per flux block: the kernel's temporaries for one block fit the
@@ -707,6 +463,8 @@ def _sweep_sides(fields, controls: Controls2D, h, gamma, step, blocks,
     layout.  At order 1 the sides are the cells on either side of the
     faces, evaluated once per cell of the block; at order 2 the MUSCL face
     states are reconstructed and checked here, before any flux is formed.
+    A failed check names the face by its grid index (i, j) in either
+    sweep; the j sweep, whose fields are transposed, has layout "F".
     """
     if controls.order == 1:
         def sides(k0, k1, cols):
@@ -715,14 +473,13 @@ def _sweep_sides(fields, controls: Controls2D, h, gamma, step, blocks,
                 blocks[_SIDES:], cells[0].shape, layout))
             return tuple(q[:-1] for q in cells), tuple(q[1:] for q in cells)
         return sides
-    from .solver1d import muscl_reconstruct
     left, right = [], []
     for q in fields:
         lo, hi = muscl_reconstruct(q, h, controls.limiter_k)
         left.append(hi[:-1])
         right.append(lo[1:])
-    _check_faces(left, step)
-    _check_faces(right, step)
+    check_faces([[q.T for q in side] if layout == "F" else side
+                 for side in (left, right)], step)
 
     def sides(k0, k1, cols):
         shape = left[0][k0:k1, cols].shape

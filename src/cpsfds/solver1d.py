@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fds1d import SchemeKind, interface_flux_batch
-from .state import GasModel, NonPhysicalStateError, cons_to_prim_arrays, \
-    prim_to_cons_arrays
+from .state import GasModel, NonPhysicalStateError, check_faces, \
+    cons_to_prim_arrays, prim_to_cons_arrays
 
 
 class BoundaryCondition(enum.Enum):
@@ -78,8 +78,9 @@ class StepLog:
 
 
 class SolverBlowUp(RuntimeError):
-    """The run produced a non-physical state (a non-positive or non-finite
-    density or pressure, in a cell or a reconstructed face value).  Every
+    """The run produced a non-physical state: a non-positive or non-finite
+    density or pressure in a cell, or a reconstructed face value that is
+    non-finite or has a non-positive density or pressure.  Every
     registered 1D case completes at first order with both schemes; the blast
     case at second order raises this for both, at the same step and cell,
     on a non-positive reconstructed pressure."""
@@ -148,16 +149,9 @@ def _residual(W, scheme, bc, recon, dx, gas, step):
                                    recon.limiter_k)
         # face j sits between extended cells j+1 and j+2
         L, R = hi[:-1].T, lo[1:].T
-        # limited face states can momentarily lose positivity only if the
-        # underlying cells already did; reject them the same way.  The rows
-        # are scanned in the order rho_L, p_L, rho_R, p_R.
-        Q = np.concatenate((L[::2], R[::2]))
-        ok = (Q > 0.0) & (Q < np.inf)
-        if not ok.all():
-            row, i = divmod(int(np.argmin(ok)), Q.shape[1])
-            name = ("rho", "p")[row % 2]
-            raise NonPhysicalStateError(
-                f"reconstructed {name} not positive", cell=i, step=step)
+        # limited face states can lose positivity; reject them as cells are.
+        # The scan tests one stacked copy; the flux reads the views faster.
+        check_faces(np.concatenate((L, R)).reshape(2, 3, -1), step)
     F = interface_flux_batch(scheme, L[0], L[1], L[2], R[0], R[1], R[2],
                              gas.gamma)
     return (F[:, :-1] - F[:, 1:]) / dx

@@ -12,16 +12,22 @@ eigenvector set).  For the Zha-Bilgen and Toro-Vazquez splittings the basis is
 completed with generalized eigenvectors forming a Jordan chain of order two;
 the Liou-Steffen convection part stays defective and is exposed for analysis
 only (no scheme is built on it).
+
+The 2D face-normal Zha-Bilgen split follows the same pattern.
+`upwind_dissipation` assembles R |Lambda| R^-1 dU from any eigensystem here:
+the reference that the flux kernels are checked against.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .state import GasModel, PrimitiveState, sound_speed, total_energy
+from .state import GasModel, Prim2D, PrimitiveState, prim_to_cons_2d, \
+    sound_speed, total_energy
 
 
 class SplittingKind(enum.Enum):
@@ -197,6 +203,132 @@ def pressure_eigensystem(kind: SplittingKind, w: PrimitiveState,
     ])
     return EigenSystem(
         np.array([0.5 * (u - beta), 0.0, 0.5 * (u + beta)]), vecs)
+
+
+# --- the split normal flux at a face of a 2D grid ---
+
+@dataclass(frozen=True)
+class FaceGeometry:
+    n_x: float
+    n_y: float
+    ds: float
+
+
+def face_geometry(a, b) -> FaceGeometry:
+    """Unit normal and length of the face from vertex a to vertex b.
+
+    The normal (dy/ds, -dx/ds) points to the right of the traversal
+    direction.
+    """
+    dx = b[0] - a[0]
+    dy = b[1] - a[1]
+    ds = math.hypot(dx, dy)
+    if ds == 0.0:
+        raise ValueError("degenerate zero-length face")
+    return FaceGeometry(dy / ds, -dx / ds, ds)
+
+
+def split_flux_2d(w: Prim2D, geom: FaceGeometry, gas: GasModel) -> SplitFlux:
+    """Normal-flux split F = u_perp U + (0, p n_x, p n_y, p u_perp)."""
+    w.require_physical()
+    up = w.u * geom.n_x + w.v * geom.n_y
+    fc = up * prim_to_cons_2d(w, gas)
+    fp = np.array([0.0, w.p * geom.n_x, w.p * geom.n_y, w.p * up])
+    return SplitFlux(fc, fp)
+
+
+def convection_jacobian_2d(w: Prim2D, geom: FaceGeometry,
+                           gas: GasModel) -> np.ndarray:
+    """d(u_perp U)/dU = u_perp I + U (grad u_perp)^T."""
+    w.require_physical()
+    nx, ny = geom.n_x, geom.n_y
+    up = w.u * nx + w.v * ny
+    U = prim_to_cons_2d(w, gas)
+    grad = np.array([-up, nx, ny, 0.0]) / w.rho
+    return up * np.eye(4) + np.outer(U, grad)
+
+
+def pressure_jacobian_2d(w: Prim2D, geom: FaceGeometry,
+                         gas: GasModel) -> np.ndarray:
+    w.require_physical()
+    g = gas.gamma
+    nx, ny = geom.n_x, geom.n_y
+    u, v = w.u, w.v
+    up = u * nx + v * ny
+    theta2 = 0.5 * (u * u + v * v)
+    a2 = g * w.p / w.rho
+    phi2 = a2 / (g * (g - 1.0))
+    return (g - 1.0) * np.array([
+        [0.0, 0.0, 0.0, 0.0],
+        [theta2 * nx, -nx * u, -nx * v, nx],
+        [theta2 * ny, -ny * u, -ny * v, ny],
+        [(theta2 - phi2) * up, phi2 * nx - up * u, phi2 * ny - up * v, up],
+    ])
+
+
+def convection_eigensystem_2d(w: Prim2D, geom: FaceGeometry, gas: GasModel,
+                              x1: float = 0.0, xt: float = 0.0,
+                              x4: float = 0.0) -> EigenSystem:
+    """All four eigenvalues equal u_perp; one order-two Jordan chain.
+
+    The generalized eigenvector is fixed only up to the constraint
+    n_x x2 + n_y x3 = 1 + u_perp x1; the free parameters (x1, tangential
+    component xt, x4) never reach the scheme.
+    """
+    w.require_physical()
+    nx, ny = geom.n_x, geom.n_y
+    up = w.u * nx + w.v * ny
+    head = prim_to_cons_2d(w, gas) / w.rho      # (1, u, v, E)
+    c = 1.0 + up * x1
+    gen = np.array([x1, c * nx - xt * ny, c * ny + xt * nx, x4])
+    vecs = np.column_stack([
+        head,
+        gen,
+        [0.0, -ny, nx, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ])
+    return EigenSystem(np.array([up, up, up, up]), vecs,
+                       chain_links={1: 0},
+                       free_params={"x1": x1, "xt": xt, "x4": x4})
+
+
+def pressure_eigensystem_2d(w: Prim2D, geom: FaceGeometry,
+                            gas: GasModel) -> EigenSystem:
+    """Two acoustic waves at +-a sqrt((gamma-1)/gamma), two zero speeds.
+
+    The second vector degenerates to zero at a stagnant state (u = v = 0),
+    where the basis is singular and upwind_dissipation cannot invert it;
+    the flux never uses that vector (zero eigenvalue).
+    """
+    w.require_physical()
+    g = gas.gamma
+    nx, ny = geom.n_x, geom.n_y
+    u, v = w.u, w.v
+    up = u * nx + v * ny
+    upar = -u * ny + v * nx
+    theta2 = 0.5 * (u * u + v * v)
+    a = math.sqrt(g * w.p / w.rho)
+    s = a / math.sqrt(g * (g - 1.0))
+    c = math.sqrt((g - 1.0) / g) * a
+    vecs = np.column_stack([
+        [0.0, nx, ny, up - s],
+        [upar, u * upar + theta2 * ny, v * upar - theta2 * nx, 0.0],
+        [1.0, nx * up, ny * up, up * up - theta2],
+        [0.0, nx, ny, up + s],
+    ])
+    return EigenSystem(np.array([-c, 0.0, 0.0, c]), vecs)
+
+
+def upwind_dissipation(es: EigenSystem, dU) -> np.ndarray:
+    """R |Lambda| R^-1 dU for the basis R and eigenvalues Lambda of es.
+
+    The Jordan coupling is dropped, so where all eigenvalues are equal the
+    result is |lambda| dU, whatever the generalized eigenvectors.
+    """
+    if es.defective:
+        raise ValueError("a defective basis cannot expand a jump")
+    R = es.vectors
+    return R @ (np.abs(es.eigenvalues) * np.linalg.solve(R, dU))
 
 
 class RankTestError(RuntimeError):

@@ -64,6 +64,23 @@ class PrimitiveState:
 
 
 @dataclass(frozen=True)
+class Prim2D:
+    """2D gas state in (density, velocity components, pressure) variables."""
+
+    rho: float
+    u: float
+    v: float
+    p: float
+
+    def require_physical(self):
+        if not (self.rho > 0.0 and self.p > 0.0
+                and all(math.isfinite(q)
+                        for q in (self.rho, self.u, self.v, self.p))):
+            raise NonPhysicalStateError("non-physical 2D state",
+                                        rho=self.rho, p=self.p)
+
+
+@dataclass(frozen=True)
 class ConservedState:
     """1D gas state in (rho, rho*u, rho*E) variables."""
 
@@ -84,6 +101,13 @@ def prim_to_cons(w: PrimitiveState, gas: GasModel) -> ConservedState:
     w.require_physical()
     E = total_energy(w, gas)
     return ConservedState(w.rho, w.rho * w.u, w.rho * E)
+
+
+def prim_to_cons_2d(w: Prim2D, gas: GasModel) -> np.ndarray:
+    """(rho, rho u, rho v, rho E) of one state."""
+    w.require_physical()
+    E = w.p / (w.rho * (gas.gamma - 1.0)) + 0.5 * (w.u ** 2 + w.v ** 2)
+    return np.array([w.rho, w.rho * w.u, w.rho * w.v, w.rho * E])
 
 
 def cons_to_prim(U: ConservedState, gas: GasModel, *, cell=None,
@@ -144,7 +168,46 @@ def cons_to_prim_arrays(U, gamma, *, step=None):
     return rho, u, p
 
 
-def physical_flux_arrays(rho, u, p, gamma):
-    """Unsplit Euler flux for arrays of states; returns (3, n)."""
-    rhoE = p / (gamma - 1.0) + 0.5 * rho * u * u
-    return np.stack([rho * u, p + rho * u * u, (rhoE + p) * u])
+def first_index(bad):
+    """Index of the first True entry of bad in C order, in Python ints: an
+    int for a 1D array, else a tuple."""
+    k = int(np.argmax(bad))
+    if bad.ndim == 1:
+        return k
+    return tuple(int(i) for i in np.unravel_index(k, bad.shape))
+
+
+def check_faces(faces, step):
+    """Raise NonPhysicalStateError unless every reconstructed face value is
+    finite, with rho and p positive.
+
+    faces holds the left and the right face states, each the fields
+    (rho, u, p) or (rho, u, v, p): one (2, fields, n) array, tested whole,
+    or two sequences of arrays, tested field by field.  Left comes before
+    right; within a side, a non-finite value, in field order, before a
+    non-positive rho, then p.  The error names the field and the first
+    face where the fault occurs, by its index in the field arrays.
+    """
+    if isinstance(faces, np.ndarray):
+        # rho and p are the first and the last field
+        ok = (faces[:, ::faces.shape[1] - 1].min() > 0.0
+              and np.isfinite(faces).all())
+    else:
+        ok = (all(side[k].min() > 0.0 for side in faces for k in (0, -1))
+              and all(np.isfinite(q).all() for side in faces for q in side))
+    if ok:
+        return
+    for side in faces:
+        names = ("rho", "u", "v", "p") if len(side) == 4 else ("rho", "u", "p")
+        for name, q in zip(names, side):
+            bad = ~np.isfinite(q)
+            if bad.any():
+                raise NonPhysicalStateError(
+                    f"reconstructed {name} non-finite",
+                    cell=first_index(bad), step=step)
+        for name, q in ((names[0], side[0]), (names[-1], side[-1])):
+            bad = ~(q > 0.0)
+            if bad.any():
+                raise NonPhysicalStateError(
+                    f"reconstructed {name} not positive",
+                    cell=first_index(bad), step=step)

@@ -23,6 +23,14 @@ def random_pair(rng):
     return random_primitive(rng), random_primitive(rng)
 
 
+def wave_scale(es, dU, speed):
+    """Largest entry of |R| |speed R^-1 dU| for the basis R of es: the size
+    of the wave terms of R |Lambda| R^-1 dU, which its rounding is relative
+    to, with |Lambda| bounded by speed."""
+    alpha = np.linalg.solve(es.vectors, dU)
+    return float(np.max(np.abs(es.vectors) @ np.abs(speed * alpha)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

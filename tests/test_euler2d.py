@@ -8,22 +8,24 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cpsfds import euler2d
-from cpsfds.euler2d import (Prim2D, prim_to_cons_2d, FaceGeometry,
-                            face_geometry, StructuredGrid2D, cartesian_grid,
-                            ramp_grid, half_cylinder_grid, split_flux_2d,
-                            convection_jacobian_2d, pressure_jacobian_2d,
-                            convection_eigensystem_2d, pressure_eigensystem_2d,
-                            averages_2d, wave_strengths_2d, interface_flux_2d,
-                            DegenerateWaveBasisError, cons_to_prim_fields,
-                            prim_to_cons_fields, Bc2DKind, BoundarySpec,
-                            Controls2D, advance_2d, residual_2d,
-                            compute_dt_2d, post_shock_state,
+from cpsfds.euler2d import (StructuredGrid2D, cartesian_grid, ramp_grid,
+                            half_cylinder_grid, interface_flux_2d,
+                            cons_to_prim_fields, prim_to_cons_fields,
+                            Bc2DKind, BoundarySpec, Controls2D, advance_2d,
+                            residual_2d, compute_dt_2d, post_shock_state,
                             case_registry_2d, half_cylinder_case, run_case_2d,
                             stagnation_line_pressure)
 from cpsfds.solver1d import SolverBlowUp, muscl_reconstruct
-from cpsfds.state import GasModel, NonPhysicalStateError
-from cpsfds.splittings import jordan_matrix, verify_jordan, \
-    JordanDecomposition
+from cpsfds.state import GasModel, NonPhysicalStateError, Prim2D, \
+    check_faces, prim_to_cons_2d
+from cpsfds.splittings import (FaceGeometry, face_geometry, split_flux_2d,
+                               convection_jacobian_2d, pressure_jacobian_2d,
+                               convection_eigensystem_2d,
+                               pressure_eigensystem_2d, upwind_dissipation,
+                               jordan_matrix, verify_jordan,
+                               JordanDecomposition)
+
+from conftest import wave_scale
 
 
 def random_state_2d(rng) -> Prim2D:
@@ -150,75 +152,35 @@ def test_2d_pressure_eigensystem_relations(gas, rng):
         assert np.max(np.abs(resid)) <= 1e-10 * scale
 
 
-def test_wave_strengths_reconstruct_the_conserved_jump(gas, rng):
-    for _ in range(100):
-        wL, wR = random_state_2d(rng), random_state_2d(rng)
-        geom = random_normal(rng)
-        avg = averages_2d(wL, wR, geom, gas)
-        drho = wR.rho - wL.rho
-        du, dv = wR.u - wL.u, wR.v - wL.v
-        dup = du * geom.n_x + dv * geom.n_y
-        dupar = -du * geom.n_y + dv * geom.n_x
-        dp = wR.p - wL.p
-        try:
-            al = wave_strengths_2d(avg, drho, dup, dupar, dp, gas,
-                                   regularize=False)
-        except DegenerateWaveBasisError:
-            continue
-        w_avg = Prim2D(avg.rho_bar, avg.u_bar, avg.v_bar,
-                       avg.rho_bar * avg.a2_bar / gas.gamma)
-        R = pressure_eigensystem_2d(w_avg, geom, gas).vectors
-        dU = np.array([
-            drho,
-            avg.rho_bar * du + avg.u_bar * drho,
-            avg.rho_bar * dv + avg.v_bar * drho,
-            dp / (gas.gamma - 1.0) + avg.theta2 * drho
-            + avg.rho_bar * (avg.u_bar * du + avg.v_bar * dv)])
-        scale = max(np.max(np.abs(dU)),
-                    float(np.sum(np.abs(al) * np.max(np.abs(R), axis=0))),
-                    1.0)
-        assert np.max(np.abs(R @ al - dU)) <= 1e-9 * scale
-
-
-def test_wave_strengths_stagnant_state_regularization(gas):
-    geom = FaceGeometry(1.0, 0.0, 1.0)
-    wL = Prim2D(1.0, 0.0, 0.0, 1.0)
-    wR = Prim2D(0.5, 0.0, 0.0, 1.0)
-    avg = averages_2d(wL, wR, geom, gas)
-    with pytest.raises(DegenerateWaveBasisError):
-        wave_strengths_2d(avg, -0.5, 0.0, 0.0, 0.0, gas, regularize=False)
-    al = wave_strengths_2d(avg, -0.5, 0.0, 0.0, 0.0, gas)
-    np.testing.assert_allclose(al, [0.0, 0.0, -0.5, 0.0], atol=1e-14)
+def roe_average_2d(wL: Prim2D, wR: Prim2D, gas: GasModel) -> Prim2D:
+    """The sqrt(rho)-weighted face state: rho_bar = sqrt(rho_L rho_R),
+    velocity and a^2 weighted by sqrt(rho)."""
+    sL, sR = math.sqrt(wL.rho), math.sqrt(wR.rho)
+    rho = sL * sR
+    a2 = gas.gamma * (sL * wL.p / wL.rho + sR * wR.p / wR.rho) / (sL + sR)
+    return Prim2D(rho, (sL * wL.u + sR * wR.u) / (sL + sR),
+                  (sL * wL.v + sR * wR.v) / (sL + sR), rho * a2 / gas.gamma)
 
 
 @pytest.mark.parametrize("x1,xt,x4", [(-3.0, 0.5, 2.0), (0.7, -1.3, -0.4)])
 def test_flux_kernel_matches_the_eigenstructure(x1, xt, x4, gas, rng):
-    """The kernel is 0.5 (F_L + F_R) - 0.5 (R_c|L_c|R_c^-1 dU + sum_i
-    alpha_i |lambda_i| R_i), assembled from the face eigensystems at the
-    averaged state, times the face length.  The free constants of the
-    generalized eigenvector must leave no trace."""
+    """The kernel is 0.5 (F_L + F_R) - 0.5 (R_c|L_c|R_c^-1 dU +
+    R_p|L_p|R_p^-1 dU), assembled by upwind_dissipation from the face
+    eigensystems at the averaged state, times the face length.  The free
+    constants of the generalized eigenvector must leave no trace, and no
+    draw is skipped."""
+    checked = 0
     for _ in range(200):
         wL, wR = random_state_2d(rng), random_state_2d(rng)
         geom = random_normal(rng)
         ds = rng.uniform(0.1, 10.0)
-        avg = averages_2d(wL, wR, geom, gas)
-        du, dv = wR.u - wL.u, wR.v - wL.v
-        try:
-            alpha = wave_strengths_2d(
-                avg, wR.rho - wL.rho, du * geom.n_x + dv * geom.n_y,
-                -du * geom.n_y + dv * geom.n_x, wR.p - wL.p, gas,
-                regularize=False)
-        except DegenerateWaveBasisError:
-            continue
-        w_avg = Prim2D(avg.rho_bar, avg.u_bar, avg.v_bar,
-                       avg.rho_bar * avg.a2_bar / gas.gamma)
+        w_avg = roe_average_2d(wL, wR, gas)
         dU = prim_to_cons_2d(wR, gas) - prim_to_cons_2d(wL, gas)
         conv = convection_eigensystem_2d(w_avg, geom, gas, x1=x1, xt=xt,
                                          x4=x4)
-        beta = np.linalg.solve(conv.vectors, dU)
         press = pressure_eigensystem_2d(w_avg, geom, gas)
-        dissipation = conv.vectors @ (np.abs(conv.eigenvalues) * beta) \
-            + press.vectors @ (np.abs(press.eigenvalues) * alpha)
+        dissipation = upwind_dissipation(conv, dU) \
+            + upwind_dissipation(press, dU)
         FL = split_flux_2d(wL, geom, gas).total
         FR = split_flux_2d(wR, geom, gas).total
         want = ds * (0.5 * (FL + FR) - 0.5 * dissipation)
@@ -226,12 +188,14 @@ def test_flux_kernel_matches_the_eigenstructure(x1, xt, x4, gas, rng):
             *(np.array([q]) for q in (wL.rho, wL.u, wL.v, wL.p,
                                       wR.rho, wR.u, wR.v, wR.p)),
             geom.n_x, geom.n_y, gas.gamma, np.array([ds]))[:, 0]
-        speed = abs(avg.u_perp) + avg.a_bar
-        scale = ds * max(
-            np.max(np.abs(FL)), np.max(np.abs(FR)),
-            np.max(np.abs(conv.vectors) @ np.abs(avg.u_perp * beta)),
-            np.max(np.abs(press.vectors) @ np.abs(speed * alpha)))
+        u_perp = w_avg.u * geom.n_x + w_avg.v * geom.n_y
+        speed = abs(u_perp) + math.sqrt(gas.gamma * w_avg.p / w_avg.rho)
+        scale = ds * max(np.max(np.abs(FL)), np.max(np.abs(FR)),
+                         wave_scale(conv, dU, abs(u_perp)),
+                         wave_scale(press, dU, speed))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+        checked += 1
+    assert checked == 200
 
 
 def test_interface_flux_2d_consistency_and_rotation(gas, rng):
@@ -460,6 +424,9 @@ def test_flux_kernel_allocates_nothing_block_sized(gas):
                                 ds))
 
 
+FIELDS_2D = ("rho", "u", "v", "p")
+
+
 @pytest.mark.parametrize("arrays,message,cell", [
     # a non-finite value anywhere comes before a non-positive rho or p
     ({"rho": [(0, 2, -1.0)], "p": [(1, 0, np.nan)]}, "non-finite", (1, 0)),
@@ -472,18 +439,65 @@ def test_flux_kernel_allocates_nothing_block_sized(gas):
     ({"rho": [(1, 2, 0.0), (2, 0, -1.0)], "p": [(0, 0, -1.0)]},
      "not positive", (1, 2)),
     ({"p": [(2, 1, 0.0)], "u": [(0, 0, -5.0)]}, "not positive", (2, 1)),
+    # every fault of the left side before any of the right
+    ({"p": [(2, 3, 0.0)], "right rho": [(0, 0, np.nan)]},
+     "reconstructed p not positive", (2, 3)),
+    ({"right u": [(1, 1, np.inf)], "right p": [(0, 0, -1.0)]},
+     "reconstructed u non-finite", (1, 1)),
 ])
 def test_face_scan_reports_in_a_fixed_precedence(arrays, message, cell):
-    faces = {k: np.ones((3, 4)) for k in ("rho", "u", "v", "p")}
-    for name, entries in arrays.items():
+    """Keys name a field of the left side, or of the right after "right".
+    The scan reports the same fault whether the sides come as sequences of
+    field arrays or as one stacked array."""
+    sides = [{k: np.ones((3, 4)) for k in FIELDS_2D} for _ in range(2)]
+    for key, entries in arrays.items():
+        side, _, name = key.rpartition(" ")
         for i, j, val in entries:
-            faces[name][i, j] = val
+            sides[side == "right"][name][i, j] = val
+    faces = [[side[k] for k in FIELDS_2D] for side in sides]
+    for given in (faces, np.array(faces)):
+        with pytest.raises(NonPhysicalStateError) as err:
+            check_faces(given, step=7)
+        assert message in str(err.value)
+        assert (err.value.cell, err.value.step) == (cell, 7)
+    valid = [[np.ones((3, 4))] * 4] * 2
+    check_faces(valid, step=7)
+    check_faces(np.array(valid), step=7)
+
+
+@pytest.mark.parametrize("axis,face", [(0, (3, 5)), (1, (2, 6))],
+                         ids=["i-sweep", "j-sweep"])
+def test_face_scan_names_the_grid_face_in_either_sweep(axis, face, gas):
+    """A pressure dip at cell (2, 5) of a 6x9 grid, with a far larger
+    neighbour above it along one direction, drives the limited value at
+    the dip's high face negative in that direction's sweep only.  Both
+    sweeps report the face by its grid index (i, j)."""
+    grid = cartesian_grid(0.0, 1.0, 0.0, 1.5, 6, 9)
+    p = np.ones((6, 9))
+    p[2, 5] = 0.1
+    p[(3, 5) if axis == 0 else (2, 6)] = 100.0
+    W = (np.ones_like(p), np.zeros_like(p), np.zeros_like(p), p)
+    bc = dict.fromkeys(("imin", "imax", "jmin", "jmax"),
+                       BoundarySpec(Bc2DKind.SUPERSONIC_OUTFLOW))
     with pytest.raises(NonPhysicalStateError) as err:
-        euler2d._check_faces([faces[k] for k in ("rho", "u", "v", "p")],
-                             step=7)
-    assert message in str(err.value)
-    assert err.value.cell == cell
-    euler2d._check_faces([np.ones((3, 4))] * 4, step=7)   # all valid
+        residual_2d(W, grid, bc, Controls2D(t_final=1.0, order=2), gas,
+                    step=3)
+    assert str(err.value) == \
+        f"reconstructed p not positive, cell={face}, step=3"
+
+
+@pytest.mark.parametrize("limiter_k", [0.0, -0.1, float("nan")])
+def test_controls_reject_a_non_positive_limiter_constant_at_order_2(
+        limiter_k):
+    """The rule and wording of the 1D ReconstructionConfig; order 1 does
+    not use the constant."""
+    with pytest.raises(ValueError) as err:
+        Controls2D(t_final=1.0, order=2, limiter_k=limiter_k)
+    assert str(err.value) == "limiter constant must be positive"
+    with pytest.raises(ValueError) as err:
+        Controls2D(t_final=1.0, order=3)
+    assert str(err.value) == "order must be 1 or 2"
+    Controls2D(t_final=1.0, order=1, limiter_k=limiter_k)
 
 
 @pytest.mark.parametrize("shape,order", [((1, 1), 2), ((1, 5), 1)])

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_pair
+from conftest import random_pair, wave_scale
 
 from cpsfds.fds1d import (SchemeKind, interface_averages,
                           zbs_pressure_strengths, tvs_pressure_strengths,
                           interface_flux, interface_flux_batch)
 from cpsfds.splittings import (SplittingKind, split_flux,
-                               convection_eigensystem, pressure_eigensystem)
+                               convection_eigensystem, pressure_eigensystem,
+                               upwind_dissipation)
 from cpsfds.state import GasModel, PrimitiveState, physical_flux, prim_to_cons
 
 SCHEMES = list(SchemeKind)
@@ -115,8 +116,9 @@ def test_batch_kernel_matches_the_eigenstructure(scheme, kind, strengths, x1,
                                                  gas, rng):
     """The kernel's dissipation is R_c|L_c|R_c^-1 dU + sum_i alpha_i
     |lambda_i| R_i, assembled from the splitting eigensystems at the averaged
-    state with the Jordan coupling dropped.  The free constants x1, x3 of
-    the generalized eigenvectors must leave no trace."""
+    state, the first term by upwind_dissipation, with the paper's closed-form
+    alpha_i.  The free constants x1, x3 of the generalized eigenvectors must
+    leave no trace."""
     for _ in range(200):
         wL, wR = random_pair(rng)
         avg = interface_averages(wL, wR, gas)
@@ -125,11 +127,10 @@ def test_batch_kernel_matches_the_eigenstructure(scheme, kind, strengths, x1,
         dU = (prim_to_cons(wR, gas).as_array()
               - prim_to_cons(wL, gas).as_array())
         conv = convection_eigensystem(kind, w_avg, gas, x1=x1, x3=2.0 * x1)
-        beta = np.linalg.solve(conv.vectors, dU)
         press = pressure_eigensystem(kind, w_avg, gas)
         alpha = strengths(avg, wR.rho - wL.rho, wR.u - wL.u, wR.p - wL.p,
                           gas).alpha
-        dissipation = conv.vectors @ (np.abs(conv.eigenvalues) * beta) \
+        dissipation = upwind_dissipation(conv, dU) \
             + press.vectors @ (np.abs(press.eigenvalues) * alpha)
         FL, FR = physical_flux(wL, gas), physical_flux(wR, gas)
         want = 0.5 * (FL + FR) - 0.5 * dissipation
@@ -141,7 +142,7 @@ def test_batch_kernel_matches_the_eigenstructure(scheme, kind, strengths, x1,
         # digits by cancellation when u_bar^2 >> a_bar^2
         speed = abs(avg.u_bar) + avg.beta_bar
         scale = max(np.max(np.abs(FL)), np.max(np.abs(FR)),
-                    np.max(np.abs(conv.vectors) @ np.abs(avg.u_bar * beta)),
+                    wave_scale(conv, dU, abs(avg.u_bar)),
                     np.max(np.abs(press.vectors) @ np.abs(speed * alpha)))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 

@@ -12,7 +12,8 @@ from cpsfds.fds1d import SchemeKind
 from cpsfds.solver1d import (Grid1D, BoundaryCondition, TimeControls,
                              ReconstructionConfig, SolverBlowUp, compute_dt,
                              muscl_reconstruct, advance, initialize, _extend)
-from cpsfds.state import cons_to_prim_arrays
+from cpsfds.state import NonPhysicalStateError, check_faces, \
+    cons_to_prim_arrays
 
 SCHEMES = list(SchemeKind)
 PERIODIC = (BoundaryCondition.PERIODIC,) * 2
@@ -264,3 +265,27 @@ def test_second_order_blast_blows_up_in_reconstruction(scheme, gas):
         run_case(get_case("blast"), scheme, order=2, gas=gas)
     assert (err.value.step, err.value.cell) == (7291, 2079)
     assert "reconstructed p not positive" in str(err.value)
+
+
+def test_face_scan_of_the_1d_sides_names_the_field_and_face(gas):
+    """The 1D residual scans its stacked (3, n) face sides with the 2D rule.
+    A pressure dip at cell 3 with a far larger neighbour at cell 4 drives
+    the limited value at face 4, the dip's high face, negative while every
+    cell is physical.  A non-finite u, which no cell can hold, is caught by
+    the same scan of the stacked sides."""
+    grid = Grid1D(0.0, 1.0, 8)
+    p = np.ones(8)
+    p[3], p[4] = 0.1, 100.0
+    U0 = initialize(grid, lambda x: (1.0, 0.0, p), gas)
+    with pytest.raises(SolverBlowUp) as err:
+        advance(U0, grid, SchemeKind.TVS_FDS, ReconstructionConfig(2),
+                TRANSMISSIVE, TimeControls(1.0), gas)
+    assert (err.value.step, err.value.cell) == (0, 4)
+    assert str(err.value.__cause__) == \
+        "reconstructed p not positive, cell=4, step=0"
+    faces = np.ones((2, 3, 8))
+    faces[1, 1, 5] = np.nan                  # right u
+    faces[1, 2, 2] = -1.0                    # right p, after any non-finite
+    with pytest.raises(NonPhysicalStateError) as err:
+        check_faces(faces, step=9)
+    assert str(err.value) == "reconstructed u non-finite, cell=5, step=9"

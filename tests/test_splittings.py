@@ -1,5 +1,10 @@
 """Flux splittings, Jacobians and the (generalized) eigenstructure."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +14,8 @@ from cpsfds.splittings import (SplittingKind, split_flux, convection_jacobian,
                                pressure_jacobian, convection_eigensystem,
                                pressure_eigensystem, convection_jordan,
                                jordan_block_signature, jordan_matrix,
-                               verify_jordan, JordanDecomposition)
+                               verify_jordan, JordanDecomposition,
+                               upwind_dissipation)
 from cpsfds.state import PrimitiveState, physical_flux, prim_to_cons
 
 ALL_KINDS = list(SplittingKind)
@@ -157,3 +163,38 @@ def test_pressure_eigenvectors_are_independent(kind, gas, rng):
         w = random_primitive(rng)
         es = pressure_eigensystem(kind, w, gas)
         assert abs(np.linalg.det(es.vectors)) > 0.0
+
+
+def test_upwind_dissipation_of_a_chain_is_the_scaled_jump(gas, rng):
+    """Every Zha-Bilgen convection eigenvalue is u, so with the Jordan
+    coupling dropped R |Lambda| R^-1 dU is |u| dU for any free constants;
+    a defective basis is refused."""
+    for _ in range(50):
+        w = random_primitive(rng)
+        dU = rng.normal(size=3)
+        es = convection_eigensystem(SplittingKind.ZHA_BILGEN, w, gas,
+                                    x1=rng.uniform(-2, 2),
+                                    x3=rng.uniform(-2, 2))
+        got = upwind_dissipation(es, dU)
+        cond = np.linalg.cond(es.vectors)
+        np.testing.assert_allclose(got, abs(w.u) * dU, rtol=0,
+                                   atol=1e-13 * cond * abs(w.u)
+                                   * np.max(np.abs(dU)))
+    with pytest.raises(ValueError):
+        upwind_dissipation(convection_eigensystem(
+            SplittingKind.LIOU_STEFFEN, w, gas), dU)
+
+
+def test_splittings_does_not_load_the_2d_solver():
+    """The analysis layer sits below the solvers: importing it in a fresh
+    interpreter leaves cpsfds.euler2d unloaded."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    code = ("import sys, cpsfds.splittings; "
+            "print('cpsfds.euler2d' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
