@@ -18,8 +18,9 @@ import numpy as np
 from . import exact_riemann
 from .fds1d import SchemeKind
 from .solver1d import BoundaryCondition, Grid1D, ReconstructionConfig, \
-    TimeControls, advance, initialize
-from .state import GasModel, PrimitiveState
+    TimeControls, advance, check_t_final, initialize
+from .state import GasModel, PrimitiveState, cons_to_prim_arrays, \
+    prim_to_cons
 
 
 class ReferenceKind(enum.Enum):
@@ -44,8 +45,7 @@ class CaseSpec:
     cfl: float = 0.8
 
     def __post_init__(self):
-        if not self.t_final > 0.0:
-            raise ValueError("t_final must be positive")
+        check_t_final(self.t_final)
         for w in (self.left, self.right):
             if w is not None:
                 w.require_physical()
@@ -53,10 +53,8 @@ class CaseSpec:
     def initial_profile(self, x):
         if self.init_fn is not None:
             return self.init_fn(x)
-        behind = x < self.x0
-        return (np.where(behind, self.left.rho, self.right.rho),
-                np.where(behind, self.left.u, self.right.u),
-                np.where(behind, self.left.p, self.right.p))
+        return tuple(np.where(x < self.x0, a, b)
+                     for a, b in zip(self.left, self.right))
 
 
 @dataclass(frozen=True)
@@ -64,12 +62,6 @@ class ErrorReport:
     l1: float
     l2: float
     linf: float
-
-
-def _prim_from_cons(u1, u2, u3, gamma):
-    u = u2 / u1
-    p = (gamma - 1.0) * (u3 - 0.5 * u2 * u2 / u1)
-    return PrimitiveState(u1, u, p)
 
 
 def _smooth_profile(x, t=0.0):
@@ -120,8 +112,10 @@ def case_registry(gamma: float = 1.4):
                  PrimitiveState(1.0, -19.59745, 0.01), 0.8),
         CaseSpec("slow-shock", 0.0, 1.0, 4.0, 100, t,
                  ReferenceKind.EXACT_RIEMANN,
-                 _prim_from_cons(3.86, -3.1266, 27.0913, gamma),
-                 _prim_from_cons(1.0, -3.44, 8.4168, gamma), 0.5),
+                 PrimitiveState(*cons_to_prim_arrays(
+                     (3.86, -3.1266, 27.0913), gamma).tolist()),
+                 PrimitiveState(*cons_to_prim_arrays(
+                     (1.0, -3.44, 8.4168), gamma).tolist()), 0.5),
         CaseSpec("mach3", 0.0, 1.0, 0.1, 100, t,
                  ReferenceKind.EXACT_RIEMANN,
                  PrimitiveState(3.857, 0.92, 10.333),
@@ -186,7 +180,6 @@ def run_case(case: CaseSpec, scheme: SchemeKind, order: int = 1,
                             cfl if cfl is not None else case.cfl)
     recon = ReconstructionConfig(order=order)
     U, log = advance(U, grid, scheme, recon, case.bc, controls, gas)
-    from .state import cons_to_prim_arrays
     rho, u, p = cons_to_prim_arrays(U, gas.gamma)
     x = grid.centers()
     errors = None
@@ -244,12 +237,9 @@ def error3(wL: PrimitiveState, wR: PrimitiveState,
     sL, sR = math.sqrt(wL.rho), math.sqrt(wR.rho)
     ub = (sL * wL.u + sR * wR.u) / (sL + sR)
     rb = sL * sR
-    rEL = wL.p / (g - 1.0) + 0.5 * wL.rho * wL.u ** 2
-    rER = wR.p / (g - 1.0) + 0.5 * wR.rho * wR.u ** 2
-    du = wR.u - wL.u
-    drho = wR.rho - wL.rho
-    return (rER - rEL) - (wR.p - wL.p) / (g - 1.0) \
-        - 0.5 * (ub * ub * drho + 2.0 * rb * ub * du)
+    dU = prim_to_cons(wR, gas) - prim_to_cons(wL, gas)
+    return float(dU[2] - (wR.p - wL.p) / (g - 1.0)
+                 - 0.5 * (ub * ub * dU[0] + 2.0 * rb * ub * (wR.u - wL.u)))
 
 
 def error3_sweep(machs, gas: GasModel = GasModel(1.4)):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bench1d, euler2d, exact_riemann, fds1d, splittings
 from .fds1d import SchemeKind
-from .solver1d import MIN_CELLS, SolverBlowUp
+from .solver1d import MIN_CELLS, SolverBlowUp, check_t_final
 from .state import GasModel, PrimitiveState, physical_flux, prim_to_cons, \
     prim_to_cons_arrays
 
@@ -77,12 +77,12 @@ def _csv_1d(result: bench1d.CaseResult, gamma: float):
 
 
 def _csv_2d(grid, U, gas, contour_levels):
-    rho, u, v, p = euler2d.cons_to_prim_fields(U, gas.gamma)
     header = [f"ni,nj={grid.ni},{grid.nj}"]
     if contour_levels:
         header.append(f"contour-levels={contour_levels}")
     header.append("x,y,rho,u,v,p")
-    return _csv(header, (grid.xc, grid.yc, rho, u, v, p))
+    return _csv(header, (grid.xc, grid.yc,
+                         *euler2d.cons_to_prim_fields(U, gas.gamma)))
 
 
 def _eoc_table(case, scheme, order, gas) -> str:
@@ -209,8 +209,7 @@ def _suite_algebra(seed, n=200):
         avg = fds1d.interface_averages(w, wR, gas)
         wb = PrimitiveState(avg.rho_bar, avg.u_bar,
                             avg.rho_bar * avg.a2_bar / gas.gamma)
-        dU = (prim_to_cons(wR, gas).as_array()
-              - prim_to_cons(w, gas).as_array())
+        dU = prim_to_cons(wR, gas) - prim_to_cons(w, gas)
         central = 0.5 * (physical_flux(w, gas) + physical_flux(wR, gas))
         for scheme, kind, strengths in (
                 (SchemeKind.ZBS_FDS, splittings.SplittingKind.ZHA_BILGEN,
@@ -252,8 +251,7 @@ def _suite_algebra(seed, n=200):
     worst = 0.0
     for m in (1.5, 2.0, 5.0, 10.0, 100.0):
         wl, wr = bench1d.steady_shock_states(m, gas)
-        scale = max(abs(wl.p / (gas.gamma - 1.0) + 0.5 * wl.rho * wl.u ** 2),
-                    abs(wr.p / (gas.gamma - 1.0) + 0.5 * wr.rho * wr.u ** 2))
+        scale = max(prim_to_cons(w, gas)[2] for w in (wl, wr))   # rho E
         worst = max(worst, abs(bench1d.error3(wl, wr, gas)) / scale)
     checks.append(("steady-shock jump identity", worst <= 1e-12,
                    f"max scaled residual {worst:.2e}"))
@@ -300,7 +298,7 @@ def _suite_conservation(seed):
         + 0.1 * float(rng.uniform(0, 1))
     u = 0.5 * np.cos(2.0 * math.pi * x)
     p = 1.0 + 0.2 * np.sin(4.0 * math.pi * x)
-    U0 = prim_to_cons_arrays(rho, u, p, gas.gamma)
+    U0 = prim_to_cons_arrays((rho, u, p), gas.gamma)
     worst = 0.0
     for scheme in SchemeKind:
         U, _ = advance(U0, grid, scheme, ReconstructionConfig(order=1),
@@ -313,8 +311,8 @@ def _suite_conservation(seed):
     checks.append(("periodic conservation", worst <= 1e-12,
                    f"max relative drift {worst:.2e}"))
 
-    const = prim_to_cons_arrays(np.full(64, 1.3), np.full(64, 0.7),
-                                np.full(64, 2.1), gas.gamma)
+    const = prim_to_cons_arrays((np.full(64, 1.3), np.full(64, 0.7),
+                                 np.full(64, 2.1)), gas.gamma)
     U, _ = advance(const, grid, SchemeKind.TVS_FDS,
                    ReconstructionConfig(order=2),
                    (BoundaryCondition.PERIODIC,) * 2, TimeControls(0.1), gas)
@@ -377,9 +375,10 @@ def _check_run_config(config: RunConfig):
         euler2d.check_grid_shape(*config.grid)
     if config.cfl is not None and not 0.0 < config.cfl <= 1.0:
         raise ValueError(f"cfl must be in (0, 1], got {config.cfl}")
-    if config.t_final is not None and not 0.0 < config.t_final < math.inf:
-        raise ValueError(f"t-final must be positive and finite, "
-                         f"got {config.t_final}")
+    if config.t_final is not None:
+        check_t_final(config.t_final)
+        if config.t_final == math.inf:
+            raise ValueError("t-final must be finite, got inf")
 
 
 def build_parser():

@@ -149,8 +149,6 @@ def sample_profile(wL, wR, gas, x, t, x0=0.0):
     """Vector of primitive states at positions x and time t > 0."""
     star = solve_star(wL, wR, gas)
     xi = (np.asarray(x) - x0) / t
-    states = [sample(star, wL, wR, gas, float(v)) for v in xi]
-    rho = np.array([s.rho for s in states])
-    u = np.array([s.u for s in states])
-    p = np.array([s.p for s in states])
+    rho, u, p = np.array([tuple(sample(star, wL, wR, gas, float(v)))
+                          for v in xi]).T
     return rho, u, p

@@ -90,8 +90,7 @@ def interface_flux(scheme: SchemeKind, wL: PrimitiveState, wR: PrimitiveState,
     wL.require_physical()
     wR.require_physical()
     return interface_flux_batch(
-        scheme, *(np.array([q]) for q in (wL.rho, wL.u, wL.p,
-                                          wR.rho, wR.u, wR.p)),
+        scheme, *(np.array([q]) for w in (wL, wR) for q in w),
         gas.gamma)[:, 0]
 
 

@@ -47,6 +47,13 @@ class Grid1D:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
 
+def check_t_final(t_final):
+    """Raise ValueError unless t_final is positive.  +inf is allowed: such
+    a march ends on its step limit or its steady-state test."""
+    if not t_final > 0.0:
+        raise ValueError(f"t-final must be positive, got {t_final}")
+
+
 @dataclass(frozen=True)
 class TimeControls:
     t_final: float
@@ -54,6 +61,7 @@ class TimeControls:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
+        check_t_final(self.t_final)
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
 
@@ -219,8 +227,7 @@ def advance(U: np.ndarray, grid: Grid1D, scheme: SchemeKind,
     dx = grid.dx
     return march(
         U,
-        lambda U, step: np.array(cons_to_prim_arrays(U, gas.gamma,
-                                                     step=step)),
+        lambda U, step: cons_to_prim_arrays(U, gas.gamma, step=step),
         lambda W: compute_dt(*W, gas, dx, controls.cfl),
         lambda W, step: _residual(W, scheme, bc, recon, dx, gas, step),
         controls, recon.order, scheme.value)
@@ -228,8 +235,6 @@ def advance(U: np.ndarray, grid: Grid1D, scheme: SchemeKind,
 
 def initialize(grid: Grid1D, init_fn, gas: GasModel):
     """Cell-centered conserved array from a (rho, u, p) = init_fn(x) field."""
-    rho, u, p = init_fn(grid.centers())
-    rho = np.broadcast_to(np.asarray(rho, dtype=float), (grid.n_cells,))
-    u = np.broadcast_to(np.asarray(u, dtype=float), (grid.n_cells,))
-    p = np.broadcast_to(np.asarray(p, dtype=float), (grid.n_cells,))
-    return prim_to_cons_arrays(rho, u, p, gas.gamma)
+    return prim_to_cons_arrays(
+        [np.broadcast_to(np.asarray(q, dtype=float), (grid.n_cells,))
+         for q in init_fn(grid.centers())], gas.gamma)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .state import GasModel, Prim2D, PrimitiveState, prim_to_cons_2d, \
+from .state import GasModel, Prim2D, PrimitiveState, prim_to_cons, \
     sound_speed, total_energy
 
 
@@ -232,7 +232,7 @@ def split_flux_2d(w: Prim2D, geom: FaceGeometry, gas: GasModel) -> SplitFlux:
     """Normal-flux split F = u_perp U + (0, p n_x, p n_y, p u_perp)."""
     w.require_physical()
     up = w.u * geom.n_x + w.v * geom.n_y
-    fc = up * prim_to_cons_2d(w, gas)
+    fc = up * prim_to_cons(w, gas)
     fp = np.array([0.0, w.p * geom.n_x, w.p * geom.n_y, w.p * up])
     return SplitFlux(fc, fp)
 
@@ -243,7 +243,7 @@ def convection_jacobian_2d(w: Prim2D, geom: FaceGeometry,
     w.require_physical()
     nx, ny = geom.n_x, geom.n_y
     up = w.u * nx + w.v * ny
-    U = prim_to_cons_2d(w, gas)
+    U = prim_to_cons(w, gas)
     grad = np.array([-up, nx, ny, 0.0]) / w.rho
     return up * np.eye(4) + np.outer(U, grad)
 
@@ -278,7 +278,7 @@ def convection_eigensystem_2d(w: Prim2D, geom: FaceGeometry, gas: GasModel,
     w.require_physical()
     nx, ny = geom.n_x, geom.n_y
     up = w.u * nx + w.v * ny
-    head = prim_to_cons_2d(w, gas) / w.rho      # (1, u, v, E)
+    head = prim_to_cons(w, gas) / w.rho      # (1, u, v, E)
     c = 1.0 + up * x1
     gen = np.array([x1, c * nx - xt * ny, c * ny + xt * nx, x4])
     vecs = np.column_stack([

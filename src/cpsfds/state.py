@@ -7,7 +7,7 @@ heat ratio gamma enters the thermodynamics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,24 +47,31 @@ class GasModel:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
 
 
+class _PrimitiveFields:
+    """Shared by the primitive states: the fields (rho, velocity
+    components..., p), iterated in that order."""
+
+    def __iter__(self):
+        return (getattr(self, f.name) for f in fields(self))
+
+    def require_physical(self):
+        if not (self.rho > 0.0 and self.p > 0.0
+                and all(math.isfinite(q) for q in self)):
+            raise NonPhysicalStateError("non-physical primitive state",
+                                        rho=self.rho, p=self.p)
+
+
 @dataclass(frozen=True)
-class PrimitiveState:
+class PrimitiveState(_PrimitiveFields):
     """1D gas state in (density, velocity, pressure) variables."""
 
     rho: float
     u: float
     p: float
 
-    def require_physical(self):
-        if not (self.rho > 0.0 and self.p > 0.0 and
-                math.isfinite(self.rho) and math.isfinite(self.u) and
-                math.isfinite(self.p)):
-            raise NonPhysicalStateError("non-physical primitive state",
-                                        rho=self.rho, p=self.p)
-
 
 @dataclass(frozen=True)
-class Prim2D:
+class Prim2D(_PrimitiveFields):
     """2D gas state in (density, velocity components, pressure) variables."""
 
     rho: float
@@ -72,56 +79,16 @@ class Prim2D:
     v: float
     p: float
 
-    def require_physical(self):
-        if not (self.rho > 0.0 and self.p > 0.0
-                and all(math.isfinite(q)
-                        for q in (self.rho, self.u, self.v, self.p))):
-            raise NonPhysicalStateError("non-physical 2D state",
-                                        rho=self.rho, p=self.p)
-
-
-@dataclass(frozen=True)
-class ConservedState:
-    """1D gas state in (rho, rho*u, rho*E) variables."""
-
-    u1: float
-    u2: float
-    u3: float
-
-    def as_array(self):
-        return np.array([self.u1, self.u2, self.u3])
-
 
 def total_energy(w: PrimitiveState, gas: GasModel) -> float:
     """Specific total energy E = p / (rho (gamma - 1)) + u^2 / 2."""
     return w.p / (w.rho * (gas.gamma - 1.0)) + 0.5 * w.u * w.u
 
 
-def prim_to_cons(w: PrimitiveState, gas: GasModel) -> ConservedState:
+def prim_to_cons(w: PrimitiveState | Prim2D, gas: GasModel) -> np.ndarray:
+    """(rho, momenta..., rho E) of one PrimitiveState or Prim2D."""
     w.require_physical()
-    E = total_energy(w, gas)
-    return ConservedState(w.rho, w.rho * w.u, w.rho * E)
-
-
-def prim_to_cons_2d(w: Prim2D, gas: GasModel) -> np.ndarray:
-    """(rho, rho u, rho v, rho E) of one state."""
-    w.require_physical()
-    E = w.p / (w.rho * (gas.gamma - 1.0)) + 0.5 * (w.u ** 2 + w.v ** 2)
-    return np.array([w.rho, w.rho * w.u, w.rho * w.v, w.rho * E])
-
-
-def cons_to_prim(U: ConservedState, gas: GasModel, *, cell=None,
-                 step=None) -> PrimitiveState:
-    """Invert prim_to_cons.  Fails loudly on breakdown (rho or p <= 0)."""
-    if not (U.u1 > 0.0 and math.isfinite(U.u1)):
-        raise NonPhysicalStateError("non-physical conserved state",
-                                    rho=U.u1, cell=cell, step=step)
-    u = U.u2 / U.u1
-    p = (gas.gamma - 1.0) * (U.u3 - 0.5 * U.u2 * U.u2 / U.u1)
-    if not (p > 0.0 and math.isfinite(p)):
-        raise NonPhysicalStateError("pressure recovery failed",
-                                    rho=U.u1, p=p, cell=cell, step=step)
-    return PrimitiveState(U.u1, u, p)
+    return prim_to_cons_arrays(w, gas.gamma)
 
 
 def sound_speed(w: PrimitiveState, gas: GasModel) -> float:
@@ -141,36 +108,66 @@ def physical_flux(w: PrimitiveState, gas: GasModel) -> np.ndarray:
     ])
 
 
-# --- array kernels used by the solvers (vectorized over cells) ---
+# --- conserved <-> primitive, for single states and cell arrays ---
 
-def prim_to_cons_arrays(rho, u, p, gamma):
-    """(rho, u, p) arrays -> (3, n) conserved array."""
-    E = p / (rho * (gamma - 1.0)) + 0.5 * u * u
-    return np.stack([rho, rho * u, rho * E])
+def prim_to_cons_arrays(W, gamma):
+    """Primitive rows (rho, velocities..., p), a sequence or a stack of
+    equal shapes -> the stacked conserved rows (rho, momenta..., rho E),
+    with rho E = p / (gamma - 1) + rho |u|^2 / 2."""
+    rho, *vel, p = W
+    ke = sum(q * q for q in vel)
+    return np.stack([rho, *(rho * q for q in vel),
+                     p / (gamma - 1.0) + 0.5 * rho * ke])
+
+
+def _raise_first_bad(rho, p, step):
+    """Raise NonPhysicalStateError for the first cell whose rho, or else
+    whose p, is not finite and positive."""
+    for name, q in (("density", rho), ("pressure", p)):
+        bad = ~(q > 0.0) | ~np.isfinite(q)
+        if bad.any():
+            cell = first_index(bad)
+            raise NonPhysicalStateError(
+                f"non-physical {name} in solution", rho=float(rho[cell]),
+                p=None if q is rho else float(q[cell]), cell=cell,
+                step=step)
 
 
 def cons_to_prim_arrays(U, gamma, *, step=None):
-    """(3, n) conserved array -> (rho, u, p) arrays; raises on breakdown."""
-    rho = U[0]
-    bad = ~(rho > 0.0) | ~np.isfinite(rho)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NonPhysicalStateError("non-physical density in solution",
-                                    rho=float(rho[i]), cell=i, step=step)
-    u = U[1] / rho
-    p = (gamma - 1.0) * (U[2] - 0.5 * U[1] * U[1] / rho)
-    bad = ~(p > 0.0) | ~np.isfinite(p)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NonPhysicalStateError("non-physical pressure in solution",
-                                    rho=float(rho[i]), p=float(p[i]),
-                                    cell=i, step=step)
-    return rho, u, p
+    """Conserved rows (rho, momenta..., rho E) of a (3, ...) or (4, ...)
+    array -> the primitive rows (rho, velocities..., p), stacked in an
+    array of the same shape.  One state is a (3,) or (4,) array.
+
+    Raises NonPhysicalStateError unless every rho, then every p, is finite
+    and positive; the error names the first bad cell in C order (see
+    first_index).  The pressure is (gamma - 1) (rho E - |m|^2 / (2 rho)).
+    """
+    U = np.asarray(U, dtype=float)
+    W = np.empty(U.shape)
+    rho, p = U[0, ...], W[-1, ...]       # 0-d views for one state
+    if not rho.min() > 0.0:
+        # rho is at fault, so p, not yet written, is never read
+        _raise_first_bad(rho, p, step)
+    W[0] = rho
+    # p = |m|^2, with the velocity rows after the first as scratch
+    np.square(U[1], out=p)
+    for k in range(2, len(U) - 1):
+        np.square(U[k], out=W[k, ...])
+        p += W[k]
+    p *= 0.5
+    p /= rho
+    np.subtract(U[-1], p, out=p)
+    p *= gamma - 1.0
+    np.divide(U[1:-1], rho, out=W[1:-1])
+    # rho and p are the first and the last row
+    if not (p.min() > 0.0 and W[::len(W) - 1].max() < np.inf):
+        _raise_first_bad(rho, p, step)
+    return W
 
 
 def first_index(bad):
     """Index of the first True entry of bad in C order, in Python ints: an
-    int for a 1D array, else a tuple."""
+    int for a 1D array, else a tuple (empty for a single state)."""
     k = int(np.argmax(bad))
     if bad.ndim == 1:
         return k

@@ -56,7 +56,7 @@ def test_criterion_1_algebraic_suite():
 
     def fd_jacobian(pick, kind, w):
         from cpsfds.state import prim_to_cons
-        U0 = prim_to_cons(w, GAS).as_array()
+        U0 = prim_to_cons(w, GAS)
 
         def f(U):
             g = GAS.gamma

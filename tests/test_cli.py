@@ -119,6 +119,7 @@ def test_missing_case_is_a_config_error(capsys):
     (["--case", "shock-reflection", "--cfl", "0"], "cfl must be in (0, 1]"),
     (["--case", "wedge", "--grid", "0x5"], "grid must be at least 2x2"),
     (["--case", "sod", "--t-final", "nan"], "t-final must be positive"),
+    (["--case", "wedge", "--t-final", "inf"], "t-final must be finite"),
 ])
 def test_invalid_run_option_is_a_config_error(argv, message, capsys,
                                               monkeypatch):

@@ -17,7 +17,7 @@ from cpsfds.euler2d import (StructuredGrid2D, cartesian_grid, ramp_grid,
                             stagnation_line_pressure)
 from cpsfds.solver1d import SolverBlowUp, muscl_reconstruct
 from cpsfds.state import GasModel, NonPhysicalStateError, Prim2D, \
-    check_faces, prim_to_cons_2d
+    check_faces, prim_to_cons
 from cpsfds.splittings import (FaceGeometry, face_geometry, split_flux_2d,
                                convection_jacobian_2d, pressure_jacobian_2d,
                                convection_eigensystem_2d,
@@ -105,7 +105,7 @@ def test_2d_jacobians_match_finite_differences(part, gas, rng):
         else:
             A = pressure_jacobian_2d(w, geom, gas)
             pick = lambda sf: sf.pressure
-        U0 = prim_to_cons_2d(w, gas)
+        U0 = prim_to_cons(w, gas)
 
         def f(U):
             g = gas.gamma
@@ -175,7 +175,7 @@ def test_flux_kernel_matches_the_eigenstructure(x1, xt, x4, gas, rng):
         geom = random_normal(rng)
         ds = rng.uniform(0.1, 10.0)
         w_avg = roe_average_2d(wL, wR, gas)
-        dU = prim_to_cons_2d(wR, gas) - prim_to_cons_2d(wL, gas)
+        dU = prim_to_cons(wR, gas) - prim_to_cons(wL, gas)
         conv = convection_eigensystem_2d(w_avg, geom, gas, x1=x1, xt=xt,
                                          x4=x4)
         press = pressure_eigensystem_2d(w_avg, geom, gas)
@@ -241,7 +241,7 @@ def test_interface_flux_2d_is_rotationally_invariant(left, right, phi, theta):
     G = interface_flux_2d(state(left, True), state(right, True), turned, gas)
     want = np.array([F[0], *turn(F[1], F[2]), F[3]])
     # rounding in u . n scales with the full speed, not with u_perp
-    scale = max(np.max(np.abs(prim_to_cons_2d(state(w, False), gas)))
+    scale = max(np.max(np.abs(prim_to_cons(state(w, False), gas)))
                 * (math.hypot(w[1], w[2]) + math.sqrt(gas.gamma * w[3] / w[0]))
                 + w[3] for w in (left, right))
     np.testing.assert_allclose(G, want, rtol=0, atol=1e-12 * scale)
@@ -484,6 +484,18 @@ def test_face_scan_names_the_grid_face_in_either_sweep(axis, face, gas):
                     step=3)
     assert str(err.value) == \
         f"reconstructed p not positive, cell={face}, step=3"
+
+
+@pytest.mark.parametrize("state", [Prim2D(1.0, 0.0, 0.0, -1.0),
+                                   Prim2D(0.0, 0.0, 0.0, 1.0),
+                                   Prim2D(1.0, math.nan, 0.0, 1.0)])
+def test_boundary_spec_rejects_a_non_physical_fixed_state(state):
+    """Before, the march only failed later, at a cell the state never
+    held, or with a non-finite flux."""
+    for kind in (Bc2DKind.POST_SHOCK_DIRICHLET, Bc2DKind.SUPERSONIC_INFLOW):
+        with pytest.raises(NonPhysicalStateError,
+                           match="non-physical primitive state"):
+            BoundarySpec(kind, state)
 
 
 @pytest.mark.parametrize("limiter_k", [0.0, -0.1, float("nan")])

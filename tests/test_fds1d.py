@@ -124,8 +124,7 @@ def test_batch_kernel_matches_the_eigenstructure(scheme, kind, strengths, x1,
         avg = interface_averages(wL, wR, gas)
         w_avg = PrimitiveState(avg.rho_bar, avg.u_bar,
                                avg.rho_bar * avg.a2_bar / gas.gamma)
-        dU = (prim_to_cons(wR, gas).as_array()
-              - prim_to_cons(wL, gas).as_array())
+        dU = prim_to_cons(wR, gas) - prim_to_cons(wL, gas)
         conv = convection_eigensystem(kind, w_avg, gas, x1=x1, x3=2.0 * x1)
         press = pressure_eigensystem(kind, w_avg, gas)
         alpha = strengths(avg, wR.rho - wL.rho, wR.u - wL.u, wR.p - wL.p,

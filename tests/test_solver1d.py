@@ -43,6 +43,24 @@ def test_controls_validation():
         ReconstructionConfig(order=2, limiter_k=0.0)
 
 
+@pytest.mark.parametrize("t_final", [np.nan, -1.0, 0.0])
+def test_a_t_final_that_is_not_positive_is_rejected(t_final, gas):
+    """Before, such a run marched zero steps and reported the initial
+    state as its result."""
+    for make in (lambda: TimeControls(t_final),
+                 lambda: euler2d.Controls2D(t_final),
+                 lambda: run_case(get_case("sod"), SchemeKind.ZBS_FDS,
+                                  t_final=t_final),
+                 lambda: euler2d.run_case_2d(
+                     euler2d.half_cylinder_case(), gas, grid_shape=(4, 4),
+                     t_final=t_final)):
+        with pytest.raises(ValueError, match="t-final must be positive"):
+            make()
+    # no end time: the march stops on its step limit
+    TimeControls(np.inf)
+    euler2d.Controls2D(np.inf)
+
+
 def test_compute_dt_formula(gas):
     rho = np.array([1.0, 4.0])
     u = np.array([2.0, -1.0])
