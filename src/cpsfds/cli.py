@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bench1d, euler2d, exact_riemann, fds1d, splittings
 from .fds1d import SchemeKind
-from .solver1d import MIN_CELLS, SolverBlowUp, check_t_final
+from .solver1d import MIN_CELLS, SolverBlowUp, check_cfl, check_t_final
 from .state import GasModel, PrimitiveState, physical_flux, prim_to_cons, \
     prim_to_cons_arrays
 
@@ -217,8 +217,7 @@ def _suite_algebra(seed, n=200):
                 (SchemeKind.TVS_FDS, splittings.SplittingKind.TORO_VAZQUEZ,
                  fds1d.tvs_pressure_strengths)):
             es = splittings.pressure_eigensystem(kind, wb, gas)
-            al = strengths(avg, wR.rho - w.rho, wR.u - w.u, wR.p - w.p,
-                           gas).alpha
+            al = strengths(avg, wR.rho - w.rho, wR.u - w.u, wR.p - w.p, gas)
             # ... and never reach the flux: it equals the dissipation
             # assembled from the eigensystems at the averaged state
             flux = fds1d.interface_flux(scheme, w, wR, gas)
@@ -373,8 +372,8 @@ def _check_run_config(config: RunConfig):
                          f"got {config.cells}")
     if config.grid is not None:
         euler2d.check_grid_shape(*config.grid)
-    if config.cfl is not None and not 0.0 < config.cfl <= 1.0:
-        raise ValueError(f"cfl must be in (0, 1], got {config.cfl}")
+    if config.cfl is not None:
+        check_cfl(config.cfl)
     if config.t_final is not None:
         check_t_final(config.t_final)
         if config.t_final == math.inf:

@@ -328,22 +328,6 @@ def _extend_sweep(rho, u, v, p, ng, bc_lo, bc_hi, normals_lo, normals_hi,
 # --------------------------------------------------------------------------
 # time marching
 
-@dataclass(frozen=True)
-class Controls2D:
-    t_final: float
-    cfl: float = 0.5
-    max_steps: int = 10_000_000
-    order: int = 1
-    limiter_k: float = 0.1
-    steady_drop: Optional[float] = None   # stop when the density residual
-    # falls by this factor from its initial value
-
-    def __post_init__(self):
-        # the t_final, cfl, order and limiter rules of 1D
-        TimeControls(self.t_final, self.cfl, self.max_steps)
-        ReconstructionConfig(self.order, self.limiter_k)
-
-
 # Fewest cells of a 2D grid along each direction.
 MIN_CELLS_2D = 2
 
@@ -437,7 +421,7 @@ def _take(buffers, shape, layout):
     return lead.reshape((len(buffers),) + shape[::-1]).transpose(0, 2, 1)
 
 
-def _sweep_sides(fields, controls: Controls2D, h, gamma, step, blocks,
+def _sweep_sides(fields, recon: ReconstructionConfig, h, gamma, step, blocks,
                  layout):
     """Face sides of one sweep from its extended fields, by block.
 
@@ -450,7 +434,7 @@ def _sweep_sides(fields, controls: Controls2D, h, gamma, step, blocks,
     A failed check names the face by its grid index (i, j) in either
     sweep; the j sweep, whose fields are transposed, has layout "F".
     """
-    if controls.order == 1:
+    if recon.order == 1:
         def sides(k0, k1, cols):
             cells = [q[k0:k1 + 1, cols] for q in fields]
             cells = _face_sides(*cells, gamma, _take(
@@ -459,7 +443,7 @@ def _sweep_sides(fields, controls: Controls2D, h, gamma, step, blocks,
         return sides
     left, right = [], []
     for q in fields:
-        lo, hi = muscl_reconstruct(q, h, controls.limiter_k)
+        lo, hi = muscl_reconstruct(q, h, recon.limiter_k)
         left.append(hi[:-1])
         right.append(lo[1:])
     check_faces([[q.T for q in side] if layout == "F" else side
@@ -522,8 +506,9 @@ def _sweep_lines(net, sides, nx, ny, ds, gamma, blocks):
                                       out=tmp[:4, 1:])
 
 
-def residual_2d(W, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
-                gas: GasModel, step=None, ws: Optional[_Workspace] = None):
+def residual_2d(W, grid: StructuredGrid2D, bc: dict,
+                recon: ReconstructionConfig, gas: GasModel, step=None,
+                ws: Optional[_Workspace] = None):
     """-(1/A) sum of face fluxes times face lengths; shape (4, ni, nj).
 
     W holds the primitive cell fields (rho, u, v, p).  ws is the workspace
@@ -531,9 +516,9 @@ def residual_2d(W, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
     its own."""
     g = gas.gamma
     rho, u, v, p = W
-    ng = 1 if controls.order == 1 else 2
+    ng = 1 if recon.order == 1 else 2
     if ws is None:
-        ws = _workspace(grid, controls.order)
+        ws = _workspace(grid, recon.order)
     net = np.empty((4, grid.ni, grid.nj))
 
     # i-direction sweep
@@ -542,7 +527,7 @@ def residual_2d(W, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
         (grid.iface_nx[0], grid.iface_ny[0]),
         (grid.iface_nx[-1], grid.iface_ny[-1]),
         _take(ws.fields, (grid.ni + 2 * ng, grid.nj), "C"))
-    sides = _sweep_sides(fields, controls, grid.h, g, step, ws.blocks, "C")
+    sides = _sweep_sides(fields, recon, grid.h, g, step, ws.blocks, "C")
     _sweep_rows(net, sides, grid.iface_nx, grid.iface_ny, grid.iface_ds, g,
                 ws.blocks)
 
@@ -553,7 +538,7 @@ def residual_2d(W, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
         (grid.jface_nx[:, 0], grid.jface_ny[:, 0]),
         (grid.jface_nx[:, -1], grid.jface_ny[:, -1]),
         _take(ws.fields, (grid.nj + 2 * ng, grid.ni), "F"))
-    sides = _sweep_sides(fields, controls, grid.h, g, step, ws.blocks, "F")
+    sides = _sweep_sides(fields, recon, grid.h, g, step, ws.blocks, "F")
     _sweep_lines(net.transpose(0, 2, 1), sides, grid.jface_nx.T,
                  grid.jface_ny.T, grid.jface_ds.T, g, ws.blocks)
 
@@ -561,21 +546,23 @@ def residual_2d(W, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
     return net
 
 
-def advance_2d(U, grid: StructuredGrid2D, bc: dict, controls: Controls2D,
+def advance_2d(U, grid: StructuredGrid2D, bc: dict,
+               recon: ReconstructionConfig, controls: TimeControls,
                gas: GasModel):
-    """March a (4, ni, nj) conserved field to t_final (or steady state).
+    """March a (4, ni, nj) conserved field to controls.t_final (or steady
+    state).
 
     Raises ValueError, before any step, for a grid with fewer than
     MIN_CELLS_2D cells along a direction.  All residuals of the march
     share one workspace."""
     check_grid_shape(grid.ni, grid.nj)
-    ws = _workspace(grid, controls.order)
+    ws = _workspace(grid, recon.order)
     return march(
         U,
         lambda U, step: cons_to_prim_fields(U, gas.gamma, step=step),
         lambda W: compute_dt_2d(*W, grid, gas, controls.cfl),
-        lambda W, step: residual_2d(W, grid, bc, controls, gas, step, ws),
-        controls, controls.order, "zbs-2d", controls.steady_drop)
+        lambda W, step: residual_2d(W, grid, bc, recon, gas, step, ws),
+        controls, recon.order, "zbs-2d")
 
 
 # --------------------------------------------------------------------------
@@ -673,13 +660,12 @@ def wedge_case() -> CaseSpec2D:
         notes="Mach 5.5 planar shock meeting a 30 degree wedge")
 
 
-def half_cylinder_case(mach: float = 6.0, ni: int = 45,
-                       nj: int = 45) -> CaseSpec2D:
+def half_cylinder_case(mach: float = 6.0) -> CaseSpec2D:
     free = Prim2D(1.4, mach, 0.0, 1.0)   # sound speed 1, so u = mach
     return CaseSpec2D(
         name="half-cylinder",
         grid_factory=half_cylinder_grid,
-        default_grid=(ni, nj),
+        default_grid=(45, 45),
         bc={"imin": BoundarySpec(Bc2DKind.SUPERSONIC_INFLOW, free),
             "imax": BoundarySpec(Bc2DKind.SLIP_WALL),
             "jmin": BoundarySpec(Bc2DKind.SUPERSONIC_OUTFLOW),
@@ -703,12 +689,11 @@ def run_case_2d(case: CaseSpec2D, gas: GasModel = GasModel(1.4),
     U = prim_to_cons_arrays(
         [np.broadcast_to(np.asarray(q, dtype=float), grid.xc.shape)
          for q in case.init(grid.xc, grid.yc)], gas.gamma)
-    controls = Controls2D(
-        t_final=t_final if t_final is not None else case.t_final,
-        cfl=cfl if cfl is not None else case.cfl,
-        order=order,
-        steady_drop=case.steady_drop)
-    U, log = advance_2d(U, grid, case.bc, controls, gas)
+    controls = TimeControls(t_final if t_final is not None else case.t_final,
+                            cfl if cfl is not None else case.cfl,
+                            steady_drop=case.steady_drop)
+    recon = ReconstructionConfig(order)
+    U, log = advance_2d(U, grid, case.bc, recon, controls, gas)
     return grid, U, log
 
 

@@ -49,11 +49,6 @@ class InterfaceAverages:
         return np.sqrt(self.u_bar ** 2 + 4.0 * self.a2_bar)
 
 
-@dataclass(frozen=True)
-class WaveStrengths:
-    alpha: np.ndarray
-
-
 def interface_averages(wL: PrimitiveState, wR: PrimitiveState,
                        gas: GasModel) -> InterfaceAverages:
     wL.require_physical()
@@ -67,21 +62,21 @@ def interface_averages(wL: PrimitiveState, wR: PrimitiveState,
 
 
 def zbs_pressure_strengths(avg: InterfaceAverages, drho: float, du: float,
-                           dp: float, gas: GasModel) -> WaveStrengths:
+                           dp: float, gas: GasModel) -> np.ndarray:
     g = gas.gamma
     acoustic = np.sqrt(g / (g - 1.0)) * dp / (2.0 * avg.a_bar)
     shear = 0.5 * avg.rho_bar * du
-    return WaveStrengths(np.array([shear - acoustic, drho, shear + acoustic]))
+    return np.array([shear - acoustic, drho, shear + acoustic])
 
 
 def tvs_pressure_strengths(avg: InterfaceAverages, drho: float, du: float,
-                           dp: float, gas: GasModel) -> WaveStrengths:
+                           dp: float, gas: GasModel) -> np.ndarray:
     beta = avg.beta_bar
     half = 0.5 * avg.rho_bar * du
     skew = avg.rho_bar * avg.u_bar * du / (2.0 * beta)
-    return WaveStrengths(np.array([half + skew - dp / beta,
-                                   drho,
-                                   half - skew + dp / beta]))
+    return np.array([half + skew - dp / beta,
+                     drho,
+                     half - skew + dp / beta])
 
 
 def interface_flux(scheme: SchemeKind, wL: PrimitiveState, wR: PrimitiveState,

@@ -8,7 +8,8 @@ primitive variables and a two-stage SSP time integration.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -47,23 +48,33 @@ class Grid1D:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
 
+# Most steps of one march.
+MAX_STEPS = 10_000_000
+
+
 def check_t_final(t_final):
     """Raise ValueError unless t_final is positive.  +inf is allowed: such
-    a march ends on its step limit or its steady-state test."""
+    a march ends on MAX_STEPS or its steady-state test."""
     if not t_final > 0.0:
         raise ValueError(f"t-final must be positive, got {t_final}")
+
+
+def check_cfl(cfl):
+    """Raise ValueError unless cfl is in (0, 1]."""
+    if not 0.0 < cfl <= 1.0:
+        raise ValueError(f"cfl must be in (0, 1], got {cfl}")
 
 
 @dataclass(frozen=True)
 class TimeControls:
     t_final: float
     cfl: float = 0.8
-    max_steps: int = 10_000_000
+    steady_drop: Optional[float] = None   # stop when the density residual
+    # falls by this factor from its value at the first step
 
     def __post_init__(self):
         check_t_final(self.t_final)
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
+        check_cfl(self.cfl)
 
 
 @dataclass(frozen=True)
@@ -82,7 +93,6 @@ class ReconstructionConfig:
 class StepLog:
     steps: int = 0
     t: float = 0.0
-    dt_min: float = field(default=np.inf)
 
 
 class SolverBlowUp(RuntimeError):
@@ -165,17 +175,17 @@ def _residual(W, scheme, bc, recon, dx, gas, step):
     return (F[:, :-1] - F[:, 1:]) / dx
 
 
-def march(U, to_prim, dt_fn, residual_fn, controls, order, label,
-          steady_drop=None):
+def march(U, to_prim, dt_fn, residual_fn, controls, order, label):
     """Time-step policy shared by the 1D and 2D solvers.  Returns (U, StepLog).
 
     to_prim(U, step) recovers the primitives once per stage; the first
     stage's serve both dt_fn(W) and residual_fn(W, step).  Order 1 takes a
     forward Euler step, order 2 the two-stage SSP Runge-Kutta step.  dt is
-    clamped to land on controls.t_final.  With steady_drop set, the march
-    stops once the L2 norm of the first-stage density residual has fallen
-    by that factor from its value at the first step.  A NonPhysicalStateError
-    anywhere becomes SolverBlowUp(label, step, cell).
+    clamped to land on controls.t_final, and at most MAX_STEPS are taken.
+    With controls.steady_drop set, the march stops once the L2 norm of the
+    first-stage density residual has fallen by that factor from its value
+    at the first step.  A NonPhysicalStateError anywhere becomes
+    SolverBlowUp(label, step, cell).
 
     residual_fn returns a new array, which the step then overwrites.  The
     updates run in place, in the order of U1 = U + dt R and
@@ -183,8 +193,9 @@ def march(U, to_prim, dt_fn, residual_fn, controls, order, label,
     """
     U = np.array(U, dtype=float)
     log = StepLog()
+    steady_drop = controls.steady_drop
     res0 = None
-    while log.t < controls.t_final and log.steps < controls.max_steps:
+    while log.t < controls.t_final and log.steps < MAX_STEPS:
         step = log.steps
         try:
             W = to_prim(U, step)
@@ -208,7 +219,6 @@ def march(U, to_prim, dt_fn, residual_fn, controls, order, label,
             raise SolverBlowUp(label, step, err.cell, err) from err
         log.steps += 1
         log.t += dt
-        log.dt_min = min(log.dt_min, dt)
         if steady_drop is not None:
             if res0 is None:
                 res0 = res

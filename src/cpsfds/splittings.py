@@ -58,7 +58,6 @@ class EigenSystem:
     eigenvalues: np.ndarray
     vectors: np.ndarray            # basis columns, shape (n, m) with m <= n
     chain_links: dict = field(default_factory=dict)
-    free_params: dict = field(default_factory=dict)
     defective: bool = False
 
 
@@ -161,16 +160,13 @@ def convection_eigensystem(kind: SplittingKind, w: PrimitiveState,
             [x1, 1.0 + u * x1, x3],         # generalized
             [0.0, 0.0, 1.0],
         ])
-        return EigenSystem(np.array([u, u, u]), vecs,
-                           chain_links={1: 0},
-                           free_params={"x1": x1, "x3": x3})
+        return EigenSystem(np.array([u, u, u]), vecs, chain_links={1: 0})
     vecs = np.column_stack([
         [0.0, 0.0, 1.0],                            # for eigenvalue 0
         [1.0, u, 0.5 * u * u],                      # chain head, eigenvalue u
         [x1, 1.0 + u * x1, u + 0.5 * u * u * x1],   # generalized
     ])
-    return EigenSystem(np.array([0.0, u, u]), vecs,
-                       chain_links={2: 1}, free_params={"x1": x1})
+    return EigenSystem(np.array([0.0, u, u]), vecs, chain_links={2: 1})
 
 
 def pressure_eigensystem(kind: SplittingKind, w: PrimitiveState,
@@ -287,9 +283,7 @@ def convection_eigensystem_2d(w: Prim2D, geom: FaceGeometry, gas: GasModel,
         [0.0, -ny, nx, 0.0],
         [0.0, 0.0, 0.0, 1.0],
     ])
-    return EigenSystem(np.array([up, up, up, up]), vecs,
-                       chain_links={1: 0},
-                       free_params={"x1": x1, "xt": xt, "x4": x4})
+    return EigenSystem(np.array([up, up, up, up]), vecs, chain_links={1: 0})
 
 
 def pressure_eigensystem_2d(w: Prim2D, geom: FaceGeometry,

@@ -16,7 +16,7 @@ from conftest import random_primitive
 from cpsfds import bench1d, exact_riemann
 from cpsfds.bench1d import (get_case, run_case, convergence_table,
                             error3_sweep, fan_jump_ratio)
-from cpsfds.euler2d import (Prim2D, BoundarySpec, Bc2DKind, Controls2D,
+from cpsfds.euler2d import (Prim2D, BoundarySpec, Bc2DKind,
                             cartesian_grid, half_cylinder_grid,
                             prim_to_cons_fields, cons_to_prim_fields,
                             advance_2d, residual_2d, run_case_2d,
@@ -25,7 +25,7 @@ from cpsfds.euler2d import (Prim2D, BoundarySpec, Bc2DKind, Controls2D,
 from cpsfds.fds1d import (SchemeKind, interface_averages,
                           zbs_pressure_strengths, tvs_pressure_strengths)
 from cpsfds.solver1d import (Grid1D, ReconstructionConfig, SolverBlowUp,
-                             _residual, compute_dt, initialize)
+                             TimeControls, _residual, compute_dt, initialize)
 from cpsfds.splittings import (SplittingKind, split_flux, convection_jacobian,
                                pressure_jacobian, convection_jordan,
                                pressure_eigensystem, verify_jordan)
@@ -136,7 +136,7 @@ def test_criterion_1_algebraic_suite():
                 (SplittingKind.TORO_VAZQUEZ, tvs_pressure_strengths,
                  np.array([0.5 * (avg.u_bar - avg.beta_bar), 0.0,
                            0.5 * (avg.u_bar + avg.beta_bar)]))):
-            al = strengths(avg, drho, du, dp, GAS).alpha
+            al = strengths(avg, drho, du, dp, GAS)
             R = pressure_eigensystem(kind, w_avg, GAS).vectors
             rownorm = np.max(np.abs(R), axis=0)
             scale = max(float(np.sum(np.abs(al) * rownorm)),
@@ -403,7 +403,8 @@ def _free_stream_drift():
         np.full(shape, free.v), np.full(shape, free.p), GAS.gamma)
     bc = {k: BoundarySpec(Bc2DKind.SUPERSONIC_INFLOW, free)
           for k in ("imin", "imax", "jmin", "jmax")}
-    U, _ = advance_2d(U0, grid, bc, Controls2D(t_final=0.1, cfl=0.5), GAS)
+    U, _ = advance_2d(U0, grid, bc, ReconstructionConfig(1),
+                      TimeControls(0.1, cfl=0.5), GAS)
     return float(np.max(np.abs(U - U0)) / np.max(np.abs(U0)))
 
 
@@ -424,7 +425,6 @@ def _embedding_drift():
     out = BoundarySpec(Bc2DKind.SUPERSONIC_OUTFLOW)
     wall = BoundarySpec(Bc2DKind.SLIP_WALL)
     bc2 = {"imin": out, "imax": out, "jmin": wall, "jmax": wall}
-    ctrl = Controls2D(t_final=np.inf, cfl=0.5)
 
     for step in range(50):
         r, u, p = cons_to_prim_arrays(U1, GAS.gamma)
@@ -432,7 +432,7 @@ def _embedding_drift():
         U1 = U1 + dt * _residual(np.array([r, u, p]), SchemeKind.ZBS_FDS,
                                  bc1, recon, g1.dx, GAS, step)
         U2 = U2 + dt * residual_2d(cons_to_prim_fields(U2, GAS.gamma), g2,
-                                   bc2, ctrl, GAS, step=step)
+                                   bc2, recon, GAS, step=step)
     diff = max(
         float(np.max(np.abs(U2[0] - U1[0][:, None]))),
         float(np.max(np.abs(U2[1] - U1[1][:, None]))),

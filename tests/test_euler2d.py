@@ -11,11 +11,12 @@ from cpsfds import euler2d
 from cpsfds.euler2d import (StructuredGrid2D, cartesian_grid, ramp_grid,
                             half_cylinder_grid, interface_flux_2d,
                             cons_to_prim_fields, prim_to_cons_fields,
-                            Bc2DKind, BoundarySpec, Controls2D, advance_2d,
+                            Bc2DKind, BoundarySpec, advance_2d,
                             residual_2d, compute_dt_2d, post_shock_state,
                             case_registry_2d, half_cylinder_case, run_case_2d,
-                            stagnation_line_pressure)
-from cpsfds.solver1d import SolverBlowUp, muscl_reconstruct
+                            shock_reflection_case, stagnation_line_pressure)
+from cpsfds.solver1d import ReconstructionConfig, SolverBlowUp, \
+    TimeControls, muscl_reconstruct
 from cpsfds.state import GasModel, NonPhysicalStateError, Prim2D, \
     check_faces, prim_to_cons
 from cpsfds.splittings import (FaceGeometry, face_geometry, split_flux_2d,
@@ -302,7 +303,8 @@ def test_free_stream_is_preserved_on_a_curvilinear_grid(gas):
                              gas.gamma)
     bc = {k: BoundarySpec(Bc2DKind.SUPERSONIC_INFLOW, free)
           for k in ("imin", "imax", "jmin", "jmax")}
-    U, log = advance_2d(U0, grid, bc, Controls2D(t_final=0.05, cfl=0.5), gas)
+    U, log = advance_2d(U0, grid, bc, ReconstructionConfig(1),
+                        TimeControls(0.05, cfl=0.5), gas)
     assert log.steps >= 3
     assert np.max(np.abs(U - U0)) <= 1e-12 * np.max(np.abs(U0))
 
@@ -322,12 +324,12 @@ def test_residual_does_not_depend_on_the_flux_block_size(order, gas,
                             0.5 * rng.uniform(-1, 1, shape),
                             1.0 + 0.2 * rng.uniform(size=shape), gas.gamma)
     case = half_cylinder_case(mach=2.0)
-    ctrl = Controls2D(t_final=1.0, order=order)
+    recon = ReconstructionConfig(order)
     W = cons_to_prim_fields(U, gas.gamma)
-    ref = residual_2d(W, grid, case.bc, ctrl, gas)
+    ref = residual_2d(W, grid, case.bc, recon, gas)
     for faces in (1, 40, 10 ** 6):     # one face row, a few rows, one block
         monkeypatch.setattr(euler2d, "_BLOCK_FACES", faces)
-        assert np.array_equal(residual_2d(W, grid, case.bc, ctrl, gas), ref)
+        assert np.array_equal(residual_2d(W, grid, case.bc, recon, gas), ref)
 
 
 @pytest.mark.parametrize("faces", [40, 8192])
@@ -346,8 +348,8 @@ def test_residual_matches_a_face_by_face_reference(order, faces, gas,
     shape = grid.xc.shape
     W = (1.0 + rng.uniform(size=shape), rng.uniform(-2.0, 2.0, shape),
          rng.uniform(-2.0, 2.0, shape), 1.0 + rng.uniform(size=shape))
-    ctrl = Controls2D(t_final=1.0, order=order)
-    got = residual_2d(W, grid, half_cylinder_case(mach=2.0).bc, ctrl, gas)
+    recon = ReconstructionConfig(order)
+    got = residual_2d(W, grid, half_cylinder_case(mach=2.0).bc, recon, gas)
 
     def state(i, j):
         return [q[i, j] for q in W]
@@ -358,9 +360,9 @@ def test_residual_matches_a_face_by_face_reference(order, faces, gas,
         if order == 1:
             return state(*cells[1]), state(*cells[2])
         q = np.array([state(*c) for c in cells]).T     # (4 fields, 4 cells)
-        left = [muscl_reconstruct(f[:3], grid.h, ctrl.limiter_k)[1][0]
+        left = [muscl_reconstruct(f[:3], grid.h, recon.limiter_k)[1][0]
                 for f in q]
-        right = [muscl_reconstruct(f[1:], grid.h, ctrl.limiter_k)[0][0]
+        right = [muscl_reconstruct(f[1:], grid.h, recon.limiter_k)[0][0]
                  for f in q]
         return left, right
 
@@ -480,8 +482,7 @@ def test_face_scan_names_the_grid_face_in_either_sweep(axis, face, gas):
     bc = dict.fromkeys(("imin", "imax", "jmin", "jmax"),
                        BoundarySpec(Bc2DKind.SUPERSONIC_OUTFLOW))
     with pytest.raises(NonPhysicalStateError) as err:
-        residual_2d(W, grid, bc, Controls2D(t_final=1.0, order=2), gas,
-                    step=3)
+        residual_2d(W, grid, bc, ReconstructionConfig(2), gas, step=3)
     assert str(err.value) == \
         f"reconstructed p not positive, cell={face}, step=3"
 
@@ -498,18 +499,21 @@ def test_boundary_spec_rejects_a_non_physical_fixed_state(state):
             BoundarySpec(kind, state)
 
 
-@pytest.mark.parametrize("limiter_k", [0.0, -0.1, float("nan")])
-def test_controls_reject_a_non_positive_limiter_constant_at_order_2(
-        limiter_k):
-    """The rule and wording of the 1D ReconstructionConfig; order 1 does
-    not use the constant."""
-    with pytest.raises(ValueError) as err:
-        Controls2D(t_final=1.0, order=2, limiter_k=limiter_k)
-    assert str(err.value) == "limiter constant must be positive"
-    with pytest.raises(ValueError) as err:
-        Controls2D(t_final=1.0, order=3)
-    assert str(err.value) == "order must be 1 or 2"
-    Controls2D(t_final=1.0, order=1, limiter_k=limiter_k)
+def test_march_stops_on_the_steady_state_test(gas):
+    """A coarse shock reflection settles long before t = 6: with
+    steady_drop the march stops there, without it the march runs to
+    t_final."""
+    case = shock_reflection_case()
+    grid = case.grid_factory(24, 8)
+    U0 = prim_to_cons_fields(*case.init(grid.xc, grid.yc), gas.gamma)
+    recon, t_final = ReconstructionConfig(1), 6.0
+    _, steady = advance_2d(U0, grid, case.bc, recon,
+                           TimeControls(t_final, case.cfl, steady_drop=1e4),
+                           gas)
+    _, full = advance_2d(U0, grid, case.bc, recon,
+                         TimeControls(t_final, case.cfl), gas)
+    assert steady.t < t_final <= full.t
+    assert steady.steps < full.steps
 
 
 @pytest.mark.parametrize("shape,order", [((1, 1), 2), ((1, 5), 1)])
@@ -536,9 +540,9 @@ def test_rotational_objectivity_quarter_turn(gas):
     wall = BoundarySpec(Bc2DKind.SLIP_WALL)
     bcx = {"imin": out, "imax": out, "jmin": wall, "jmax": wall}
     bcy = {"imin": wall, "imax": wall, "jmin": out, "jmax": out}
-    ctrl = Controls2D(t_final=0.1, cfl=0.5)
-    Uxf, _ = advance_2d(Ux, gx, bcx, ctrl, gas)
-    Uyf, _ = advance_2d(Uy, gy, bcy, ctrl, gas)
+    recon, ctrl = ReconstructionConfig(1), TimeControls(0.1, cfl=0.5)
+    Uxf, _ = advance_2d(Ux, gx, bcx, recon, ctrl, gas)
+    Uyf, _ = advance_2d(Uy, gy, bcy, recon, ctrl, gas)
     rotated = np.stack([Uyf[0].T, Uyf[2].T, Uyf[1].T, Uyf[3].T])
     assert np.max(np.abs(Uxf - rotated)) <= 1e-12 * np.max(np.abs(Uxf))
 
@@ -553,7 +557,8 @@ def test_slip_walled_box_conserves_mass_and_energy(gas):
     U0 = prim_to_cons_fields(rho, u, v, p, gas.gamma)
     bc = {k: BoundarySpec(Bc2DKind.SLIP_WALL)
           for k in ("imin", "imax", "jmin", "jmax")}
-    U, _ = advance_2d(U0, grid, bc, Controls2D(t_final=0.2, cfl=0.5), gas)
+    U, _ = advance_2d(U0, grid, bc, ReconstructionConfig(1),
+                      TimeControls(0.2, cfl=0.5), gas)
     for comp in (0, 3):
         tot0 = float(np.sum(U0[comp] * grid.area))
         tot = float(np.sum(U[comp] * grid.area))

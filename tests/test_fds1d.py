@@ -60,8 +60,7 @@ def test_pressure_part_u_property(scheme, kind, strengths, lam_of, gas, rng):
     for _ in range(200):
         wL, wR = random_pair(rng)
         avg = interface_averages(wL, wR, gas)
-        al = strengths(avg, wR.rho - wL.rho, wR.u - wL.u, wR.p - wL.p,
-                       gas).alpha
+        al = strengths(avg, wR.rho - wL.rho, wR.u - wL.u, wR.p - wL.p, gas)
         lam = lam_of(avg, gas.gamma)
         w_avg = PrimitiveState(avg.rho_bar, avg.u_bar,
                                avg.rho_bar * avg.a2_bar / gas.gamma)
@@ -127,8 +126,7 @@ def test_batch_kernel_matches_the_eigenstructure(scheme, kind, strengths, x1,
         dU = prim_to_cons(wR, gas) - prim_to_cons(wL, gas)
         conv = convection_eigensystem(kind, w_avg, gas, x1=x1, x3=2.0 * x1)
         press = pressure_eigensystem(kind, w_avg, gas)
-        alpha = strengths(avg, wR.rho - wL.rho, wR.u - wL.u, wR.p - wL.p,
-                          gas).alpha
+        alpha = strengths(avg, wR.rho - wL.rho, wR.u - wL.u, wR.p - wL.p, gas)
         dissipation = upwind_dissipation(conv, dU) \
             + press.vectors @ (np.abs(press.eigenvalues) * alpha)
         FL, FR = physical_flux(wL, gas), physical_flux(wR, gas)
@@ -153,7 +151,7 @@ def test_wave_strengths_decompose_the_conserved_jump(gas, rng):
         wL, wR = random_pair(rng)
         avg = interface_averages(wL, wR, gas)
         drho, du, dp = wR.rho - wL.rho, wR.u - wL.u, wR.p - wL.p
-        a1, a2, a3 = zbs_pressure_strengths(avg, drho, du, dp, gas).alpha
+        a1, a2, a3 = zbs_pressure_strengths(avg, drho, du, dp, gas)
         # mass row: alpha_2 alone carries drho
         assert a2 == pytest.approx(drho, rel=1e-13, abs=1e-13)
         # momentum row: alpha_1 + alpha_2 u + alpha_3 closes the jump

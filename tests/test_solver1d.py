@@ -37,10 +37,19 @@ def test_controls_validation():
         TimeControls(1.0, cfl=0.0)
     with pytest.raises(ValueError):
         TimeControls(1.0, cfl=1.5)
-    with pytest.raises(ValueError):
-        ReconstructionConfig(order=3)
-    with pytest.raises(ValueError):
-        ReconstructionConfig(order=2, limiter_k=0.0)
+
+
+@pytest.mark.parametrize("limiter_k", [0.0, -0.1, float("nan")])
+def test_reconstruction_rejects_a_non_positive_limiter_constant_at_order_2(
+        limiter_k):
+    """Order 1 does not use the constant, so it accepts any."""
+    with pytest.raises(ValueError) as err:
+        ReconstructionConfig(order=2, limiter_k=limiter_k)
+    assert str(err.value) == "limiter constant must be positive"
+    with pytest.raises(ValueError) as err:
+        ReconstructionConfig(order=3, limiter_k=limiter_k)
+    assert str(err.value) == "order must be 1 or 2"
+    ReconstructionConfig(order=1, limiter_k=limiter_k)
 
 
 @pytest.mark.parametrize("t_final", [np.nan, -1.0, 0.0])
@@ -48,7 +57,6 @@ def test_a_t_final_that_is_not_positive_is_rejected(t_final, gas):
     """Before, such a run marched zero steps and reported the initial
     state as its result."""
     for make in (lambda: TimeControls(t_final),
-                 lambda: euler2d.Controls2D(t_final),
                  lambda: run_case(get_case("sod"), SchemeKind.ZBS_FDS,
                                   t_final=t_final),
                  lambda: euler2d.run_case_2d(
@@ -56,9 +64,8 @@ def test_a_t_final_that_is_not_positive_is_rejected(t_final, gas):
                      t_final=t_final)):
         with pytest.raises(ValueError, match="t-final must be positive"):
             make()
-    # no end time: the march stops on its step limit
+    # no end time: the march stops on MAX_STEPS or its steady-state test
     TimeControls(np.inf)
-    euler2d.Controls2D(np.inf)
 
 
 def test_compute_dt_formula(gas):
