@@ -19,6 +19,7 @@ from . import exact_riemann
 from .fds1d import SchemeKind
 from .solver1d import BoundaryCondition, Grid1D, ReconstructionConfig, \
     TimeControls, advance, check_t_final, initialize
+from .splittings import face_average
 from .state import GasModel, PrimitiveState, cons_to_prim_arrays, \
     prim_to_cons
 
@@ -233,13 +234,11 @@ def error3(wL: PrimitiveState, wR: PrimitiveState,
            gas: GasModel = GasModel(1.4)) -> float:
     """Residual of the averaged-jump identity for the energy component:
     d(rho E) - dp/(gamma-1) - (u_bar^2 d rho + 2 rho_bar u_bar du)/2."""
-    g = gas.gamma
-    sL, sR = math.sqrt(wL.rho), math.sqrt(wR.rho)
-    ub = (sL * wL.u + sR * wR.u) / (sL + sR)
-    rb = sL * sR
+    wb = face_average(wL, wR)
     dU = prim_to_cons(wR, gas) - prim_to_cons(wL, gas)
-    return float(dU[2] - (wR.p - wL.p) / (g - 1.0)
-                 - 0.5 * (ub * ub * dU[0] + 2.0 * rb * ub * (wR.u - wL.u)))
+    return float(dU[2] - (wR.p - wL.p) / (gas.gamma - 1.0)
+                 - 0.5 * (wb.u * wb.u * dU[0]
+                          + 2.0 * wb.rho * wb.u * (wR.u - wL.u)))
 
 
 def error3_sweep(machs, gas: GasModel = GasModel(1.4)):

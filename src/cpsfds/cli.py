@@ -24,7 +24,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 
-_SCHEMES = {"zbs": SchemeKind.ZBS_FDS, "tvs": SchemeKind.TVS_FDS}
+_SCHEMES = {k.value: k for k in SchemeKind}
 
 
 @dataclass
@@ -192,36 +192,31 @@ def _suite_algebra(seed, n=200):
         for kind in (splittings.SplittingKind.ZHA_BILGEN,
                      splittings.SplittingKind.TORO_VAZQUEZ):
             A = splittings.convection_jacobian(kind, w, gas)
-            dec = splittings.convection_jordan(kind, w, gas)
+            es = splittings.convection_eigensystem(kind, w, gas)
             worst_jordan = max(worst_jordan,
-                               splittings.verify_jordan(A, dec)
+                               splittings.verify_jordan(A, es)
                                / max(1.0, float(np.max(np.abs(A)))))
         wR = _random_state(rng)
         # the free constants of the generalized eigenvectors leave the
         # Jordan residual small ...
         for x1 in (-1.0, 2.0):
-            dec = splittings.convection_jordan(
+            es = splittings.convection_eigensystem(
                 splittings.SplittingKind.ZHA_BILGEN, w, gas, x1=x1, x3=x1)
             A = splittings.convection_jacobian(
                 splittings.SplittingKind.ZHA_BILGEN, w, gas)
-            worst_free = max(worst_free, splittings.verify_jordan(A, dec)
+            worst_free = max(worst_free, splittings.verify_jordan(A, es)
                              / max(1.0, float(np.max(np.abs(A)))))
-        avg = fds1d.interface_averages(w, wR, gas)
-        wb = PrimitiveState(avg.rho_bar, avg.u_bar,
-                            avg.rho_bar * avg.a2_bar / gas.gamma)
+        wb = splittings.face_average(w, wR)
         dU = prim_to_cons(wR, gas) - prim_to_cons(w, gas)
         central = 0.5 * (physical_flux(w, gas) + physical_flux(wR, gas))
-        for scheme, kind, strengths in (
-                (SchemeKind.ZBS_FDS, splittings.SplittingKind.ZHA_BILGEN,
-                 fds1d.zbs_pressure_strengths),
-                (SchemeKind.TVS_FDS, splittings.SplittingKind.TORO_VAZQUEZ,
-                 fds1d.tvs_pressure_strengths)):
+        for scheme, kind in (
+                (SchemeKind.ZBS_FDS, splittings.SplittingKind.ZHA_BILGEN),
+                (SchemeKind.TVS_FDS, splittings.SplittingKind.TORO_VAZQUEZ)):
             es = splittings.pressure_eigensystem(kind, wb, gas)
-            al = strengths(avg, wR.rho - w.rho, wR.u - w.u, wR.p - w.p, gas)
             # ... and never reach the flux: it equals the dissipation
-            # assembled from the eigensystems at the averaged state
+            # assembled from the eigensystems at the face state
             flux = fds1d.interface_flux(scheme, w, wR, gas)
-            d_press = es.vectors @ (np.abs(es.eigenvalues) * al)
+            d_press = splittings.upwind_dissipation(es, dU)
             for x1 in (-1.0, 2.0):
                 conv = splittings.convection_eigensystem(kind, wb, gas,
                                                          x1=x1, x3=x1)
@@ -230,10 +225,11 @@ def _suite_algebra(seed, n=200):
                 worst_free = max(worst_free,
                                  float(np.max(np.abs(flux - want)))
                                  / max(1.0, float(np.max(np.abs(flux)))))
-            # U-property of the pressure parts: flux jump = sum alpha lambda R
+            # U-property of the pressure parts: flux jump = R Lambda R^-1 dU
             jump = splittings.split_flux(kind, wR, gas).pressure \
                 - splittings.split_flux(kind, w, gas).pressure
-            model = es.vectors @ (al * es.eigenvalues)
+            R = es.vectors
+            model = R @ (es.eigenvalues * np.linalg.solve(R, dU))
             scale = max(1.0, float(np.max(np.abs(jump))))
             worst_uprop = max(worst_uprop,
                               float(np.max(np.abs(model - jump))) / scale)

@@ -4,23 +4,20 @@ Both schemes share the structure
 
     F_I = (F_L + F_R)/2 - (D_c + D_p)/2
 
-where D_c is the convection upwind dissipation |u_bar| * dU (with dU written
-through the Roe-type averages) and D_p is the characteristic pressure
-dissipation sum alpha_i |lambda_i| R_i evaluated at the averaged state.  No
-entropy fix is applied anywhere.
+where D_c and D_p are the convection and pressure upwind dissipations
+R |Lambda| R^-1 dU, each from its splitting's eigensystem at the
+sqrt(rho)-weighted face state.  No entropy fix is applied anywhere.
 
-`interface_flux_batch` is the one implementation of the flux; the 1D
-solver calls it on whole-grid sweeps and `interface_flux` on one-element
-arrays for a single face.  `interface_averages` and the `*_pressure_strengths`
-functions spell out the averaged state and the wave strengths alpha_i of a
-single face; they serve as the reference that the kernel's closed form is
-checked against.
+`interface_flux_batch` is the one implementation of the flux, in closed form;
+the 1D solver calls it on whole-grid sweeps and `interface_flux` on
+one-element arrays for a single face.  Its reference is
+`splittings.upwind_dissipation` at `splittings.face_average`, the same oracle
+that the 2D kernel is checked against.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,53 +27,6 @@ from .state import GasModel, PrimitiveState
 class SchemeKind(enum.Enum):
     ZBS_FDS = "zbs"
     TVS_FDS = "tvs"
-
-
-@dataclass(frozen=True)
-class InterfaceAverages:
-    """Roe-type averages at a cell face."""
-
-    rho_bar: float
-    u_bar: float
-    a2_bar: float
-
-    @property
-    def a_bar(self):
-        return np.sqrt(self.a2_bar)
-
-    @property
-    def beta_bar(self):
-        return np.sqrt(self.u_bar ** 2 + 4.0 * self.a2_bar)
-
-
-def interface_averages(wL: PrimitiveState, wR: PrimitiveState,
-                       gas: GasModel) -> InterfaceAverages:
-    wL.require_physical()
-    wR.require_physical()
-    sL, sR = np.sqrt(wL.rho), np.sqrt(wR.rho)
-    u_bar = (sL * wL.u + sR * wR.u) / (sL + sR)
-    rho_bar = sL * sR
-    g = gas.gamma
-    a2_bar = (sL * g * wL.p / wL.rho + sR * g * wR.p / wR.rho) / (sL + sR)
-    return InterfaceAverages(rho_bar, u_bar, a2_bar)
-
-
-def zbs_pressure_strengths(avg: InterfaceAverages, drho: float, du: float,
-                           dp: float, gas: GasModel) -> np.ndarray:
-    g = gas.gamma
-    acoustic = np.sqrt(g / (g - 1.0)) * dp / (2.0 * avg.a_bar)
-    shear = 0.5 * avg.rho_bar * du
-    return np.array([shear - acoustic, drho, shear + acoustic])
-
-
-def tvs_pressure_strengths(avg: InterfaceAverages, drho: float, du: float,
-                           dp: float, gas: GasModel) -> np.ndarray:
-    beta = avg.beta_bar
-    half = 0.5 * avg.rho_bar * du
-    skew = avg.rho_bar * avg.u_bar * du / (2.0 * beta)
-    return np.array([half + skew - dp / beta,
-                     drho,
-                     half - skew + dp / beta])
 
 
 def interface_flux(scheme: SchemeKind, wL: PrimitiveState, wR: PrimitiveState,
@@ -93,16 +43,33 @@ def interface_flux_batch(scheme: SchemeKind, rhoL, uL, pL, rhoR, uR, pR,
                          gamma: float) -> np.ndarray:
     """Vectorized interface flux over many faces; returns (3, n).
 
-    The dissipation |u_bar| dU + sum_i alpha_i |lambda_i| R_i at the
-    averaged state, folded.  With d0 = |u_bar| drho both schemes write it as
+    The dissipation R_c |L_c| R_c^-1 dU + R_p |L_p| R_p^-1 dU at the face
+    state (rho_bar, u_bar, a_bar) of `splittings.face_average`, folded.  At
+    that state the jump is exactly
+
+        dU = (drho, rho_bar du + u_bar drho,
+              dp / (g - 1) + u_bar^2 drho / 2 + rho_bar u_bar du),
+
+    so the convection term is |u_bar| dU, less |u_bar| dp / (g - 1) in the
+    energy row for TVS, whose zero eigenvalue carries that part.  The
+    pressure strengths alpha = R_p^-1 dU, with h = rho_bar du / 2, are
+
+        ZBS: alpha = (h - q, drho, h + q),  q = sqrt(g/(g - 1)) dp / (2 a_bar),
+             lambda = (-lam, 0, lam),  lam = sqrt((g - 1)/g) a_bar;
+        TVS: alpha = (h + o, drho, h - o),  o = (h u_bar - dp) / beta,
+             lambda = ((u_bar - beta) / 2, 0, (u_bar + beta) / 2),
+             beta = sqrt(u_bar^2 + 4 a_bar^2).
+
+    With d0 = |u_bar| drho both schemes write the dissipation as
 
         D = (d0, t + u_bar d0, u_bar (t + u_bar d0 / 2) + e),
 
     where t holds the remaining momentum-row terms and e the remaining
     energy-row terms.  ZBS: lam (a1 + a3) = lam rho_bar du, and
     lam (a1 (u_bar - s) + a3 (u_bar + s))
-    = u_bar lam rho_bar du + a_bar dp / sqrt(g (g - 1)).  TVS: beta > |u_bar|,
-    so |lambda_1,3| = (beta -+ u_bar)/2 = l1, l3, and the energy entries of
+    = u_bar lam rho_bar du + a_bar dp / sqrt(g (g - 1)), with
+    s = a_bar / sqrt(g (g - 1)).  TVS: beta > |u_bar|, so
+    |lambda_1,3| = (beta -+ u_bar)/2 = l1, l3, and the energy entries of
     R_1,3 are u_bar -+ l1,3 / (g - 1).  The central flux is built from the
     mass fluxes m = rho u.
     """

@@ -65,6 +65,15 @@ def check_cfl(cfl):
         raise ValueError(f"cfl must be in (0, 1], got {cfl}")
 
 
+def check_steady_drop(steady_drop):
+    """Raise ValueError unless steady_drop is None or a finite factor
+    above 1: a residual can fall by no smaller factor, and an infinite one
+    is never reached."""
+    if steady_drop is not None and not 1.0 < steady_drop < np.inf:
+        raise ValueError(
+            f"steady-drop must be a finite factor above 1, got {steady_drop}")
+
+
 @dataclass(frozen=True)
 class TimeControls:
     t_final: float
@@ -75,6 +84,7 @@ class TimeControls:
     def __post_init__(self):
         check_t_final(self.t_final)
         check_cfl(self.cfl)
+        check_steady_drop(self.steady_drop)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,10 @@ the Liou-Steffen convection part stays defective and is exposed for analysis
 only (no scheme is built on it).
 
 The 2D face-normal Zha-Bilgen split follows the same pattern.
-`upwind_dissipation` assembles R |Lambda| R^-1 dU from any eigensystem here:
-the reference that the flux kernels are checked against.
+`EigenSystem` is the one decomposition type: `verify_jordan` checks it against
+a Jacobian, and `upwind_dissipation` assembles R |Lambda| R^-1 dU from it.
+Evaluated at `face_average(wL, wR)`, the convection and pressure terms
+together are the reference that both flux kernels are checked against.
 """
 
 from __future__ import annotations
@@ -59,12 +61,6 @@ class EigenSystem:
     vectors: np.ndarray            # basis columns, shape (n, m) with m <= n
     chain_links: dict = field(default_factory=dict)
     defective: bool = False
-
-
-@dataclass
-class JordanDecomposition:
-    P: np.ndarray
-    J: np.ndarray
 
 
 def split_flux(kind: SplittingKind, w: PrimitiveState,
@@ -313,6 +309,27 @@ def pressure_eigensystem_2d(w: Prim2D, geom: FaceGeometry,
     return EigenSystem(np.array([-c, 0.0, 0.0, c]), vecs)
 
 
+def face_average(wL, wR):
+    """The sqrt(rho)-weighted state at a face, of the type of wL.
+
+    rho_bar = sqrt(rho_L rho_R); each velocity and p/rho are weighted by
+    sqrt(rho), and p_bar = rho_bar mean(p/rho).  a^2 = gamma p/rho is thus
+    weighted like p/rho, and gamma cancels.
+    """
+    wL.require_physical()
+    wR.require_physical()
+    sL, sR = math.sqrt(wL.rho), math.sqrt(wR.rho)
+
+    def mean(qL, qR):
+        return (sL * qL + sR * qR) / (sL + sR)
+
+    _, *velL, pL = wL
+    _, *velR, pR = wR
+    rho = sL * sR
+    return type(wL)(rho, *map(mean, velL, velR),
+                    rho * mean(pL / wL.rho, pR / wR.rho))
+
+
 def upwind_dissipation(es: EigenSystem, dU) -> np.ndarray:
     """R |Lambda| R^-1 dU for the basis R and eigenvalues Lambda of es.
 
@@ -376,28 +393,22 @@ def jordan_block_signature(A: np.ndarray, lam: float,
     return sorted(sizes, reverse=True)
 
 
-def verify_jordan(A: np.ndarray, decomp: JordanDecomposition) -> float:
-    """Max-abs residual of P^-1 A P - J.  Raises on singular P."""
-    P, J = decomp.P, decomp.J
-    if abs(np.linalg.det(P)) < 1e-300:
-        raise np.linalg.LinAlgError("singular basis matrix P")
-    return float(np.max(np.abs(np.linalg.solve(P, A @ P) - J)))
-
-
 def jordan_matrix(eigenvalues, chain_links):
     """Assemble J from an EigenSystem's eigenvalue order and chain links."""
-    n = len(eigenvalues)
     J = np.diag(np.asarray(eigenvalues, dtype=float))
     for k, j in chain_links.items():
         J[j, k] = 1.0
     return J
 
 
-def convection_jordan(kind: SplittingKind, w: PrimitiveState, gas: GasModel,
-                      x1: float = 0.0, x3: float = 0.0) -> JordanDecomposition:
-    """Basis and Jordan matrix for the ZB / TV convection Jacobian."""
-    if kind is SplittingKind.LIOU_STEFFEN:
-        raise ValueError("Liou-Steffen convection part has no completed basis")
-    es = convection_eigensystem(kind, w, gas, x1=x1, x3=x3)
-    return JordanDecomposition(es.vectors,
-                               jordan_matrix(es.eigenvalues, es.chain_links))
+def verify_jordan(A: np.ndarray, es: EigenSystem) -> float:
+    """Max-abs residual of R^-1 A R - J for the basis R of es, with J
+    assembled from its eigenvalues and chain links.  Raises ValueError on a
+    defective basis and LinAlgError on a singular one."""
+    if es.defective:
+        raise ValueError("a defective basis has no Jordan form")
+    R = es.vectors
+    if abs(np.linalg.det(R)) < 1e-300:
+        raise np.linalg.LinAlgError("singular basis matrix")
+    J = jordan_matrix(es.eigenvalues, es.chain_links)
+    return float(np.max(np.abs(np.linalg.solve(R, A @ R) - J)))

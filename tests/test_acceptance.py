@@ -22,15 +22,15 @@ from cpsfds.euler2d import (Prim2D, BoundarySpec, Bc2DKind,
                             advance_2d, residual_2d, run_case_2d,
                             shock_reflection_case, wedge_case,
                             half_cylinder_case, stagnation_line_pressure)
-from cpsfds.fds1d import (SchemeKind, interface_averages,
-                          zbs_pressure_strengths, tvs_pressure_strengths)
+from cpsfds.fds1d import SchemeKind
 from cpsfds.solver1d import (Grid1D, ReconstructionConfig, SolverBlowUp,
                              TimeControls, _residual, compute_dt, initialize)
 from cpsfds.splittings import (SplittingKind, split_flux, convection_jacobian,
-                               pressure_jacobian, convection_jordan,
-                               pressure_eigensystem, verify_jordan)
+                               pressure_jacobian, convection_eigensystem,
+                               pressure_eigensystem, face_average,
+                               verify_jordan)
 from cpsfds.state import (GasModel, PrimitiveState, physical_flux,
-                          cons_to_prim_arrays)
+                          prim_to_cons, cons_to_prim_arrays)
 
 GAS = GasModel(1.4)
 SCHEMES = list(SchemeKind)
@@ -55,7 +55,6 @@ def test_criterion_1_algebraic_suite():
              "strengths": 0.0, "uprop": 0.0, "x1_invariance": 0.0}
 
     def fd_jacobian(pick, kind, w):
-        from cpsfds.state import prim_to_cons
         U0 = prim_to_cons(w, GAS)
 
         def f(U):
@@ -96,13 +95,14 @@ def test_criterion_1_algebraic_suite():
         for kind in (SplittingKind.ZHA_BILGEN, SplittingKind.TORO_VAZQUEZ):
             A = convection_jacobian(kind, wL, GAS)
             nrm = max(np.max(np.abs(A)), 1.0)
-            dec = convection_jordan(kind, wL, GAS)
+            es = convection_eigensystem(kind, wL, GAS)
             worst["jordan"] = max(worst["jordan"],
-                                  verify_jordan(A, dec) / nrm)
+                                  verify_jordan(A, es) / nrm)
             for x1 in (-3.0, 0.7):
-                dec = convection_jordan(kind, wL, GAS, x1=x1, x3=2.0 * x1)
+                es = convection_eigensystem(kind, wL, GAS, x1=x1,
+                                            x3=2.0 * x1)
                 worst["x1_invariance"] = max(worst["x1_invariance"],
-                                             verify_jordan(A, dec) / nrm)
+                                             verify_jordan(A, es) / nrm)
 
         # finite-difference Jacobian checks on a subsample
         if i < 100:
@@ -118,36 +118,32 @@ def test_criterion_1_algebraic_suite():
                         np.max(np.abs(A - num))
                         / max(np.max(np.abs(A)), 1.0))
 
-        # wave strengths decompose the averaged conserved jump, and the
-        # pressure parts satisfy the Roe U-property, for both schemes
-        avg = interface_averages(wL, wR, GAS)
+        # the wave strengths alpha = R^-1 dU rebuild the jump written
+        # through the face averages, and the pressure parts satisfy the Roe
+        # U-property, for both schemes
+        wb = face_average(wL, wR)
         drho, du, dp = wR.rho - wL.rho, wR.u - wL.u, wR.p - wL.p
-        w_avg = PrimitiveState(avg.rho_bar, avg.u_bar,
-                               avg.rho_bar * avg.a2_bar / GAS.gamma)
         g = GAS.gamma
-        dU = np.array([drho, avg.rho_bar * du + avg.u_bar * drho,
-                       dp / (g - 1.0) + 0.5 * avg.u_bar ** 2 * drho
-                       + avg.rho_bar * avg.u_bar * du])
-        speed = abs(avg.u_bar) + math.sqrt(avg.u_bar ** 2 + 4.0 * avg.a2_bar)
-        for kind, strengths, lam in (
-                (SplittingKind.ZHA_BILGEN, zbs_pressure_strengths,
-                 np.array([-1.0, 0.0, 1.0])
-                 * math.sqrt((g - 1.0) / g) * avg.a_bar),
-                (SplittingKind.TORO_VAZQUEZ, tvs_pressure_strengths,
-                 np.array([0.5 * (avg.u_bar - avg.beta_bar), 0.0,
-                           0.5 * (avg.u_bar + avg.beta_bar)]))):
-            al = strengths(avg, drho, du, dp, GAS)
-            R = pressure_eigensystem(kind, w_avg, GAS).vectors
+        dU_avg = np.array([drho, wb.rho * du + wb.u * drho,
+                           dp / (g - 1.0) + 0.5 * wb.u ** 2 * drho
+                           + wb.rho * wb.u * du])
+        dU = prim_to_cons(wR, GAS) - prim_to_cons(wL, GAS)
+        speed = abs(wb.u) + math.sqrt(wb.u ** 2 + 4.0 * g * wb.p / wb.rho)
+        for kind in (SplittingKind.ZHA_BILGEN, SplittingKind.TORO_VAZQUEZ):
+            es = pressure_eigensystem(kind, wb, GAS)
+            R = es.vectors
+            al = np.linalg.solve(R, dU)
             rownorm = np.max(np.abs(R), axis=0)
             scale = max(float(np.sum(np.abs(al) * rownorm)),
-                        np.max(np.abs(dU)), 1.0)
+                        np.max(np.abs(dU_avg)), 1.0)
             worst["strengths"] = max(worst["strengths"],
-                                     np.max(np.abs(R @ al - dU)) / scale)
+                                     np.max(np.abs(R @ al - dU_avg)) / scale)
             jump = split_flux(kind, wR, GAS).pressure \
                 - split_flux(kind, wL, GAS).pressure
             scale = max(float(np.sum(np.abs(al) * speed * rownorm)), 1.0)
             worst["uprop"] = max(worst["uprop"],
-                                 np.max(np.abs(R @ (al * lam) - jump))
+                                 np.max(np.abs(R @ (al * es.eigenvalues)
+                                               - jump))
                                  / scale)
 
     ok = (worst["split"] <= 1e-12 and worst["jacobian_fd"] <= 1e-4

@@ -22,9 +22,8 @@ from cpsfds.state import GasModel, NonPhysicalStateError, Prim2D, \
 from cpsfds.splittings import (FaceGeometry, face_geometry, split_flux_2d,
                                convection_jacobian_2d, pressure_jacobian_2d,
                                convection_eigensystem_2d,
-                               pressure_eigensystem_2d, upwind_dissipation,
-                               jordan_matrix, verify_jordan,
-                               JordanDecomposition)
+                               pressure_eigensystem_2d, face_average,
+                               upwind_dissipation, verify_jordan)
 
 from conftest import wave_scale
 
@@ -127,7 +126,8 @@ def test_2d_jacobians_match_finite_differences(part, gas, rng):
                                    atol=5e-5 * np.max(np.abs(A)))
 
 
-def test_2d_convection_jordan_chain_and_free_parameters(gas, rng):
+def test_2d_convection_basis_is_a_jordan_chain_for_any_free_parameters(
+        gas, rng):
     for _ in range(30):
         w = random_state_2d(rng)
         geom = random_normal(rng)
@@ -137,8 +137,7 @@ def test_2d_convection_jordan_chain_and_free_parameters(gas, rng):
                                        xt=rng.uniform(-2, 2),
                                        x4=rng.uniform(-2, 2))
         scale = max(np.max(np.abs(A)), 1.0)
-        J = jordan_matrix(es.eigenvalues, es.chain_links)
-        resid = verify_jordan(A, JordanDecomposition(es.vectors, J))
+        resid = verify_jordan(A, es)
         assert resid <= 1e-10 * scale
 
 
@@ -153,29 +152,19 @@ def test_2d_pressure_eigensystem_relations(gas, rng):
         assert np.max(np.abs(resid)) <= 1e-10 * scale
 
 
-def roe_average_2d(wL: Prim2D, wR: Prim2D, gas: GasModel) -> Prim2D:
-    """The sqrt(rho)-weighted face state: rho_bar = sqrt(rho_L rho_R),
-    velocity and a^2 weighted by sqrt(rho)."""
-    sL, sR = math.sqrt(wL.rho), math.sqrt(wR.rho)
-    rho = sL * sR
-    a2 = gas.gamma * (sL * wL.p / wL.rho + sR * wR.p / wR.rho) / (sL + sR)
-    return Prim2D(rho, (sL * wL.u + sR * wR.u) / (sL + sR),
-                  (sL * wL.v + sR * wR.v) / (sL + sR), rho * a2 / gas.gamma)
-
-
 @pytest.mark.parametrize("x1,xt,x4", [(-3.0, 0.5, 2.0), (0.7, -1.3, -0.4)])
 def test_flux_kernel_matches_the_eigenstructure(x1, xt, x4, gas, rng):
     """The kernel is 0.5 (F_L + F_R) - 0.5 (R_c|L_c|R_c^-1 dU +
     R_p|L_p|R_p^-1 dU), assembled by upwind_dissipation from the face
-    eigensystems at the averaged state, times the face length.  The free
-    constants of the generalized eigenvector must leave no trace, and no
-    draw is skipped."""
+    eigensystems at the state of face_average, times the face length.  The
+    free constants of the generalized eigenvector must leave no trace, and
+    no draw is skipped."""
     checked = 0
     for _ in range(200):
         wL, wR = random_state_2d(rng), random_state_2d(rng)
         geom = random_normal(rng)
         ds = rng.uniform(0.1, 10.0)
-        w_avg = roe_average_2d(wL, wR, gas)
+        w_avg = face_average(wL, wR)
         dU = prim_to_cons(wR, gas) - prim_to_cons(wL, gas)
         conv = convection_eigensystem_2d(w_avg, geom, gas, x1=x1, xt=xt,
                                          x4=x4)
@@ -547,22 +536,70 @@ def test_rotational_objectivity_quarter_turn(gas):
     assert np.max(np.abs(Uxf - rotated)) <= 1e-12 * np.max(np.abs(Uxf))
 
 
+SLIP_BOX = {k: BoundarySpec(Bc2DKind.SLIP_WALL)
+            for k in ("imin", "imax", "jmin", "jmax")}
+BOX_GRIDS = {
+    "cartesian": lambda: cartesian_grid(0.0, 1.0, 0.0, 1.0, 24, 24),
+    "ramp": lambda: ramp_grid(0.0, 1.0, 1.0, 24, 24, 0.3, 15.0),
+    "half-cylinder": lambda: half_cylinder_grid(24, 24),
+}
+
+
+def slip_box_fields(grid):
+    """A density bump in a smooth swirl at rest pressure: primitive fields
+    (rho, u, v, p) at the cell centres of grid."""
+    x, y = grid.xc, grid.yc
+    rho = 1.0 + 0.2 * np.exp(-60.0 * ((x - 0.4) ** 2 + (y - 0.55) ** 2))
+    u = 0.3 * np.sin(np.pi * x) * np.cos(np.pi * y)
+    v = -0.2 * np.cos(np.pi * x) * np.sin(np.pi * y)
+    return np.stack([rho, u, v, np.full_like(rho, 1.0)])
+
+
+def slip_box_drift(grid, order, gas):
+    """Relative change of total mass and energy over a march of the slip
+    box to t = 0.2 at CFL 0.5, and the number of steps."""
+    U0 = prim_to_cons_fields(*slip_box_fields(grid), gas.gamma)
+    U, log = advance_2d(U0, grid, SLIP_BOX, ReconstructionConfig(order),
+                        TimeControls(0.2, cfl=0.5), gas)
+    drift = [float(np.sum((U[c] - U0[c]) * grid.area))
+             / float(np.sum(U0[c] * grid.area)) for c in (0, 3)]
+    return drift, log.steps
+
+
 def test_slip_walled_box_conserves_mass_and_energy(gas):
-    grid = cartesian_grid(0.0, 1.0, 0.0, 1.0, 24, 24)
-    rho = 1.0 + 0.2 * np.exp(-60.0 * ((grid.xc - 0.4) ** 2
-                                      + (grid.yc - 0.55) ** 2))
-    u = 0.3 * np.sin(np.pi * grid.xc) * np.cos(np.pi * grid.yc)
-    v = -0.2 * np.cos(np.pi * grid.xc) * np.sin(np.pi * grid.yc)
-    p = np.full_like(rho, 1.0)
-    U0 = prim_to_cons_fields(rho, u, v, p, gas.gamma)
-    bc = {k: BoundarySpec(Bc2DKind.SLIP_WALL)
-          for k in ("imin", "imax", "jmin", "jmax")}
-    U, _ = advance_2d(U0, grid, bc, ReconstructionConfig(1),
-                      TimeControls(0.2, cfl=0.5), gas)
-    for comp in (0, 3):
-        tot0 = float(np.sum(U0[comp] * grid.area))
-        tot = float(np.sum(U[comp] * grid.area))
-        assert abs(tot - tot0) <= 1e-12 * abs(tot0)
+    """Four slip walls: order 1 on all three grids, and order 2 on the
+    Cartesian one, keep total mass and energy to round-off.  Order 2 on
+    the curvilinear grids does not (the test below)."""
+    for name, order in [("cartesian", 1), ("ramp", 1), ("half-cylinder", 1),
+                        ("cartesian", 2)]:
+        drift, _ = slip_box_drift(BOX_GRIDS[name](), order, gas)
+        assert max(map(abs, drift)) <= 1e-12, (name, order, drift)
+
+
+@pytest.mark.parametrize("name,steps,mass,energy,flux", [
+    ("ramp", 56, 7.5312e-5, 1.07845e-4, 2.7466e-5),
+    ("half-cylinder", 20, -4.7315e-5, -6.6621e-5, 1.17665e-3),
+])
+def test_second_order_slip_walls_leak_on_curvilinear_grids(
+        name, steps, mass, energy, flux, gas):
+    """A pinned defect: at order 2, four slip walls that are not all
+    axis-aligned let mass and energy through.  Measured over the march of
+    the box (relative drift of the totals): the 15-degree ramp leaks 7.5e-5
+    of its mass and 1.1e-4 of its energy in 56 steps, the half cylinder
+    -4.7e-5 and -6.7e-5 in 20 steps.  A single order-2 residual_2d of the
+    initial field already has a net mass flux (sum of area * R_rho) of
+    2.7e-5 on the ramp and 1.2e-3 on the half cylinder; at order 1 both
+    are below 1e-16, and on the same ramp grid at 0 degrees order 2 gives
+    2e-19.  The likely cause: the wall ghosts reflect (u, v) about a normal
+    that is not axis-aligned, and the componentwise limiter does not
+    commute with that reflection.  A remedy changes this test."""
+    grid = BOX_GRIDS[name]()
+    drift, n = slip_box_drift(grid, 2, gas)
+    assert n == steps
+    np.testing.assert_allclose(drift, [mass, energy], rtol=1e-3)
+    R = residual_2d(slip_box_fields(grid), grid, SLIP_BOX,
+                    ReconstructionConfig(2), gas)
+    assert float(np.sum(R[0] * grid.area)) == pytest.approx(flux, rel=1e-3)
 
 
 def test_post_shock_state_satisfies_jump_conditions(gas):

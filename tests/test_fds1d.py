@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_pair, wave_scale
 
-from cpsfds.fds1d import (SchemeKind, interface_averages,
-                          zbs_pressure_strengths, tvs_pressure_strengths,
-                          interface_flux, interface_flux_batch)
-from cpsfds.splittings import (SplittingKind, split_flux,
+from cpsfds.fds1d import SchemeKind, interface_flux, interface_flux_batch
+from cpsfds.splittings import (SplittingKind, split_flux, face_average,
                                convection_eigensystem, pressure_eigensystem,
                                upwind_dissipation)
-from cpsfds.state import GasModel, PrimitiveState, physical_flux, prim_to_cons
+from cpsfds.state import GasModel, Prim2D, PrimitiveState, \
+    cons_to_prim_arrays, physical_flux, prim_to_cons, prim_to_cons_arrays
 
 SCHEMES = list(SchemeKind)
 
@@ -22,12 +21,11 @@ velocity = st.floats(min_value=-100.0, max_value=100.0,
                      allow_nan=False, allow_infinity=False)
 
 
-def test_interface_averages_reduce_to_the_state_itself(gas):
-    w = PrimitiveState(2.0, -1.5, 3.0)
-    avg = interface_averages(w, w, gas)
-    assert avg.rho_bar == pytest.approx(w.rho, rel=1e-14)
-    assert avg.u_bar == pytest.approx(w.u, rel=1e-14)
-    assert avg.a2_bar == pytest.approx(gas.gamma * w.p / w.rho, rel=1e-14)
+def test_face_average_reduces_to_the_state_itself():
+    for w in (PrimitiveState(2.0, -1.5, 3.0), Prim2D(2.0, -1.5, 0.7, 3.0)):
+        avg = face_average(w, w)
+        assert type(avg) is type(w)
+        np.testing.assert_allclose(tuple(avg), tuple(w), rtol=1e-14)
 
 
 @settings(max_examples=200, deadline=None)
@@ -41,16 +39,11 @@ def test_flux_consistency_with_equal_states(scheme, rho, u, p):
                                atol=1e-12 * max(p, rho * u * u))
 
 
-@pytest.mark.parametrize("scheme,kind,strengths,lam_of", [
-    (SchemeKind.ZBS_FDS, SplittingKind.ZHA_BILGEN, zbs_pressure_strengths,
-     lambda avg, g: np.array([-np.sqrt((g - 1.0) / g) * avg.a_bar, 0.0,
-                              np.sqrt((g - 1.0) / g) * avg.a_bar])),
-    (SchemeKind.TVS_FDS, SplittingKind.TORO_VAZQUEZ, tvs_pressure_strengths,
-     lambda avg, g: np.array([0.5 * (avg.u_bar - avg.beta_bar), 0.0,
-                              0.5 * (avg.u_bar + avg.beta_bar)])),
-])
-def test_pressure_part_u_property(scheme, kind, strengths, lam_of, gas, rng):
-    """sum_i alpha_i lambda_i R_i(avg) reproduces the pressure-flux jump.
+@pytest.mark.parametrize("kind", [SplittingKind.ZHA_BILGEN,
+                                  SplittingKind.TORO_VAZQUEZ],
+                         ids=["zbs", "tvs"])
+def test_pressure_part_u_property(kind, gas, rng):
+    """R Lambda R^-1 dU at the face state reproduces the pressure-flux jump.
 
     The identity is exact in exact arithmetic; in floats the slow acoustic
     speed (u_bar - beta_bar)/2 loses digits by cancellation when
@@ -59,16 +52,15 @@ def test_pressure_part_u_property(scheme, kind, strengths, lam_of, gas, rng):
     """
     for _ in range(200):
         wL, wR = random_pair(rng)
-        avg = interface_averages(wL, wR, gas)
-        al = strengths(avg, wR.rho - wL.rho, wR.u - wL.u, wR.p - wL.p, gas)
-        lam = lam_of(avg, gas.gamma)
-        w_avg = PrimitiveState(avg.rho_bar, avg.u_bar,
-                               avg.rho_bar * avg.a2_bar / gas.gamma)
-        R = pressure_eigensystem(kind, w_avg, gas).vectors
+        wb = face_average(wL, wR)
+        es = pressure_eigensystem(kind, wb, gas)
+        R = es.vectors
+        al = np.linalg.solve(R, prim_to_cons(wR, gas) - prim_to_cons(wL, gas))
         jump = split_flux(kind, wR, gas).pressure \
             - split_flux(kind, wL, gas).pressure
-        resid = np.max(np.abs(R @ (al * lam) - jump))
-        speed = abs(avg.u_bar) + np.sqrt(avg.u_bar ** 2 + 4.0 * avg.a2_bar)
+        resid = np.max(np.abs(R @ (al * es.eigenvalues) - jump))
+        a2 = gas.gamma * wb.p / wb.rho
+        speed = abs(wb.u) + np.sqrt(wb.u ** 2 + 4.0 * a2)
         scale = float(np.sum(np.abs(al) * speed * np.max(np.abs(R), axis=0)))
         assert resid <= 1e-12 * max(scale, 1.0)
 
@@ -106,29 +98,24 @@ def test_mirror_symmetry(scheme, gas, rng):
                                    atol=1e-11 * scale)
 
 
-@pytest.mark.parametrize("scheme,kind,strengths", [
-    (SchemeKind.ZBS_FDS, SplittingKind.ZHA_BILGEN, zbs_pressure_strengths),
-    (SchemeKind.TVS_FDS, SplittingKind.TORO_VAZQUEZ, tvs_pressure_strengths),
+@pytest.mark.parametrize("scheme,kind", [
+    (SchemeKind.ZBS_FDS, SplittingKind.ZHA_BILGEN),
+    (SchemeKind.TVS_FDS, SplittingKind.TORO_VAZQUEZ),
 ], ids=["zbs", "tvs"])
 @pytest.mark.parametrize("x1", [-3.0, 0.7])
-def test_batch_kernel_matches_the_eigenstructure(scheme, kind, strengths, x1,
-                                                 gas, rng):
-    """The kernel's dissipation is R_c|L_c|R_c^-1 dU + sum_i alpha_i
-    |lambda_i| R_i, assembled from the splitting eigensystems at the averaged
-    state, the first term by upwind_dissipation, with the paper's closed-form
-    alpha_i.  The free constants x1, x3 of the generalized eigenvectors must
-    leave no trace."""
+def test_batch_kernel_matches_the_eigenstructure(scheme, kind, x1, gas, rng):
+    """The kernel is 0.5 (F_L + F_R) - 0.5 (R_c|L_c|R_c^-1 dU +
+    R_p|L_p|R_p^-1 dU), assembled by upwind_dissipation from the splitting
+    eigensystems at the face state of face_average.  The free constants
+    x1, x3 of the generalized eigenvectors must leave no trace."""
     for _ in range(200):
         wL, wR = random_pair(rng)
-        avg = interface_averages(wL, wR, gas)
-        w_avg = PrimitiveState(avg.rho_bar, avg.u_bar,
-                               avg.rho_bar * avg.a2_bar / gas.gamma)
+        wb = face_average(wL, wR)
         dU = prim_to_cons(wR, gas) - prim_to_cons(wL, gas)
-        conv = convection_eigensystem(kind, w_avg, gas, x1=x1, x3=2.0 * x1)
-        press = pressure_eigensystem(kind, w_avg, gas)
-        alpha = strengths(avg, wR.rho - wL.rho, wR.u - wL.u, wR.p - wL.p, gas)
+        conv = convection_eigensystem(kind, wb, gas, x1=x1, x3=2.0 * x1)
+        press = pressure_eigensystem(kind, wb, gas)
         dissipation = upwind_dissipation(conv, dU) \
-            + press.vectors @ (np.abs(press.eigenvalues) * alpha)
+            + upwind_dissipation(press, dU)
         FL, FR = physical_flux(wL, gas), physical_flux(wR, gas)
         want = 0.5 * (FL + FR) - 0.5 * dissipation
         got = interface_flux_batch(
@@ -137,24 +124,56 @@ def test_batch_kernel_matches_the_eigenstructure(scheme, kind, strengths, x1,
             gas.gamma)[:, 0]
         # scale by the full wave speed: the slow TVS acoustic speed loses
         # digits by cancellation when u_bar^2 >> a_bar^2
-        speed = abs(avg.u_bar) + avg.beta_bar
+        a2 = gas.gamma * wb.p / wb.rho
+        speed = abs(wb.u) + np.sqrt(wb.u ** 2 + 4.0 * a2)
         scale = max(np.max(np.abs(FL)), np.max(np.abs(FR)),
-                    wave_scale(conv, dU, abs(avg.u_bar)),
-                    np.max(np.abs(press.vectors) @ np.abs(speed * alpha)))
+                    wave_scale(conv, dU, abs(wb.u)),
+                    wave_scale(press, dU, speed))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
 
-def test_wave_strengths_decompose_the_conserved_jump(gas, rng):
-    """alpha over the averaged eigenvector basis reconstructs dU minus the
-    part carried by the convection dissipation identity."""
-    for _ in range(100):
-        wL, wR = random_pair(rng)
-        avg = interface_averages(wL, wR, gas)
-        drho, du, dp = wR.rho - wL.rho, wR.u - wL.u, wR.p - wL.p
-        a1, a2, a3 = zbs_pressure_strengths(avg, drho, du, dp, gas)
-        # mass row: alpha_2 alone carries drho
-        assert a2 == pytest.approx(drho, rel=1e-13, abs=1e-13)
-        # momentum row: alpha_1 + alpha_2 u + alpha_3 closes the jump
-        mom = a1 + a2 * avg.u_bar + a3
-        target = avg.rho_bar * du + avg.u_bar * drho
-        assert mom == pytest.approx(target, rel=1e-11, abs=1e-11)
+def amplification_radius(scheme, u0, cfl, gamma=1.4):
+    """Largest spectral radius, over wavenumbers k in [0, pi], of one
+    first-order forward-Euler step linearized about the uniform state
+    (rho, u, p) = (1, u0, 1), with dt/dx = cfl / (|u0| + a) as compute_dt
+    sets it.  The face Jacobians A_L, A_R are central differences of
+    interface_flux_batch in conserved variables, and the step's symbol is
+    G(k) = I - nu (A_L + A_R e^ik - A_L e^-ik - A_R)."""
+    U0 = prim_to_cons_arrays((1.0, u0, 1.0), gamma)
+    h = 1e-6
+    base = np.repeat(U0[:, None], 6, axis=1)
+    bumped = base + np.hstack([h * np.eye(3), -h * np.eye(3)])
+
+    def face_jacobian(UL, UR):
+        F = interface_flux_batch(scheme, *cons_to_prim_arrays(UL, gamma),
+                                 *cons_to_prim_arrays(UR, gamma), gamma)
+        return (F[:, :3] - F[:, 3:]) / (2.0 * h)
+
+    A_L, A_R = face_jacobian(bumped, base), face_jacobian(base, bumped)
+    nu = cfl / (abs(u0) + np.sqrt(gamma))
+    z = np.exp(1j * np.linspace(0.0, np.pi, 721))[:, None, None]
+    G = np.eye(3) - nu * (A_L + A_R * z - A_L / z - A_R)
+    return float(np.max(np.abs(np.linalg.eigvals(G))))
+
+
+def test_zbs_linear_stability_limit_at_rest_is_sqrt_of_gm1_over_gamma():
+    """ZBS dissipates acoustic waves at lam = sqrt((g - 1)/g) a, below the
+    sound speed a that sets dt, so at u0 = 0 the first-order step is stable
+    up to CFL sqrt((g - 1)/g) = 0.5345 and no further.  Measured: radius
+    <= 1 at 0.99 times that CFL and 1 + 2.0e-5 at 1.01 times it."""
+    limit = np.sqrt(0.4 / 1.4)
+    assert amplification_radius(SchemeKind.ZBS_FDS, 0.0,
+                                0.99 * limit) <= 1.0 + 1e-9
+    assert amplification_radius(SchemeKind.ZBS_FDS, 0.0,
+                                1.01 * limit) > 1.0 + 1e-5
+
+
+@pytest.mark.parametrize("u0", [0.0, 0.3, 1.0])
+def test_zbs_is_linearly_unstable_at_the_default_cfl_and_tvs_is_not(u0):
+    """At the default 1D CFL of 0.8 the ZBS step amplifies some
+    wavenumber: measured radius 1 + 0.048, 1 + 0.024 and 1 + 0.0031 at
+    u0 = 0, 0.3 and 1.  TVS, whose pressure eigenvalues reduce to +-a at
+    rest, is stable at all three.  compute_dt does not yet honour the
+    ZBS limit."""
+    assert amplification_radius(SchemeKind.ZBS_FDS, u0, 0.8) > 1.0 + 1e-3
+    assert amplification_radius(SchemeKind.TVS_FDS, u0, 0.8) <= 1.0 + 1e-9

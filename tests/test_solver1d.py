@@ -1,6 +1,7 @@
 """1D finite-volume driver: grid/controls validation, reconstruction,
 boundary conditions, conservation and blow-up reporting."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -66,6 +67,21 @@ def test_a_t_final_that_is_not_positive_is_rejected(t_final, gas):
             make()
     # no end time: the march stops on MAX_STEPS or its steady-state test
     TimeControls(np.inf)
+
+
+@pytest.mark.parametrize("steady_drop", [0.0, 0.5, 1.0, -1.0, np.nan, np.inf])
+def test_a_steady_drop_that_is_not_a_finite_factor_above_1_is_rejected(
+        steady_drop, gas):
+    """Before, 0.0 ended the march in ZeroDivisionError after one step,
+    0.5 called the march steady after two steps, and nan or inf never
+    stopped it.  Now the controls refuse them before any step."""
+    case = dataclasses.replace(euler2d.half_cylinder_case(),
+                               steady_drop=steady_drop)
+    for make in (lambda: TimeControls(1.0, steady_drop=steady_drop),
+                 lambda: euler2d.run_case_2d(case, gas, grid_shape=(4, 4))):
+        with pytest.raises(ValueError, match="steady-drop must be"):
+            make()
+    TimeControls(1.0, steady_drop=1e4)
 
 
 def test_compute_dt_formula(gas):
