@@ -358,8 +358,9 @@ def _parse_grid(text):
 
 
 def _check_run_config(config: RunConfig):
-    """Raise ValueError for an option value that no case accepts, so that
-    it is reported before any solve starts."""
+    """Raise ValueError for an option value that no case accepts, or that
+    the run of the given case would ignore, so that it is reported before
+    any solve starts.  An unknown case is reported by run."""
     if config.scheme not in _SCHEMES or config.order not in (1, 2) \
             or config.fmt not in ("csv", "eoc", "report"):
         raise ValueError("invalid scheme/order/format")
@@ -374,6 +375,22 @@ def _check_run_config(config: RunConfig):
         check_t_final(config.t_final)
         if config.t_final == math.inf:
             raise ValueError("t-final must be finite, got inf")
+    # options that the run would ignore
+    if config.case in {c.name for c in euler2d.case_registry_2d()}:
+        if config.scheme != SchemeKind.ZBS_FDS.value:
+            raise ValueError(f"2D cases run zbs only, got {config.scheme}")
+        if config.fmt == "eoc":
+            raise ValueError("format eoc is for 1D cases only")
+        if config.cells is not None:
+            raise ValueError("cells is for 1D cases; 2D cases take grid")
+    elif config.case in {c.name for c in bench1d.case_registry()}:
+        if config.grid is not None:
+            raise ValueError("grid is for 2D cases; 1D cases take cells")
+        if config.fmt == "eoc" and any(
+                q is not None for q in (config.cells, config.cfl,
+                                        config.t_final)):
+            raise ValueError("format eoc sets its own cells, cfl and "
+                             "t-final; give none of them")
 
 
 def build_parser():

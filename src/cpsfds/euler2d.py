@@ -121,7 +121,7 @@ def _face_sides(rho, u, v, p, gamma, out):
     (rho, u, v, p, sqrt(rho), (gamma - 1) p / sqrt(rho), rho u, rho v,
     rho H), the last five written into the five arrays of out.  At order 1
     the face states are the cells, so the residual computes these once per
-    cell and sweep, not once per face and side."""
+    cell, not once per face and side."""
     s, ps, ru, rv, rH = out
     np.sqrt(rho, out=s)
     np.multiply(rho, u, out=ru)
@@ -284,10 +284,11 @@ class BoundarySpec:
 
 
 def _ghost_layers(rho, u, v, p, spec: BoundarySpec, ng, low, nxb, nyb, out):
-    """Write ng ghost layers for one boundary of an i-oriented sweep into
+    """Write ng ghost layers beyond one end of axis 0 of the fields into
     the four (ng, m) arrays of out.
 
-    rho, u, v, p have the sweep direction on axis 0; low selects which end.
+    rho, u, v, p have the face-normal direction on axis 0; low selects
+    which end.
     nxb, nyb are the boundary face normals (one per transverse index).
     Layers are ordered ready to stack against the interior: for the low
     side, row ng-1 is adjacent to the interior.
@@ -311,17 +312,23 @@ def _ghost_layers(rho, u, v, p, spec: BoundarySpec, ng, low, nxb, nyb, out):
             out[3][row] = p[src]
 
 
-def _extend_sweep(rho, u, v, p, ng, bc_lo, bc_hi, normals_lo, normals_hi,
-                  out):
-    """Write the interior field plus ng ghost layers on both ends of axis 0
-    into the four arrays of out, each of shape (n + 2 ng, m); returns
-    out."""
-    for e, q in zip(out, (rho, u, v, p)):
-        e[ng:-ng] = q
-    _ghost_layers(rho, u, v, p, bc_lo, ng, True, *normals_lo,
-                  [e[:ng] for e in out])
-    _ghost_layers(rho, u, v, p, bc_hi, ng, False, *normals_hi,
-                  [e[-ng:] for e in out])
+def _extend(W, grid: StructuredGrid2D, bc: dict, ng, out):
+    """Write the primitive cell fields W and ng ghost layers beyond each of
+    the four boundaries into out, of shape (4, ni + 2 ng, nj + 2 ng);
+    returns out.  The ng x ng corners are not written.
+
+    The j ghosts are the i ghosts of the transposed fields, written through
+    the transposed view of out."""
+    for e, q in zip(out[:, ng:-ng], W):
+        e[:, ng:-ng] = q
+    for cells, ext, nx, ny, lo, hi in (
+            (W, out[:, :, ng:-ng], grid.iface_nx, grid.iface_ny,
+             "imin", "imax"),
+            ([q.T for q in W], out[:, ng:-ng].transpose(0, 2, 1),
+             grid.jface_nx.T, grid.jface_ny.T, "jmin", "jmax")):
+        _ghost_layers(*cells, bc[lo], ng, True, nx[0], ny[0], ext[:, :ng])
+        _ghost_layers(*cells, bc[hi], ng, False, nx[-1], ny[-1],
+                      ext[:, -ng:])
     return out
 
 
@@ -368,17 +375,17 @@ def compute_dt_2d(rho, u, v, p, grid: StructuredGrid2D, gas: GasModel,
     return cfl * float(np.min(tot))
 
 
-# Faces per flux block: the kernel's temporaries for one block fit the
-# 2 MiB L2 cache.  A block is a whole number of face rows or lines (at
-# least one).  The value also sizes the buffers of a _Workspace, so it is
-# read both when a workspace is made and when a sweep is cut into blocks.
+# Faces of one direction per flux block: the kernel's temporaries for one
+# block fit the 2 MiB L2 cache.  A block is a whole number of cell rows (at
+# least one), each with nj + 1 j faces.  The value also sizes the buffers
+# of a _Workspace, so it is read both when a workspace is made and when a
+# residual is cut into blocks.
 _BLOCK_FACES = 8192
 
 
-def _per_block(count, length):
-    """Face rows or lines of the given length in one flux block, out of
-    count."""
-    return min(count, max(1, _BLOCK_FACES // length))
+def _block_rows(grid: StructuredGrid2D):
+    """Cell rows in one flux block."""
+    return min(grid.ni, max(1, _BLOCK_FACES // (grid.nj + 1)))
 
 
 # Buffers of _Workspace.blocks: ten flux temporaries, the four components
@@ -389,12 +396,15 @@ _TMP, _FLUX, _SIDES = 0, 10, 14
 
 @dataclass(frozen=True)
 class _Workspace:
-    """Buffers that residual_2d reuses in every sweep and flux block.
+    """Buffers that residual_2d reuses in every flux block.
 
-    fields holds the four extended fields of one sweep, with room for
-    either sweep and two ghost layers on each end.  Each row of blocks
-    holds the cells of the largest flux block of either sweep: its faces
-    plus one face row or line.
+    fields holds the four primitive fields with ng ghost layers beyond each
+    boundary, shape (4, ni + 2 ng, nj + 2 ng).  Nothing writes its ng x ng
+    corners; fields is allocated with ones, so they hold a physical state,
+    whose face sides order 1 computes and no flux reads.  Each row of
+    blocks holds the cells of one flux block: at order 1 the block's cells
+    with the extended rows and columns around them, at order 2 the faces
+    of either direction, at most (rows + 1) (nj + 1).
     """
     fields: np.ndarray
     blocks: np.ndarray
@@ -402,108 +412,71 @@ class _Workspace:
 
 def _workspace(grid: StructuredGrid2D, order: int) -> _Workspace:
     """The workspace of residual_2d for grid at the given order."""
-    ni, nj = grid.ni, grid.nj
-    block = max((_per_block(ni + 1, nj) + 1) * nj,
-                _per_block(ni, nj + 1) * (nj + 2))
-    return _Workspace(np.empty((4, max((ni + 4) * nj, (nj + 4) * ni))),
+    ni, nj, rows = grid.ni, grid.nj, _block_rows(grid)
+    if order == 1:
+        ng, block = 1, (rows + 2) * (nj + 2)
+    else:
+        ng, block = 2, (rows + 1) * (nj + 1)
+    return _Workspace(np.ones((4, ni + 2 * ng, nj + 2 * ng)),
                       np.empty((_SIDES + 5 * order, block)))
 
 
-def _take(buffers, shape, layout):
-    """The leading cells of each row of buffers, as one
-    (len(buffers), *shape) array of views whose rows are C-ordered for
-    layout "C" and Fortran-ordered for "F".  Both only split the
-    contiguous last axis, which never copies, so writes reach the
-    buffers."""
-    lead = buffers[:, :shape[0] * shape[1]]
-    if layout == "C":
-        return lead.reshape((len(buffers),) + shape)
-    return lead.reshape((len(buffers),) + shape[::-1]).transpose(0, 2, 1)
+def _take(buffers, shape):
+    """The leading cells of each row of buffers, as one C-ordered
+    (len(buffers), *shape) array of views.  It only splits the contiguous
+    last axis, which never copies, so writes reach the buffers."""
+    return buffers[:, :shape[0] * shape[1]].reshape((len(buffers),) + shape)
 
 
-def _sweep_sides(fields, recon: ReconstructionConfig, h, gamma, step, blocks,
-                 layout):
-    """Face sides of one sweep from its extended fields, by block.
+def _block_sides(fields, recon: ReconstructionConfig, h, gamma, step,
+                 blocks):
+    """Face sides of the residual from its extended fields, by block.
 
-    Returns sides(k0, k1, cols), the left and right _face_sides tuples of
-    face rows k0 .. k1 - 1 (faces lie between cells along axis 0) and the
-    columns cols, computed into the side buffers of blocks in the given
-    layout.  At order 1 the sides are the cells on either side of the
-    faces, evaluated once per cell of the block; at order 2 the MUSCL face
-    states are reconstructed and checked here, before any flux is formed.
-    A failed check names the face by its grid index (i, j) in either
-    sweep; the j sweep, whose fields are transposed, has layout "F".
+    Returns sides(r0, r1), which yields the left and right _face_sides
+    tuples of the i faces r0 .. r1, then those of the j faces of the cell
+    rows r0 .. r1 - 1, computed into the side buffers of blocks; draw the
+    j sides only when the i sides are used up.  At order 1 the sides are
+    the cells on either side of the faces, evaluated once per cell of the
+    block and its ghosts.  At order 2 the MUSCL face states are
+    reconstructed and checked here, the i faces first, before any flux is
+    formed; a failed check names the face by its grid index (i, j).
     """
     if recon.order == 1:
-        def sides(k0, k1, cols):
-            cells = [q[k0:k1 + 1, cols] for q in fields]
-            cells = _face_sides(*cells, gamma, _take(
-                blocks[_SIDES:], cells[0].shape, layout))
-            return tuple(q[:-1] for q in cells), tuple(q[1:] for q in cells)
+        def sides(r0, r1):
+            rect = fields[:, r0:r1 + 2]
+            cells = _face_sides(*rect, gamma,
+                                _take(blocks[_SIDES:], rect.shape[1:]))
+            yield (tuple(q[:-1, 1:-1] for q in cells),
+                   tuple(q[1:, 1:-1] for q in cells))
+            yield (tuple(q[1:-1, :-1] for q in cells),
+                   tuple(q[1:-1, 1:] for q in cells))
         return sides
-    left, right = [], []
-    for q in fields:
-        lo, hi = muscl_reconstruct(q, h, recon.limiter_k)
-        left.append(hi[:-1])
-        right.append(lo[1:])
-    check_faces([[q.T for q in side] if layout == "F" else side
-                 for side in (left, right)], step)
+    faces = []          # left and right states of the i faces, the j faces
+    for ext in (fields[:, :, 2:-2], fields[:, 2:-2].transpose(0, 2, 1)):
+        lo, hi = zip(*(muscl_reconstruct(q, h, recon.limiter_k)
+                       for q in ext))
+        faces.append(([q[:-1] for q in hi], [q[1:] for q in lo]))
+    faces[1] = tuple([q.T for q in side] for side in faces[1])
+    for states in faces:
+        check_faces(states, step)
 
-    def sides(k0, k1, cols):
-        shape = left[0][k0:k1, cols].shape
-        return tuple(
-            _face_sides(*(q[k0:k1, cols] for q in states), gamma,
-                        _take(blocks[k:k + 5], shape, layout))
-            for states, k in ((left, _SIDES), (right, _SIDES + 5)))
+    def sides(r0, r1):
+        for (left, right), rows in zip(faces, (slice(r0, r1 + 1),
+                                               slice(r0, r1))):
+            shape = left[0][rows].shape
+            yield tuple(
+                _face_sides(*(q[rows] for q in states), gamma,
+                            _take(blocks[k:k + 5], shape))
+                for states, k in ((left, _SIDES), (right, _SIDES + 5)))
     return sides
 
 
-def _sweep_rows(net, sides, nx, ny, ds, gamma, blocks):
-    """Write into net each cell's flux times face length through its high
-    face minus that through its low face, for a sweep along axis 0 of
-    C-ordered arrays.
-
-    There are n + 1 face rows for n cells.  The faces are evaluated in
-    blocks of face rows; the last face row of a block is carried into the
-    next, so every cell takes the same single subtraction whatever the
-    block size.
-    """
-    n_faces, m = ds.shape
-    rows = _per_block(n_faces, m)
-    # row 0: the last face row of the block before
-    buf = _take(blocks[_FLUX:_SIDES], (rows + 1, m), "C")
-    for k0 in range(0, n_faces, rows):
-        k1 = min(k0 + rows, n_faces)
-        n = k1 - k0
-        blk = slice(k0, k1)
-        _sides_flux(*sides(k0, k1, slice(None)), nx[blk], ny[blk], gamma,
-                    ds[blk], buf[:, 1:n + 1],
-                    _take(blocks[_TMP:_FLUX], (n, m), "C"))
-        first = 1 if k0 == 0 else 0      # face row 0 has no cell below it
-        np.subtract(buf[:, first + 1:n + 1], buf[:, first:n],
-                    out=net[:, k0 - 1 + first:k1 - 1])
-        buf[:, 0] = buf[:, n]
-
-
-def _sweep_lines(net, sides, nx, ny, ds, gamma, blocks):
-    """Add into net each cell's flux times face length through its high
-    face minus that through its low face, for a sweep along axis 0 of
-    Fortran-ordered arrays (the transposed views of the j sweep).
-
-    Each block holds whole lines along axis 0, which are contiguous in
-    memory, so no face is shared between blocks.
-    """
-    n_faces, m = ds.shape
-    cols = _per_block(m, n_faces)
-    for c0 in range(0, m, cols):
-        c1 = min(c0 + cols, m)
-        blk = slice(c0, c1)
-        out = _take(blocks[_FLUX:_SIDES], (n_faces, c1 - c0), "F")
-        tmp = _take(blocks[_TMP:_FLUX], (n_faces, c1 - c0), "F")
-        _sides_flux(*sides(0, n_faces, blk), nx[:, blk], ny[:, blk], gamma,
-                    ds[:, blk], out, tmp)
-        net[:, :, blk] += np.subtract(out[:, 1:], out[:, :-1],
-                                      out=tmp[:4, 1:])
+def _block_flux(left, right, nx, ny, gamma, ds, blocks):
+    """_sides_flux of one block of faces, into the flux buffers of
+    blocks."""
+    return _sides_flux(left, right, nx, ny, gamma, ds,
+                       _take(blocks[_FLUX:_SIDES], ds.shape),
+                       _take(blocks[_TMP:_FLUX], ds.shape))
 
 
 def residual_2d(W, grid: StructuredGrid2D, bc: dict,
@@ -513,35 +486,35 @@ def residual_2d(W, grid: StructuredGrid2D, bc: dict,
 
     W holds the primitive cell fields (rho, u, v, p).  ws is the workspace
     that a march made for this grid and order; a call without one makes
-    its own."""
+    its own.
+
+    The faces are evaluated in blocks of cell rows: first the i faces that
+    bound the block's cells, then the j faces of those cells.  An i face
+    row shared by two blocks is evaluated in both, from the same inputs,
+    so every cell takes the same operations whatever the block size.
+    """
     g = gas.gamma
-    rho, u, v, p = W
     ng = 1 if recon.order == 1 else 2
     if ws is None:
         ws = _workspace(grid, recon.order)
+    fields = _extend(W, grid, bc, ng, ws.fields)
+    sides = _block_sides(fields, recon, grid.h, g, step, ws.blocks)
     net = np.empty((4, grid.ni, grid.nj))
-
-    # i-direction sweep
-    fields = _extend_sweep(
-        rho, u, v, p, ng, bc["imin"], bc["imax"],
-        (grid.iface_nx[0], grid.iface_ny[0]),
-        (grid.iface_nx[-1], grid.iface_ny[-1]),
-        _take(ws.fields, (grid.ni + 2 * ng, grid.nj), "C"))
-    sides = _sweep_sides(fields, recon, grid.h, g, step, ws.blocks, "C")
-    _sweep_rows(net, sides, grid.iface_nx, grid.iface_ny, grid.iface_ds, g,
-                ws.blocks)
-
-    # j-direction sweep, on transposed views so the sweep axis is axis 0;
-    # its extended fields are Fortran-ordered, so each j line is contiguous
-    fields = _extend_sweep(
-        rho.T, u.T, v.T, p.T, ng, bc["jmin"], bc["jmax"],
-        (grid.jface_nx[:, 0], grid.jface_ny[:, 0]),
-        (grid.jface_nx[:, -1], grid.jface_ny[:, -1]),
-        _take(ws.fields, (grid.nj + 2 * ng, grid.ni), "F"))
-    sides = _sweep_sides(fields, recon, grid.h, g, step, ws.blocks, "F")
-    _sweep_lines(net.transpose(0, 2, 1), sides, grid.jface_nx.T,
-                 grid.jface_ny.T, grid.jface_ds.T, g, ws.blocks)
-
+    rows = _block_rows(grid)
+    for r0 in range(0, grid.ni, rows):
+        r1 = min(r0 + rows, grid.ni)
+        cells = net[:, r0:r1]
+        block = sides(r0, r1)
+        f = slice(r0, r1 + 1)            # the i faces of the cells
+        flux = _block_flux(*next(block), grid.iface_nx[f], grid.iface_ny[f],
+                           g, grid.iface_ds[f], ws.blocks)
+        np.subtract(flux[:, 1:], flux[:, :-1], out=cells)
+        f = slice(r0, r1)                # and their j faces
+        flux = _block_flux(*next(block), grid.jface_nx[f], grid.jface_ny[f],
+                           g, grid.jface_ds[f], ws.blocks)
+        cells += np.subtract(flux[:, :, 1:], flux[:, :, :-1],
+                             out=_take(ws.blocks[_TMP:_TMP + 4],
+                                       cells.shape[1:]))
     net /= -grid.area
     return net
 

@@ -95,7 +95,7 @@ class ReconstructionConfig:
     def __post_init__(self):
         if self.order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        if self.order == 2 and not self.limiter_k > 0.0:
+        if self.order == 2 and not 0.0 < self.limiter_k < np.inf:
             raise ValueError("limiter constant must be positive")
 
 

@@ -43,7 +43,7 @@ class GasModel:
     gamma: float = 1.4
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
+        if not 1.0 < self.gamma < math.inf:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
 
 

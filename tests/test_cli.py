@@ -120,6 +120,17 @@ def test_missing_case_is_a_config_error(capsys):
     (["--case", "wedge", "--grid", "0x5"], "grid must be at least 2x2"),
     (["--case", "sod", "--t-final", "nan"], "t-final must be positive"),
     (["--case", "wedge", "--t-final", "inf"], "t-final must be finite"),
+    # options that the run would ignore
+    (["--case", "wedge", "--scheme", "tvs"], "2D cases run zbs only"),
+    (["--case", "ramp", "--format", "eoc"], "format eoc is for 1D cases"),
+    (["--case", "smooth", "--format", "eoc", "--cells", "80"],
+     "format eoc sets its own cells, cfl and t-final"),
+    (["--case", "smooth", "--format", "eoc", "--cfl", "0.5"],
+     "format eoc sets its own cells, cfl and t-final"),
+    (["--case", "smooth", "--format", "eoc", "--t-final", "0.1"],
+     "format eoc sets its own cells, cfl and t-final"),
+    (["--case", "sod", "--grid", "40x4"], "grid is for 2D cases"),
+    (["--case", "shock-reflection", "--cells", "40"], "cells is for 1D cases"),
 ])
 def test_invalid_run_option_is_a_config_error(argv, message, capsys,
                                               monkeypatch):

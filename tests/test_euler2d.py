@@ -301,10 +301,12 @@ def test_free_stream_is_preserved_on_a_curvilinear_grid(gas):
 @pytest.mark.parametrize("order", [1, 2])
 def test_residual_does_not_depend_on_the_flux_block_size(order, gas,
                                                         monkeypatch):
-    """At order 1 adjacent i-sweep blocks share one cell row of face
-    sides, at order 2 they read the reconstructed face states; the j sweep
-    is blocked by whole lines.  A side row or line off by one at a block
-    edge changes the residual."""
+    """Blocks of cell rows evaluate the i faces that bound their cells,
+    so two adjacent blocks both evaluate the face row between them, then
+    the j faces of their cells.  At order 1 a block reads the face sides
+    of its cells and one extended row on either side, at order 2 the
+    reconstructed face states.  A side, face or flux row off by one at a
+    block edge changes the residual."""
     grid = half_cylinder_grid(12, 16)
     rng = np.random.default_rng(5)
     shape = grid.xc.shape
@@ -316,9 +318,31 @@ def test_residual_does_not_depend_on_the_flux_block_size(order, gas,
     recon = ReconstructionConfig(order)
     W = cons_to_prim_fields(U, gas.gamma)
     ref = residual_2d(W, grid, case.bc, recon, gas)
-    for faces in (1, 40, 10 ** 6):     # one face row, a few rows, one block
+    # one cell row, two rows, blocks of 5, 5 and 2 rows, one block
+    for faces in (1, 40, 5 * 17, 10 ** 6):
         monkeypatch.setattr(euler2d, "_BLOCK_FACES", faces)
         assert np.array_equal(residual_2d(W, grid, case.bc, recon, gas), ref)
+
+
+def test_first_order_face_sides_are_computed_once_per_cell(gas, monkeypatch):
+    """With one block, one first-order residual passes each cell and each
+    ghost (the corners included) to _face_sides once: (ni + 2) (nj + 2)
+    cells, where a separate sweep per direction passes
+    (ni + 2) nj + (nj + 2) ni."""
+    grid = half_cylinder_grid(12, 16)
+    face_sides, sizes = euler2d._face_sides, []
+
+    def counted(rho, *args):
+        sizes.append(rho.size)
+        return face_sides(rho, *args)
+
+    monkeypatch.setattr(euler2d, "_face_sides", counted)
+    shape = grid.xc.shape
+    W = (np.full(shape, 1.4), np.full(shape, 2.0), np.zeros(shape),
+         np.ones(shape))
+    residual_2d(W, grid, half_cylinder_case(mach=2.0).bc,
+                ReconstructionConfig(1), gas)
+    assert sum(sizes) == (grid.ni + 2) * (grid.nj + 2)
 
 
 @pytest.mark.parametrize("faces", [40, 8192])
@@ -329,8 +353,8 @@ def test_residual_matches_a_face_by_face_reference(order, faces, gas,
     -(1/A) times the sum of interface_flux_2d times the face length over
     the cell's four faces, each face taken from its vertices.  At order 2
     the face states are the MUSCL values of the two cells on either side.
-    A face side, flux buffer or sweep that reads another's storage changes
-    the residual."""
+    A face side, flux buffer or direction that reads another's storage
+    changes the residual."""
     monkeypatch.setattr(euler2d, "_BLOCK_FACES", faces)
     grid = half_cylinder_grid(9, 11)
     rng = np.random.default_rng(11)
@@ -461,8 +485,8 @@ def test_face_scan_reports_in_a_fixed_precedence(arrays, message, cell):
 def test_face_scan_names_the_grid_face_in_either_sweep(axis, face, gas):
     """A pressure dip at cell (2, 5) of a 6x9 grid, with a far larger
     neighbour above it along one direction, drives the limited value at
-    the dip's high face negative in that direction's sweep only.  Both
-    sweeps report the face by its grid index (i, j)."""
+    the dip's high face negative in that direction only.  Both
+    directions report the face by its grid index (i, j)."""
     grid = cartesian_grid(0.0, 1.0, 0.0, 1.5, 6, 9)
     p = np.ones((6, 9))
     p[2, 5] = 0.1

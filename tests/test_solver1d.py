@@ -40,7 +40,8 @@ def test_controls_validation():
         TimeControls(1.0, cfl=1.5)
 
 
-@pytest.mark.parametrize("limiter_k", [0.0, -0.1, float("nan")])
+@pytest.mark.parametrize("limiter_k", [0.0, -0.1, float("nan"),
+                                       float("inf")])
 def test_reconstruction_rejects_a_non_positive_limiter_constant_at_order_2(
         limiter_k):
     """Order 1 does not use the constant, so it accepts any."""

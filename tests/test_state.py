@@ -18,10 +18,12 @@ velocity = st.floats(min_value=-1e3, max_value=1e3,
 
 
 def test_gas_model_rejects_gamma_at_most_one():
-    with pytest.raises(ValueError):
-        GasModel(1.0)
-    with pytest.raises(ValueError):
-        GasModel(0.9)
+    """Nor a gamma that is not finite: an infinite one was accepted, and a
+    run then stopped at step 0 on a pressure of nan."""
+    for gamma in (1.0, 0.9, math.nan, math.inf):
+        with pytest.raises(ValueError) as err:
+            GasModel(gamma)
+        assert str(err.value) == f"gamma must exceed 1, got {gamma}"
 
 
 def test_total_energy_formula():
