@@ -3,10 +3,12 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpsfds import cli, euler2d
 from cpsfds.state import GasModel
@@ -97,13 +99,17 @@ def test_unknown_case_is_a_config_error(capsys):
     assert "unknown case" in capsys.readouterr().err
 
 
-def test_module_runs_the_cli_from_a_plain_checkout():
+def checkout_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    return dict(os.environ,
+                PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+
+
+def test_module_runs_the_cli_from_a_plain_checkout():
     done = subprocess.run([sys.executable, "-m", "cpsfds", "list-cases"],
-                          env=env, capture_output=True, text=True,
+                          env=checkout_env(), capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == cli.EXIT_OK, done.stderr
     assert "half-cylinder" in done.stdout
@@ -131,6 +137,11 @@ def test_missing_case_is_a_config_error(capsys):
      "format eoc sets its own cells, cfl and t-final"),
     (["--case", "sod", "--grid", "40x4"], "grid is for 2D cases"),
     (["--case", "shock-reflection", "--cells", "40"], "cells is for 1D cases"),
+    (["--case", "wedge", "--grid", "40"], "grid must be NIxNJ, got '40'"),
+    (["--case", "wedge", "--grid", "40x"], "grid must be NIxNJ, got '40x'"),
+    (["--case", "wedge", "--grid", "x40"], "grid must be NIxNJ, got 'x40'"),
+    (["--case", "wedge", "--grid", "40x4x2"],
+     "grid must be NIxNJ, got '40x4x2'"),
 ])
 def test_invalid_run_option_is_a_config_error(argv, message, capsys,
                                               monkeypatch):
@@ -199,6 +210,156 @@ def test_2d_csv_matches_a_per_cell_rendering(tmp_path, monkeypatch):
             lines.append(",".join(f"{q[i, j]:.16e}" for q in
                                   (grid.xc, grid.yc, rho, u, v, p)))
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--case", "sod", "--cells", "50"],
+    ["--case", "half-cylinder", "--grid", "10x12", "--t-final", "0.05"],
+])
+def test_stdout_holds_the_bytes_of_the_out_file(argv, tmp_path):
+    out = tmp_path / "run.csv"
+    assert run_main(["run"] + argv + ["--out", str(out)]) == cli.EXIT_OK
+    done = subprocess.run([sys.executable, "-m", "cpsfds", "run"] + argv,
+                          env=checkout_env(), capture_output=True,
+                          timeout=120)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert done.stdout == out.read_bytes()
+
+
+# --------------------------------------------------------------------------
+# the CSV renderer against "%.16e"
+
+def percent_rows(table):
+    """The oracle of cli._render_rows: every value through "%.16e", joined
+    by "," within a row, each row ended by a newline."""
+    rows, cols = table.shape
+    row = ",".join(["%.16e"] * cols) + "\n"
+    return row * rows % tuple(table.ravel().tolist())
+
+
+def assert_renders_as_percent(values, cols=1):
+    table = np.asarray(values, dtype=np.float64).reshape(-1, cols)
+    for k in range(0, len(table), cli._CSV_CHUNK_ROWS):
+        chunk = table[k:k + cli._CSV_CHUNK_ROWS]
+        assert cli._render_rows(chunk) == percent_rows(chunk)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                          allow_subnormal=True), min_size=1, max_size=24),
+       st.integers(1, 6))
+def test_renderer_matches_percent_format_on_any_float(values, cols):
+    values += [0.0] * (-len(values) % cols)
+    assert_renders_as_percent(values, cols)
+
+
+def test_renderer_matches_percent_format_on_random_bit_patterns():
+    """10**6 patterns of both signs: the first half with any exponent, the
+    second with binary exponents in [-330, 330], all in the range of the
+    vectorized path, so that fewer take the one-at-a-time fallback."""
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64)
+    half = bits[len(bits) // 2:]
+    half &= ~np.uint64(0x7ff << 52)
+    half |= rng.integers(1023 - 330, 1023 + 331, len(half),
+                         dtype=np.uint64) << np.uint64(52)
+    assert_renders_as_percent(bits.view(np.float64), cols=8)
+
+
+def test_renderer_matches_percent_format_on_exact_ties():
+    """n 2**-18 for odd n with 18 digits in n 5**18 ends in a 5 after the
+    17th significant digit: "%.16e" rounds it half to even."""
+    n = np.arange(26215, 262144, 2)
+    assert len(str(n[0] * 5**18)) == len(str(n[-1] * 5**18)) == 18
+    ties = n / 2.0**18
+    assert "%.16e" % ties[(100001 - 26215) // 2] == "3.8147354125976562e-01"
+    assert_renders_as_percent(np.stack([ties, np.nextafter(ties, 0.0),
+                                        np.nextafter(ties, 1.0)], axis=1),
+                              cols=3)
+
+
+# Doubles x = m 2**e whose 17-digit scaled value x 10**(16 - k) lies within
+# 1e-17 of a half-integer without being one.  For each of 40 exponents k,
+# the smallest m in [2**52, 2**53) with m 2**e 10**(16 - k) mod 1 in that
+# window, found by the Euclid-like search for the least m with (A m mod M)
+# in [L, R].  The double-double product misrounds 20 of them; they pass only
+# through the fallback for near-ties.
+NEAR_TIES = [
+    2.5041072873102316e-54, 2.5041072873102316e-55, 3.582104527464823e-90,
+    1.9736279758088171e-94, 1.5456026235604067e-104, 2.1099821240873298e-127,
+    1.190576090315835e-134, 2.757512541618499e-145, 1.6619261593183327e-197,
+    2.7698769321972212e-198, 2.3660281387116354e-219, 2.3660281387116354e-220,
+    1.7020633919039689e-224, 1.7020633919039689e-225, 2.2134216087109993e-229,
+    2.0398802919148655e-239, 3.3213314465291107e-251, 2.1275773745467462e-262,
+    2.8976678011269906e-269, 2.5402663160941524e-278, 2.2176152941026023e+278,
+    2.5229794357925416e+268, 2.0016975267369384e+256, 2.1569089501761704e+249,
+    2.7068323819784194e+247, 2.3045993857310316e+238, 2.734714798292607e+237,
+    1.8815693447568785e+234, 2.5963366618376985e+231, 2.3311886550274038e+226,
+    1.8437873064311797e+209, 2.711176770832212e+162, 2.711176770832212e+160,
+    3.2162273618468162e+156, 2.976184616299706e+153, 1.8229376589239845e+142,
+    3.7535332682022824e+115, 2.408349954083754e+107, 2.253360749459095e+85,
+    3.425598997614725e+81,
+]
+
+
+def test_renderer_matches_percent_format_next_to_ties():
+    assert_renders_as_percent(NEAR_TIES + [-x for x in NEAR_TIES], cols=4)
+
+
+def test_renderer_matches_percent_format_next_to_powers_of_ten():
+    """Rounding to 17 digits may carry into the next decade: the double
+    nearest 1e-14 lies below 10**-14 and is written 1.0000000000000000e-14.
+    """
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)]
+                      + [9.99999999999999999e5, 9.99999999999999999e-101,
+                         9.99999999999999999e99])
+    values = [powers]
+    down = up = powers
+    for _ in range(2):
+        down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+        values += [down, up]
+    values = np.concatenate(values)
+    assert_renders_as_percent(np.concatenate([values, -values]))
+    assert cli._render_rows(np.array([[1e-14, 9.99999999999999999e5]])) \
+        == "1.0000000000000000e-14,1.0000000000000000e+06\n"
+
+
+def test_renderer_matches_percent_format_at_the_extremes():
+    extremes = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                0.0, np.inf, np.nan]
+    assert_renders_as_percent(extremes + [-v for v in extremes], cols=4)
+
+
+def csv_peak_beyond_table(n):
+    """Peak bytes traced while draining cli._csv over six n x n columns,
+    less the stacked (n * n, 6) table."""
+    columns = np.random.default_rng(5).standard_normal((6, n, n))
+    cli._render_tables()
+    tracemalloc.start()
+    try:
+        for _ in cli._csv(["x,y,rho,u,v,p"], columns):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - columns.nbytes
+
+
+def test_csv_memory_is_bounded_by_one_chunk():
+    """Rendering holds one chunk's work arrays at a time, never a table's."""
+    small, large = csv_peak_beyond_table(100), csv_peak_beyond_table(400)
+    assert large < 8e6
+    assert large < small + 0.5e6
+
+
+def test_import_builds_no_render_tables():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import cpsfds.cli as c; print(c._render_tables.cache_info()"
+         ".currsize)"],
+        env=checkout_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
 
 
 def test_run_has_no_seed_option(capsys):
