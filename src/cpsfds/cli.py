@@ -18,7 +18,7 @@ import numpy as np
 from . import bench1d, euler2d, exact_riemann, fds1d, splittings
 from .fds1d import SchemeKind
 from .solver1d import MIN_CELLS, SolverBlowUp, check_cfl, check_t_final
-from .state import GasModel, PrimitiveState, physical_flux, prim_to_cons, \
+from .state import GasModel, PrimitiveState, physical_flux, \
     prim_to_cons_arrays
 
 EXIT_OK = 0
@@ -324,7 +324,8 @@ def _suite_algebra(seed, n=200):
             worst_free = max(worst_free, splittings.verify_jordan(A, es)
                              / max(1.0, float(np.max(np.abs(A)))))
         wb = splittings.face_average(w, wR)
-        dU = prim_to_cons(wR, gas) - prim_to_cons(w, gas)
+        dU = (prim_to_cons_arrays(wR, gas.gamma)
+              - prim_to_cons_arrays(w, gas.gamma))
         central = 0.5 * (physical_flux(w, gas) + physical_flux(wR, gas))
         for scheme, kind in (
                 (SchemeKind.ZBS_FDS, splittings.SplittingKind.ZHA_BILGEN),
@@ -363,7 +364,8 @@ def _suite_algebra(seed, n=200):
     worst = 0.0
     for m in (1.5, 2.0, 5.0, 10.0, 100.0):
         wl, wr = bench1d.steady_shock_states(m, gas)
-        scale = max(prim_to_cons(w, gas)[2] for w in (wl, wr))   # rho E
+        scale = max(prim_to_cons_arrays(w, gas.gamma)[2]    # rho E
+                    for w in (wl, wr))
         worst = max(worst, abs(bench1d.error3(wl, wr, gas)) / scale)
     checks.append(("steady-shock jump identity", worst <= 1e-12,
                    f"max scaled residual {worst:.2e}"))
@@ -456,6 +458,8 @@ def verify(suite: str, seed: int = 0) -> int:
 # argument handling
 
 def _read_config_file(path):
+    """The key=value lines of a config file.  A key is a run option's dest
+    or its flag without the dashes (t_final or t-final, fmt or format)."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -465,7 +469,8 @@ def _read_config_file(path):
             if "=" not in line:
                 raise ValueError(f"malformed config line: {line!r}")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key = key.strip().replace("-", "_")
+            values["fmt" if key == "format" else key] = val.strip()
     return values
 
 

@@ -239,8 +239,10 @@ def _flux_2d_kernel(rL, uL, vL, pL, rR, uR, vR, pR, nx, ny, gamma,
 
 def interface_flux_2d(wL: Prim2D, wR: Prim2D, geom: FaceGeometry,
                       gas: GasModel) -> np.ndarray:
-    wL.require_physical()
-    wR.require_physical()
+    """Flux of (rho, rho u, rho v, rho E) across one face, per unit face
+    length: `_flux_2d_kernel` on one-element arrays, at the unit normal of
+    geom.  geom.ds is not applied; a caller wanting the flux through the
+    face multiplies by it."""
     return _flux_2d_kernel(
         *(np.array([q]) for w in (wL, wR) for q in w),
         geom.n_x, geom.n_y, gas.gamma)[:, 0]
@@ -276,11 +278,12 @@ class BoundarySpec:
     state: Optional[Prim2D] = None
 
     def __post_init__(self):
-        fixed = (Bc2DKind.SUPERSONIC_INFLOW, Bc2DKind.POST_SHOCK_DIRICHLET)
-        if self.kind in fixed and self.state is None:
+        fixed = self.kind in (Bc2DKind.SUPERSONIC_INFLOW,
+                              Bc2DKind.POST_SHOCK_DIRICHLET)
+        if fixed and self.state is None:
             raise ValueError(f"{self.kind.value} needs a fixed state")
-        if self.state is not None:
-            self.state.require_physical()
+        if not fixed and self.state is not None:
+            raise ValueError(f"{self.kind.value} reads no state")
 
 
 def _ghost_layers(rho, u, v, p, spec: BoundarySpec, ng, low, nxb, nyb, out):

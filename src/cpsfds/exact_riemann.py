@@ -71,8 +71,6 @@ def _star_density(p_star, wk: PrimitiveState, gas: GasModel):
 
 def solve_star(wL: PrimitiveState, wR: PrimitiveState, gas: GasModel,
                tol: float = 1e-12, max_iter: int = 100) -> StarState:
-    wL.require_physical()
-    wR.require_physical()
     g = gas.gamma
     aL, aR = sound_speed(wL, gas), sound_speed(wR, gas)
     if 2.0 * (aL + aR) / (g - 1.0) <= wR.u - wL.u:

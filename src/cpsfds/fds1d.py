@@ -32,8 +32,6 @@ class SchemeKind(enum.Enum):
 def interface_flux(scheme: SchemeKind, wL: PrimitiveState, wR: PrimitiveState,
                    gas: GasModel) -> np.ndarray:
     """Flux across one face: `interface_flux_batch` on one-element arrays."""
-    wL.require_physical()
-    wR.require_physical()
     return interface_flux_batch(
         scheme, *(np.array([q]) for w in (wL, wR) for q in w),
         gas.gamma)[:, 0]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .state import GasModel, Prim2D, PrimitiveState, prim_to_cons, \
+from .state import GasModel, Prim2D, PrimitiveState, prim_to_cons_arrays, \
     sound_speed, total_energy
 
 
@@ -65,7 +65,6 @@ class EigenSystem:
 
 def split_flux(kind: SplittingKind, w: PrimitiveState,
                gas: GasModel) -> SplitFlux:
-    w.require_physical()
     g = gas.gamma
     rho, u, p = w.rho, w.u, w.p
     E = total_energy(w, gas)
@@ -83,7 +82,6 @@ def split_flux(kind: SplittingKind, w: PrimitiveState,
 
 def convection_jacobian(kind: SplittingKind, w: PrimitiveState,
                         gas: GasModel) -> np.ndarray:
-    w.require_physical()
     g = gas.gamma
     u = w.u
     E = total_energy(w, gas)
@@ -109,7 +107,6 @@ def convection_jacobian(kind: SplittingKind, w: PrimitiveState,
 
 def pressure_jacobian(kind: SplittingKind, w: PrimitiveState,
                       gas: GasModel) -> np.ndarray:
-    w.require_physical()
     g = gas.gamma
     u = w.u
     a2 = g * w.p / w.rho
@@ -139,7 +136,6 @@ def convection_eigensystem(kind: SplittingKind, w: PrimitiveState,
     x1, x3 are the arbitrary constants in the generalized eigenvectors; every
     scheme output downstream is independent of them.
     """
-    w.require_physical()
     g = gas.gamma
     u = w.u
     E = total_energy(w, gas)
@@ -167,7 +163,6 @@ def convection_eigensystem(kind: SplittingKind, w: PrimitiveState,
 
 def pressure_eigensystem(kind: SplittingKind, w: PrimitiveState,
                          gas: GasModel) -> EigenSystem:
-    w.require_physical()
     g = gas.gamma
     u = w.u
     a = sound_speed(w, gas)
@@ -222,9 +217,8 @@ def face_geometry(a, b) -> FaceGeometry:
 
 def split_flux_2d(w: Prim2D, geom: FaceGeometry, gas: GasModel) -> SplitFlux:
     """Normal-flux split F = u_perp U + (0, p n_x, p n_y, p u_perp)."""
-    w.require_physical()
     up = w.u * geom.n_x + w.v * geom.n_y
-    fc = up * prim_to_cons(w, gas)
+    fc = up * prim_to_cons_arrays(w, gas.gamma)
     fp = np.array([0.0, w.p * geom.n_x, w.p * geom.n_y, w.p * up])
     return SplitFlux(fc, fp)
 
@@ -232,17 +226,15 @@ def split_flux_2d(w: Prim2D, geom: FaceGeometry, gas: GasModel) -> SplitFlux:
 def convection_jacobian_2d(w: Prim2D, geom: FaceGeometry,
                            gas: GasModel) -> np.ndarray:
     """d(u_perp U)/dU = u_perp I + U (grad u_perp)^T."""
-    w.require_physical()
     nx, ny = geom.n_x, geom.n_y
     up = w.u * nx + w.v * ny
-    U = prim_to_cons(w, gas)
+    U = prim_to_cons_arrays(w, gas.gamma)
     grad = np.array([-up, nx, ny, 0.0]) / w.rho
     return up * np.eye(4) + np.outer(U, grad)
 
 
 def pressure_jacobian_2d(w: Prim2D, geom: FaceGeometry,
                          gas: GasModel) -> np.ndarray:
-    w.require_physical()
     g = gas.gamma
     nx, ny = geom.n_x, geom.n_y
     u, v = w.u, w.v
@@ -267,10 +259,9 @@ def convection_eigensystem_2d(w: Prim2D, geom: FaceGeometry, gas: GasModel,
     n_x x2 + n_y x3 = 1 + u_perp x1; the free parameters (x1, tangential
     component xt, x4) never reach the scheme.
     """
-    w.require_physical()
     nx, ny = geom.n_x, geom.n_y
     up = w.u * nx + w.v * ny
-    head = prim_to_cons(w, gas) / w.rho      # (1, u, v, E)
+    head = prim_to_cons_arrays(w, gas.gamma) / w.rho   # (1, u, v, E)
     c = 1.0 + up * x1
     gen = np.array([x1, c * nx - xt * ny, c * ny + xt * nx, x4])
     vecs = np.column_stack([
@@ -290,7 +281,6 @@ def pressure_eigensystem_2d(w: Prim2D, geom: FaceGeometry,
     where the basis is singular and upwind_dissipation cannot invert it;
     the flux never uses that vector (zero eigenvalue).
     """
-    w.require_physical()
     g = gas.gamma
     nx, ny = geom.n_x, geom.n_y
     u, v = w.u, w.v
@@ -316,8 +306,6 @@ def face_average(wL, wR):
     sqrt(rho), and p_bar = rho_bar mean(p/rho).  a^2 = gamma p/rho is thus
     weighted like p/rho, and gamma cancels.
     """
-    wL.require_physical()
-    wR.require_physical()
     sL, sR = math.sqrt(wL.rho), math.sqrt(wR.rho)
 
     def mean(qL, qR):

@@ -49,12 +49,14 @@ class GasModel:
 
 class _PrimitiveFields:
     """Shared by the primitive states: the fields (rho, velocity
-    components..., p), iterated in that order."""
+    components..., p), iterated in that order.  A state is physical by
+    construction: building one with a field that is not finite, or a rho
+    or p that is not positive, raises NonPhysicalStateError."""
 
     def __iter__(self):
         return (getattr(self, f.name) for f in fields(self))
 
-    def require_physical(self):
+    def __post_init__(self):
         if not (self.rho > 0.0 and self.p > 0.0
                 and all(math.isfinite(q) for q in self)):
             raise NonPhysicalStateError("non-physical primitive state",
@@ -85,21 +87,13 @@ def total_energy(w: PrimitiveState, gas: GasModel) -> float:
     return w.p / (w.rho * (gas.gamma - 1.0)) + 0.5 * w.u * w.u
 
 
-def prim_to_cons(w: PrimitiveState | Prim2D, gas: GasModel) -> np.ndarray:
-    """(rho, momenta..., rho E) of one PrimitiveState or Prim2D."""
-    w.require_physical()
-    return prim_to_cons_arrays(w, gas.gamma)
-
-
 def sound_speed(w: PrimitiveState, gas: GasModel) -> float:
     """a = sqrt(gamma p / rho)."""
-    w.require_physical()
     return math.sqrt(gas.gamma * w.p / w.rho)
 
 
 def physical_flux(w: PrimitiveState, gas: GasModel) -> np.ndarray:
     """Unsplit Euler flux (rho u, p + rho u^2, p u + rho u E)."""
-    w.require_physical()
     E = total_energy(w, gas)
     return np.array([
         w.rho * w.u,

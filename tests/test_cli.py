@@ -175,6 +175,19 @@ def test_config_file_is_read_and_flags_win(tmp_path):
     assert len(out.read_text().strip().split("\n")) == 61   # flag overrode 40
 
 
+def test_config_file_reads_keys_spelled_as_flags(tmp_path):
+    """format= and t-final= were ignored: the run wrote CSV and ran to the
+    case's own t_final."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case=half-cylinder\ngrid=10x12\nformat=report\n"
+                   "t-final=0.01\n")
+    out = tmp_path / "out.txt"
+    assert run_main(["run", "--config", str(cfg), "--out", str(out)]) \
+        == cli.EXIT_OK
+    assert out.read_text().startswith("case=half-cylinder grid=10x12 ")
+    assert out.read_text().endswith(" t=0.010000\n")
+
+
 def test_malformed_config_file_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("case sod\n")

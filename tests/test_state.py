@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpsfds.state import (GasModel, PrimitiveState, Prim2D,
-                          NonPhysicalStateError, prim_to_cons, sound_speed,
+                          NonPhysicalStateError, sound_speed,
                           physical_flux, total_energy, prim_to_cons_arrays,
                           cons_to_prim_arrays)
 
@@ -83,7 +83,7 @@ def test_prim_cons_round_trip(W, data):
     cell = np.unravel_index(k, shape)
     state = (PrimitiveState if len(W) == 3 else Prim2D)(*W[(...,) + cell])
     column = U[(...,) + cell]
-    assert np.array_equal(prim_to_cons(state, gas), column)
+    assert np.array_equal(prim_to_cons_arrays(state, gas.gamma), column)
     assert np.array_equal(cons_to_prim_arrays(column, gas.gamma),
                           back[(...,) + cell])
 
@@ -110,15 +110,35 @@ def test_physical_flux_components():
 
 def test_nonphysical_states_raise_with_diagnostics():
     gas = GasModel(1.4)
-    for w in (PrimitiveState(-1.0, 0.0, 1.0), PrimitiveState(1.0, 0.0, 0.0),
-              Prim2D(1.0, 0.0, 0.0, -1.0), Prim2D(1.0, math.inf, 0.0, 1.0)):
+    for cls, w in ((PrimitiveState, (-1.0, 0.0, 1.0)),
+                   (PrimitiveState, (1.0, 0.0, 0.0)),
+                   (Prim2D, (1.0, 0.0, 0.0, -1.0)),
+                   (Prim2D, (1.0, math.inf, 0.0, 1.0))):
         with pytest.raises(NonPhysicalStateError,
                            match="non-physical primitive state"):
-            w.require_physical()
+            cls(*w)
     with pytest.raises(NonPhysicalStateError) as err:
         cons_to_prim_arrays(np.array([1.0, 10.0, 1.0]), gas.gamma, step=3)
     assert err.value.cell == ()
     assert err.value.step == 3
+
+
+@pytest.mark.parametrize("cls", [PrimitiveState, Prim2D])
+def test_states_are_physical_by_construction(cls):
+    """A field that is not finite, or a rho or p that is not positive: no
+    state is made, and the error carries rho and p."""
+    good = (2.0, 0.5, 3.0) if cls is PrimitiveState else (2.0, 0.5, -0.5, 3.0)
+    assert tuple(cls(*good)) == good
+    bad = [(k, q) for k in range(len(good))
+           for q in (math.nan, math.inf, -math.inf)]
+    bad += [(k, q) for k in (0, len(good) - 1) for q in (0.0, -1.0)]
+    for k, q in bad:
+        w = list(good)
+        w[k] = q
+        with pytest.raises(NonPhysicalStateError,
+                           match="non-physical primitive state") as err:
+            cls(*w)
+        np.testing.assert_equal((err.value.rho, err.value.p), (w[0], w[-1]))
 
 
 def test_cons_to_prim_rejects_nan_density():
@@ -141,7 +161,8 @@ def test_array_kernels_match_scalar_api(rng):
     U = prim_to_cons_arrays((rho, u, p), gas.gamma)
     for i in range(rho.size):
         w = PrimitiveState(rho[i], u[i], p[i])
-        np.testing.assert_allclose(U[:, i], prim_to_cons(w, gas), rtol=1e-14)
+        np.testing.assert_allclose(U[:, i], prim_to_cons_arrays(w, gas.gamma),
+                                   rtol=1e-14)
     r2, u2, p2 = cons_to_prim_arrays(U, gas.gamma)
     np.testing.assert_allclose(r2, rho, rtol=1e-14)
     np.testing.assert_allclose(u2, u, rtol=1e-12, atol=1e-12)
