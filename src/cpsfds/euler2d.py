@@ -282,6 +282,9 @@ class BoundarySpec:
                               Bc2DKind.POST_SHOCK_DIRICHLET)
         if fixed and self.state is None:
             raise ValueError(f"{self.kind.value} needs a fixed state")
+        if fixed and not isinstance(self.state, Prim2D):
+            raise TypeError(f"{self.kind.value} needs a Prim2D state, got "
+                            f"{type(self.state).__name__}")
         if not fixed and self.state is not None:
             raise ValueError(f"{self.kind.value} reads no state")
 
@@ -352,8 +355,14 @@ def check_grid_shape(ni, nj):
 
 def compute_dt_2d(rho, u, v, p, grid: StructuredGrid2D, gas: GasModel,
                   cfl: float) -> float:
-    """cfl times the smallest area / sum over the cell's four faces of
-    (|u . n| + a) ds, with the cell's own state: a P + sum |u . n| ds."""
+    """The standard unsplit time step: cfl times the smallest area / (L_i
+    + L_j), with the cell's own state and L_i, L_j the spectral radii of
+    the i and j directions, each (|u . n| + a) ds averaged over that
+    direction's two faces.  L_i + L_j is half the sum over the cell's four
+    faces, 0.5 (a P + sum |u . n| ds).  On a Cartesian cell this is
+    cfl / ((|u| + a)/dx + (|v| + a)/dy), the 2D analogue of 1D compute_dt;
+    cfl = 0.5 is linearly stable for first-order ZBS (its limit at rest is
+    0.80)."""
     tot = np.multiply(gas.gamma, p)      # a = sqrt(gamma p / rho), in place
     tot /= rho
     np.sqrt(tot, out=tot)
@@ -374,6 +383,7 @@ def compute_dt_2d(rho, u, v, p, grid: StructuredGrid2D, gas: GasModel,
         np.abs(un, out=un)
         un *= ds
         tot += un
+    tot *= 0.5          # L_i + L_j; a power of two, so exact
     np.divide(grid.area, tot, out=tot)
     return cfl * float(np.min(tot))
 

@@ -18,7 +18,7 @@ from cpsfds.euler2d import (StructuredGrid2D, cartesian_grid, ramp_grid,
 from cpsfds.solver1d import ReconstructionConfig, SolverBlowUp, \
     TimeControls, muscl_reconstruct
 from cpsfds.state import GasModel, NonPhysicalStateError, Prim2D, \
-    check_faces, prim_to_cons_arrays
+    PrimitiveState, check_faces, prim_to_cons_arrays
 from cpsfds.splittings import (FaceGeometry, face_geometry, split_flux_2d,
                                convection_jacobian_2d, pressure_jacobian_2d,
                                convection_eigensystem_2d,
@@ -243,8 +243,9 @@ def test_interface_flux_2d_is_rotationally_invariant(left, right, phi, theta):
                                   ramp_grid(0.0, 3.0, 1.0, 10, 7, 0.5, 15.0)],
                          ids=["half-cylinder", "ramp"])
 def test_time_step_matches_a_face_by_face_reference(grid, gas, rng):
-    """dt = cfl min over cells of area / sum over the four faces of
-    (|u . n| + a) ds, with n and ds taken from the vertices of each face."""
+    """dt = cfl min over cells of area / (half the sum over the four faces
+    of (|u . n| + a) ds), with n and ds taken from the vertices of each
+    face: the standard unsplit bound area / (L_i + L_j)."""
     shape = (grid.ni, grid.nj)
     rho = 10.0 ** rng.uniform(-1.0, 1.0, shape)
     u, v = rng.uniform(-5.0, 5.0, shape), rng.uniform(-5.0, 5.0, shape)
@@ -262,14 +263,31 @@ def test_time_step_matches_a_face_by_face_reference(grid, gas, rng):
                 f = face_geometry((x0, y0), (x1, y1))
                 total += (abs(u[i, j] * f.n_x + v[i, j] * f.n_y) + a) * f.ds
                 area += 0.5 * (x0 * y1 - x1 * y0)
-            want = min(want, cfl * area / total)
+            want = min(want, cfl * area / (0.5 * total))
+    got = compute_dt_2d(rho, u, v, p, grid, gas, cfl)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_time_step_on_a_cartesian_grid_is_the_standard_unsplit_bound(gas,
+                                                                     rng):
+    """On rectangular cells dt = cfl min over cells of
+    1 / ((|u| + a)/dx + (|v| + a)/dy), the 2D analogue of 1D compute_dt."""
+    grid = cartesian_grid(-0.5, 1.0, 0.2, 0.6, 11, 7)
+    shape = (grid.ni, grid.nj)
+    rho = 10.0 ** rng.uniform(-1.0, 1.0, shape)
+    u, v = rng.uniform(-5.0, 5.0, shape), rng.uniform(-5.0, 5.0, shape)
+    p = 10.0 ** rng.uniform(-1.0, 1.0, shape)
+    a = np.sqrt(gas.gamma * p / rho)
+    dx = np.diff(grid.xv[:, 0])[:, None]
+    dy = np.diff(grid.yv[0, :])[None, :]
+    cfl = 0.5
+    want = cfl * np.min(1.0 / ((np.abs(u) + a) / dx + (np.abs(v) + a) / dy))
     got = compute_dt_2d(rho, u, v, p, grid, gas, cfl)
     assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_interface_flux_reduces_to_1d_along_the_x_axis(gas, rng):
     from cpsfds.fds1d import SchemeKind, interface_flux
-    from cpsfds.state import PrimitiveState
     geom = FaceGeometry(1.0, 0.0, 1.0)
     for _ in range(50):
         rL, uL, pL = 10.0 ** rng.uniform(-1, 1), rng.uniform(-5, 5), \
@@ -515,6 +533,29 @@ def test_boundary_spec_rejects_a_non_physical_fixed_state(state):
             BoundarySpec(kind, Prim2D(*state))
 
 
+def test_boundary_spec_rejects_a_1d_fixed_state(gas):
+    """A 1D PrimitiveState used to zip its three fields into the four
+    ghost fields: p landed in v and the ghost p was never written.  On a
+    4x4 box at rest with a supersonic inflow at imin, PrimitiveState(2,
+    0.5, 3) gave cell (0, 0) the residual (2.59, 2.34, 9.51, 18.39) without
+    an error; Prim2D(2, 0.5, 0, 3) gives the one below."""
+    for kind in (Bc2DKind.POST_SHOCK_DIRICHLET, Bc2DKind.SUPERSONIC_INFLOW):
+        with pytest.raises(TypeError) as err:
+            BoundarySpec(kind, PrimitiveState(2.0, 0.5, 3.0))
+        assert str(err.value) == \
+            f"{kind.value} needs a Prim2D state, got PrimitiveState"
+    grid = cartesian_grid(0.0, 1.0, 0.0, 1.0, 4, 4)
+    bc = {k: BoundarySpec(Bc2DKind.SLIP_WALL) for k in ("imax", "jmin",
+                                                         "jmax")}
+    bc["imin"] = BoundarySpec(Bc2DKind.SUPERSONIC_INFLOW,
+                              Prim2D(2.0, 0.5, 0.0, 3.0))
+    W = np.stack([np.ones((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)),
+                  np.ones((4, 4))])
+    R = residual_2d(W, grid, bc, ReconstructionConfig(1), gas)
+    np.testing.assert_allclose(R[:, 0, 0], [2.58579, 6.60280, 0.0, 21.3146],
+                               rtol=1e-5, atol=1e-14)
+
+
 @pytest.mark.parametrize("kind", [Bc2DKind.SLIP_WALL,
                                   Bc2DKind.SUPERSONIC_OUTFLOW])
 def test_boundary_spec_rejects_a_state_its_kind_reads_not(kind):
@@ -639,16 +680,16 @@ def test_order_1_slip_walls_conserve_on_curvilinear_grids(ni, nj, ramp,
 
 
 @pytest.mark.parametrize("name,steps,mass,energy,flux", [
-    ("ramp", 56, 7.5312e-5, 1.07845e-4, 2.7466e-5),
-    ("half-cylinder", 20, -4.7315e-5, -6.6621e-5, 1.17665e-3),
-])
+    ("ramp", 28, 7.5390e-5, 1.07948e-4, 2.7466e-5),
+    ("half-cylinder", 10, -4.6401e-5, -6.5300e-5, 1.17665e-3),
+], ids=["ramp", "half-cylinder"])
 def test_second_order_slip_walls_leak_on_curvilinear_grids(
         name, steps, mass, energy, flux, gas):
     """A pinned defect: at order 2, four slip walls that are not all
     axis-aligned let mass and energy through.  Measured over the march of
     the box (relative drift of the totals): the 15-degree ramp leaks 7.5e-5
-    of its mass and 1.1e-4 of its energy in 56 steps, the half cylinder
-    -4.7e-5 and -6.7e-5 in 20 steps.  A single order-2 residual_2d of the
+    of its mass and 1.1e-4 of its energy in 28 steps, the half cylinder
+    -4.6e-5 and -6.5e-5 in 10 steps.  A single order-2 residual_2d of the
     initial field already has a net mass flux (sum of area * R_rho) of
     2.7e-5 on the ramp and 1.2e-3 on the half cylinder; at order 1 both
     are below 1e-16, and on the same ramp grid at 0 degrees order 2 gives
@@ -695,11 +736,11 @@ def test_half_cylinder_coarse_run_is_physical(gas):
 
 
 def test_second_order_half_cylinder_blows_up_at_the_wall_outflow_corner(gas):
-    """Pins a known defect (ROADMAP item 4): at order 2 the default half
+    """Pins a known defect (ROADMAP item 3): at order 2 the default half
     cylinder (M6, 45x45) loses positivity in cell (44, 0), where the body
     slip wall meets the j-outflow boundary.  The diagnostic names the cell
     with plain integers.  A remedy for that item changes this test."""
     with pytest.raises(SolverBlowUp) as err:
         run_case_2d(half_cylinder_case(), gas, order=2)
-    assert (err.value.step, err.value.cell) == (104, (44, 0))
+    assert (err.value.step, err.value.cell) == (52, (44, 0))
     assert "cell (44, 0)" in str(err.value)

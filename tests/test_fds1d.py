@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_pair, wave_scale
 
+from cpsfds import euler2d
 from cpsfds.fds1d import SchemeKind, interface_flux, interface_flux_batch
 from cpsfds.splittings import (SplittingKind, split_flux, face_average,
                                convection_eigensystem, pressure_eigensystem,
@@ -179,3 +180,57 @@ def test_zbs_is_linearly_unstable_at_the_default_cfl_and_tvs_is_not(u0):
     ZBS limit."""
     assert amplification_radius(SchemeKind.ZBS_FDS, u0, 0.8) > 1.0 + 1e-3
     assert amplification_radius(SchemeKind.TVS_FDS, u0, 0.8) <= 1.0 + 1e-9
+
+
+def amplification_radius_2d(w, cfl, gamma=1.4):
+    """Largest spectral radius, over a 96 x 96 grid of wavenumbers
+    (kx, ky) in [0, 2 pi)^2, of one first-order forward-Euler step of the
+    2D scheme on unit square cells, linearized about the uniform state
+    w = (rho, u, v, p), with dt from compute_dt_2d at cfl.  The face
+    Jacobians A_L, A_R of the x and the y faces are central differences of
+    euler2d._flux_2d_kernel in conserved variables, and the step's symbol
+    is G = I - dt (S_x(kx) + S_y(ky)), S(k) = A_L + A_R e^ik - A_L e^-ik
+    - A_R."""
+    U0 = prim_to_cons_arrays(w, gamma)
+    h = 1e-6
+    base = np.repeat(U0[:, None], 8, axis=1)
+    bumped = base + np.hstack([h * np.eye(4), -h * np.eye(4)])
+
+    def face_jacobian(UL, UR, nx, ny):
+        F = euler2d._flux_2d_kernel(*cons_to_prim_arrays(UL, gamma),
+                                    *cons_to_prim_arrays(UR, gamma),
+                                    nx, ny, gamma)
+        return (F[:, :4] - F[:, 4:]) / (2.0 * h)
+
+    def symbol(nx, ny, k):
+        A_L = face_jacobian(bumped, base, nx, ny)
+        A_R = face_jacobian(base, bumped, nx, ny)
+        z = np.exp(1j * k)[..., None, None]
+        return A_L + A_R * z - A_L / z - A_R
+
+    grid = euler2d.cartesian_grid(0.0, 2.0, 0.0, 2.0, 2, 2)
+    fields = [np.full((2, 2), q) for q in w]
+    dt = euler2d.compute_dt_2d(*fields, grid, GasModel(gamma), cfl)
+    k = np.linspace(0.0, 2.0 * np.pi, 96, endpoint=False)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    G = np.eye(4) - dt * (symbol(1.0, 0.0, kx) + symbol(0.0, 1.0, ky))
+    return float(np.max(np.abs(np.linalg.eigvals(G))))
+
+
+@pytest.mark.parametrize("w", [(1.0, 0.0, 0.0, 1.0), (1.0, 0.3, 0.0, 1.0),
+                               (1.0, 0.21, 0.21, 1.0), (1.4, 6.0, 0.0, 1.0),
+                               (1.0, 2.9, 0.0, 1.0 / 1.4)])
+def test_2d_step_is_linearly_stable_at_the_case_cfl(w):
+    """Every 2D case runs at CFL 0.5 of the standard unsplit bound
+    (compute_dt_2d), where the first-order step amplifies no wavenumber:
+    at rest, in subsonic, diagonal and Mach-6 flow, and at Mach 2.9."""
+    assert amplification_radius_2d(w, 0.5) <= 1.0 + 1e-9
+
+
+def test_2d_zbs_linear_stability_limit_at_rest():
+    """At rest the first-order 2D step is stable up to a standard CFL of
+    0.80: measured radius 1 + 2.1e-5 at 0.81 and 1 + 2.7e-4 at 0.83.  So
+    the case CFL of 0.5 keeps a 1.6-fold margin."""
+    rest = (1.0, 0.0, 0.0, 1.0)
+    assert amplification_radius_2d(rest, 0.80) <= 1.0 + 1e-9
+    assert amplification_radius_2d(rest, 0.83) > 1.0 + 1e-5
