@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -66,9 +66,18 @@ class StructuredGrid2D:
 
         dxj = xv[:-1, :] - xv[1:, :]          # (ni, nj+1)
         dyj = yv[:-1, :] - yv[1:, :]
-        self.jface_ds = np.hypot(dxj, dyj)
-        self.jface_nx = dyj / self.jface_ds
-        self.jface_ny = -dxj / self.jface_ds
+        # nx, ny, ds of the j faces in rows of nj + 2, the last a dummy face
+        # of ones: the residual reads the j faces of a block of cell rows
+        # as one flat run (see _workspace).  Three arrays, not one block of
+        # three: on the 400 x 400 wedge one 3.9 MB block shifts the heap
+        # layout and raises the run's peak RSS by 4.5 MB.
+        self.jface_rows = tuple(np.ones((self.ni, self.nj + 2))
+                                for _ in range(3))
+        self.jface_nx, self.jface_ny, self.jface_ds = \
+            (q[:, :-1] for q in self.jface_rows)
+        np.hypot(dxj, dyj, out=self.jface_ds)
+        np.divide(dyj, self.jface_ds, out=self.jface_nx)
+        np.divide(-dxj, self.jface_ds, out=self.jface_ny)
         # length of each cell's boundary, for the time-step scan
         self.perimeter = (self.iface_ds[:-1] + self.iface_ds[1:]
                           + self.jface_ds[:, :-1] + self.jface_ds[:, 1:])
@@ -289,51 +298,45 @@ class BoundarySpec:
             raise ValueError(f"{self.kind.value} reads no state")
 
 
-def _ghost_layers(rho, u, v, p, spec: BoundarySpec, ng, low, nxb, nyb, out):
-    """Write ng ghost layers beyond one end of axis 0 of the fields into
-    the four (ng, m) arrays of out.
+def _ghost_layers(cells, spec: BoundarySpec, ng, low, nxb, nyb, out):
+    """Write ng ghost layers beyond one end of axis 1 of the (4, n, m)
+    primitive cell fields into the (4, ng, m) array out, in one assignment
+    per boundary.
 
-    rho, u, v, p have the face-normal direction on axis 0; low selects
-    which end.
-    nxb, nyb are the boundary face normals (one per transverse index).
-    Layers are ordered ready to stack against the interior: for the low
-    side, row ng-1 is adjacent to the interior.
+    low selects which end; nxb, nyb are the boundary face normals (one per
+    transverse index).  Layers are ordered ready to stack against the
+    interior: for the low side, row ng-1 is adjacent to the interior.
     """
-    for k in range(ng):          # k = 0 is the layer nearest the wall
-        row = (ng - 1 - k) if low else k
-        if spec.kind in (Bc2DKind.SUPERSONIC_INFLOW,
-                         Bc2DKind.POST_SHOCK_DIRICHLET):
-            for a, q in zip(out, spec.state):
-                a[row] = q
-        elif spec.kind is Bc2DKind.SUPERSONIC_OUTFLOW:
-            src = 0 if low else -1
-            for a, q in zip(out, (rho, u, v, p)):
-                a[row] = q[src]
-        else:  # slip wall: mirror interior layer k across the wall face
-            src = k if low else -1 - k
-            un = u[src] * nxb + v[src] * nyb
-            out[0][row] = rho[src]
-            out[1][row] = u[src] - 2.0 * un * nxb
-            out[2][row] = v[src] - 2.0 * un * nyb
-            out[3][row] = p[src]
+    if spec.kind is Bc2DKind.SUPERSONIC_OUTFLOW:
+        out[...] = cells[:, :1] if low else cells[:, -1:]
+    elif spec.kind is Bc2DKind.SLIP_WALL:
+        # mirror interior layer k, nearest the wall first, across the face
+        out[...] = cells[:, ng - 1::-1] if low else cells[:, :-ng - 1:-1]
+        un = out[1] * nxb + out[2] * nyb
+        un *= 2.0
+        out[1] -= un * nxb
+        out[2] -= un * nyb
+    else:   # a fixed state
+        out[...] = np.array([*spec.state])[:, None, None]
 
 
 def _extend(W, grid: StructuredGrid2D, bc: dict, ng, out):
-    """Write the primitive cell fields W and ng ghost layers beyond each of
-    the four boundaries into out, of shape (4, ni + 2 ng, nj + 2 ng);
-    returns out.  The ng x ng corners are not written.
+    """Write the primitive cell fields W (an array or a sequence of four
+    fields) and ng ghost layers beyond each of the four boundaries into
+    out, of shape (4, ni + 2 ng, nj + 2 ng); returns out.  The ng x ng
+    corners are not written.
 
     The j ghosts are the i ghosts of the transposed fields, written through
     the transposed view of out."""
-    for e, q in zip(out[:, ng:-ng], W):
-        e[:, ng:-ng] = q
-    for cells, ext, nx, ny, lo, hi in (
-            (W, out[:, :, ng:-ng], grid.iface_nx, grid.iface_ny,
+    cells = out[:, ng:-ng, ng:-ng]
+    cells[...] = W
+    for fields, ext, nx, ny, lo, hi in (
+            (cells, out[:, :, ng:-ng], grid.iface_nx, grid.iface_ny,
              "imin", "imax"),
-            ([q.T for q in W], out[:, ng:-ng].transpose(0, 2, 1),
+            (cells.transpose(0, 2, 1), out[:, ng:-ng].transpose(0, 2, 1),
              grid.jface_nx.T, grid.jface_ny.T, "jmin", "jmax")):
-        _ghost_layers(*cells, bc[lo], ng, True, nx[0], ny[0], ext[:, :ng])
-        _ghost_layers(*cells, bc[hi], ng, False, nx[-1], ny[-1],
+        _ghost_layers(fields, bc[lo], ng, True, nx[0], ny[0], ext[:, :ng])
+        _ghost_layers(fields, bc[hi], ng, False, nx[-1], ny[-1],
                       ext[:, -ng:])
     return out
 
@@ -390,9 +393,8 @@ def compute_dt_2d(rho, u, v, p, grid: StructuredGrid2D, gas: GasModel,
 
 # Faces of one direction per flux block: the kernel's temporaries for one
 # block fit the 2 MiB L2 cache.  A block is a whole number of cell rows (at
-# least one), each with nj + 1 j faces.  The value also sizes the buffers
-# of a _Workspace, so it is read both when a workspace is made and when a
-# residual is cut into blocks.
+# least one), each with nj + 1 j faces.  The value is read when a
+# workspace is made, and sizes its buffers and its blocks.
 _BLOCK_FACES = 8192
 
 
@@ -401,95 +403,157 @@ def _block_rows(grid: StructuredGrid2D):
     return min(grid.ni, max(1, _BLOCK_FACES // (grid.nj + 1)))
 
 
-# Buffers of _Workspace.blocks: ten flux temporaries, the four components
-# of the block flux, then the face sides, five per set: one set of cells
-# at order 1, the left and the right face states at order 2.
-_TMP, _FLUX, _SIDES = 0, 10, 14
+class _Faces(NamedTuple):
+    """The faces of one direction in one flux block, as one flat run.
+
+    At order 1, left and right are the _face_sides tuples of the faces'
+    two sides, views of the block's cell sides.  At order 2 each is a pair
+    (slice, out): the faces' states are that slice of the flat face states
+    of the residual, and out are the five buffers of their _face_sides.
+    nx, ny, ds are the face geometry, flux and tmp the kernel's output and
+    temporaries, and high - low, two views of flux, is the net flux of
+    each cell of the block through its two faces of this direction.
+    """
+    left: tuple
+    right: tuple
+    nx: np.ndarray
+    ny: np.ndarray
+    ds: np.ndarray
+    flux: np.ndarray
+    tmp: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
 
 
-@dataclass(frozen=True)
-class _Workspace:
-    """Buffers that residual_2d reuses in every flux block.
+class _Plan(NamedTuple):
+    """One flux block of cell rows: the rows of the residual it writes, its
+    i and j faces, and diff, a buffer for the j faces' net flux.  At order
+    1, cells and sides are the arguments of the block's one _face_sides
+    call.  copies are the (destination, source) pairs that put the block's
+    i face geometry into the padded rows before its fluxes, when the rows
+    are shared with other blocks."""
+    rows: slice
+    i: _Faces
+    j: _Faces
+    diff: np.ndarray
+    cells: tuple
+    sides: tuple
+    copies: tuple
+
+
+class _Workspace(NamedTuple):
+    """What residual_2d reuses, built once per march.
 
     fields holds the four primitive fields with ng ghost layers beyond each
     boundary, shape (4, ni + 2 ng, nj + 2 ng).  Nothing writes its ng x ng
-    corners; fields is allocated with ones, so they hold a physical state,
-    whose face sides order 1 computes and no flux reads.  Each row of
-    blocks holds the cells of one flux block: at order 1 the block's cells
-    with the extended rows and columns around them, at order 2 the faces
-    of either direction, at most (rows + 1) (nj + 1).
+    corners; fields is allocated with ones, so they hold a physical state.
+    plans holds the flux blocks, which share one set of buffers.
     """
     fields: np.ndarray
-    blocks: np.ndarray
+    plans: tuple
 
 
 def _workspace(grid: StructuredGrid2D, order: int) -> _Workspace:
-    """The workspace of residual_2d for grid at the given order."""
-    ni, nj, rows = grid.ni, grid.nj, _block_rows(grid)
-    if order == 1:
-        ng, block = 1, (rows + 2) * (nj + 2)
-    else:
-        ng, block = 2, (rows + 1) * (nj + 1)
-    return _Workspace(np.ones((4, ni + 2 * ng, nj + 2 * ng)),
-                      np.empty((_SIDES + 5 * order, block)))
+    """The workspace of residual_2d for grid at the given order.
 
-
-def _take(buffers, shape):
-    """The leading cells of each row of buffers, as one C-ordered
-    (len(buffers), *shape) array of views.  It only splits the contiguous
-    last axis, which never copies, so writes reach the buffers."""
-    return buffers[:, :shape[0] * shape[1]].reshape((len(buffers),) + shape)
-
-
-def _block_sides(fields, recon: ReconstructionConfig, h, gamma, step,
-                 blocks):
-    """Face sides of the residual from its extended fields, by block.
-
-    Returns sides(r0, r1), which yields the left and right _face_sides
-    tuples of the i faces r0 .. r1, then those of the j faces of the cell
-    rows r0 .. r1 - 1, computed into the side buffers of blocks; draw the
-    j sides only when the i sides are used up.  At order 1 the sides are
-    the cells on either side of the faces, evaluated once per cell of the
-    block and its ghosts.  At order 2 the MUSCL face states are
-    reconstructed and checked here, the i faces first, before any flux is
-    formed; a failed check names the face by its grid index (i, j).
+    A j face row runs over m = nj + 2 columns, the faces between the
+    extended columns of one cell row and the one that wraps to the next
+    row, so a block's j faces are one flat run of grid.jface_rows.  At
+    order 1 an i face row, between two extended rows, runs over m columns
+    too.  The faces that ghost columns and wraps add read physical ghost,
+    corner or dummy states and are dropped.  The i face geometry is padded
+    with ones to m columns in rows that the blocks share; a block copies
+    its own into them before its fluxes, unless it is the only block,
+    which copies it once here.  At order 2 an i face row is the nj
+    columns of the grid's own geometry.
     """
-    if recon.order == 1:
-        def sides(r0, r1):
-            rect = fields[:, r0:r1 + 2]
-            cells = _face_sides(*rect, gamma,
-                                _take(blocks[_SIDES:], rect.shape[1:]))
-            yield (tuple(q[:-1, 1:-1] for q in cells),
-                   tuple(q[1:, 1:-1] for q in cells))
-            yield (tuple(q[1:-1, :-1] for q in cells),
-                   tuple(q[1:-1, 1:] for q in cells))
-        return sides
-    faces = []          # left and right states of the i faces, the j faces
-    for ext in (fields[:, :, 2:-2], fields[:, 2:-2].transpose(0, 2, 1)):
-        lo, hi = zip(*(muscl_reconstruct(q, h, recon.limiter_k)
-                       for q in ext))
-        faces.append(([q[:-1] for q in hi], [q[1:] for q in lo]))
-    faces[1] = tuple([q.T for q in side] for side in faces[1])
-    for states in faces:
-        check_faces(states, step)
+    ni, nj, rows = grid.ni, grid.nj, _block_rows(grid)
+    m = nj + 2
+    wi = m if order == 1 else nj       # columns of an i face row
+    size = (rows + 2) * m
+    fields = np.ones((4, ni + 2 * order, nj + 2 * order))   # ng = order
+    tmp, flux = np.empty((10, size)), np.empty((4, size))
+    sides = np.empty((5 * order, size))
+    pads = np.ones((3, size)) if order == 1 else None
+    plans = []
+    for r0 in range(0, ni, rows):
+        r1 = min(r0 + rows, ni)
+        n = r1 - r0
+        n_i, n_j = (n + 1) * wi, n * m - 1
+        geom_i = [g[r0:r1 + 1] for g in (grid.iface_nx, grid.iface_ny,
+                                         grid.iface_ds)]
+        geom_j = [g[r0:r1].reshape(-1)[:n_j] for g in grid.jface_rows]
+        copies = ()
+        if order == 1:
+            copies = tuple(zip((q[:n_i].reshape(n + 1, m)[:, 1:-1]
+                                for q in pads), geom_i))
+            if rows == ni:
+                for dst, src in copies:
+                    dst[...] = src
+                copies = ()
+            geom_i, cols = pads[:, :n_i], slice(1, -1)
+            cells = tuple(fields[:, r0:r1 + 2].reshape(4, -1))
+            out = tuple(sides[:, :(n + 2) * m])
+            run = cells + out
+            left_i, right_i = (tuple(q[k:k + n_i] for q in run)
+                               for k in (0, m))
+            left_j, right_j = (tuple(q[k:k + n_j] for q in run)
+                               for k in (m, m + 1))
+        else:
+            geom_i = [g.reshape(-1) for g in geom_i]
+            cols, cells, out = slice(None), (), ()
+            left_i, right_i, left_j, right_j = (
+                (slice(k, k + n_f), tuple(sides[b:b + 5, :n_f]))
+                for k, n_f, b in ((r0 * nj, n_i, 0), ((r0 + 1) * nj, n_i, 5),
+                                  (r0 * m, n_j, 0), (r0 * m + 1, n_j, 5)))
+        f_i = flux[:, :n_i].reshape(4, n + 1, wi)[:, :, cols]
+        f_j = flux[:, :n * m].reshape(4, n, m)
+        plans.append(_Plan(
+            slice(r0, r1),
+            _Faces(left_i, right_i, *geom_i, flux[:, :n_i], tmp[:, :n_i],
+                   f_i[:, 1:], f_i[:, :-1]),
+            _Faces(left_j, right_j, *geom_j, flux[:, :n_j], tmp[:, :n_j],
+                   f_j[:, :, 1:-1], f_j[:, :, :-2]),
+            tmp[:4, :n * nj].reshape(4, n, nj), cells, out, copies))
+    return _Workspace(fields, tuple(plans))
 
-    def sides(r0, r1):
-        for (left, right), rows in zip(faces, (slice(r0, r1 + 1),
-                                               slice(r0, r1))):
-            shape = left[0][rows].shape
-            yield tuple(
-                _face_sides(*(q[rows] for q in states), gamma,
-                            _take(blocks[k:k + 5], shape))
-                for states, k in ((left, _SIDES), (right, _SIDES + 5)))
-    return sides
+
+def _face_states(fields, recon: ReconstructionConfig, h, step):
+    """The MUSCL face states of the extended fields, checked: for the i
+    faces and then the j faces, the pair of the left and the right states,
+    each four flat fields.
+
+    Left and right states of i face f are at f and f + nj of the i
+    states.  The j states are rows of nj + 2, one per cell row, and the
+    states of j face f are at f and f + 1; the face at the end of a row
+    wraps to the next and is dropped.  The row ends that only it reads
+    are set to ones, after the check.  Every face is checked, the i faces
+    first, before any flux is formed; a failed check names the face by its
+    grid index (i, j).
+    """
+    i, j = (zip(*(muscl_reconstruct(q, h, recon.limiter_k) for q in ext))
+            for ext in (fields[:, :, 2:-2],
+                        fields[:, 2:-2].transpose(0, 2, 1)))
+    lo_i, hi_i = i
+    lo_j, hi_j = ([q.T for q in side] for side in j)
+    check_faces(([q[:-1] for q in hi_i], [q[1:] for q in lo_i]), step)
+    check_faces(([q[:, :-1] for q in hi_j], [q[:, 1:] for q in lo_j]), step)
+    for q, end in zip(hi_j + lo_j, [-1] * 4 + [0] * 4):
+        q[:, end] = 1.0
+    return tuple(tuple(tuple(q.reshape(-1) for q in side) for side in pair)
+                 for pair in ((hi_i, lo_i), (hi_j, lo_j)))
 
 
-def _block_flux(left, right, nx, ny, gamma, ds, blocks):
-    """_sides_flux of one block of faces, into the flux buffers of
-    blocks."""
-    return _sides_flux(left, right, nx, ny, gamma, ds,
-                       _take(blocks[_FLUX:_SIDES], ds.shape),
-                       _take(blocks[_TMP:_FLUX], ds.shape))
+def _faces_flux(faces: _Faces, states, gamma):
+    """_sides_flux of faces into faces.flux.  states is None at order 1,
+    whose side tuples the plan holds; at order 2 it is the left and the
+    right flat face states of the faces' direction."""
+    left, right = faces.left, faces.right
+    if states is not None:
+        left, right = (_face_sides(*(q[run] for q in side), gamma, out)
+                       for side, (run, out) in zip(states, (left, right)))
+    _sides_flux(left, right, faces.nx, faces.ny, gamma, faces.ds,
+                faces.flux, faces.tmp)
 
 
 def residual_2d(W, grid: StructuredGrid2D, bc: dict,
@@ -504,32 +568,30 @@ def residual_2d(W, grid: StructuredGrid2D, bc: dict,
     The faces are evaluated in blocks of cell rows: first the i faces that
     bound the block's cells, then the j faces of those cells.  An i face
     row shared by two blocks is evaluated in both, from the same inputs,
-    so every cell takes the same operations whatever the block size.
+    so every cell takes the same operations whatever the block size.  At
+    order 1 the face sides are the cells on either side of the faces,
+    evaluated once per cell of the block and its ghosts.
     """
     g = gas.gamma
-    ng = 1 if recon.order == 1 else 2
     if ws is None:
         ws = _workspace(grid, recon.order)
-    fields = _extend(W, grid, bc, ng, ws.fields)
-    sides = _block_sides(fields, recon, grid.h, g, step, ws.blocks)
+    fields = _extend(W, grid, bc, recon.order, ws.fields)   # ng = order
+    i_states = j_states = None
+    if recon.order == 2:
+        i_states, j_states = _face_states(fields, recon, grid.h, step)
     net = np.empty((4, grid.ni, grid.nj))
-    rows = _block_rows(grid)
-    for r0 in range(0, grid.ni, rows):
-        r1 = min(r0 + rows, grid.ni)
-        cells = net[:, r0:r1]
-        block = sides(r0, r1)
-        f = slice(r0, r1 + 1)            # the i faces of the cells
-        flux = _block_flux(*next(block), grid.iface_nx[f], grid.iface_ny[f],
-                           g, grid.iface_ds[f], ws.blocks)
-        np.subtract(flux[:, 1:], flux[:, :-1], out=cells)
-        f = slice(r0, r1)                # and their j faces
-        flux = _block_flux(*next(block), grid.jface_nx[f], grid.jface_ny[f],
-                           g, grid.jface_ds[f], ws.blocks)
-        cells += np.subtract(flux[:, :, 1:], flux[:, :, :-1],
-                             out=_take(ws.blocks[_TMP:_TMP + 4],
-                                       cells.shape[1:]))
-    net /= -grid.area
-    return net
+    for plan in ws.plans:
+        for dst, src in plan.copies:
+            dst[...] = src
+        if recon.order == 1:
+            _face_sides(*plan.cells, g, plan.sides)
+        cells = net[:, plan.rows]
+        _faces_flux(plan.i, i_states, g)
+        np.subtract(plan.i.high, plan.i.low, out=cells)
+        _faces_flux(plan.j, j_states, g)
+        cells += np.subtract(plan.j.high, plan.j.low, out=plan.diff)
+    net /= grid.area
+    return np.negative(net, out=net)
 
 
 def advance_2d(U, grid: StructuredGrid2D, bc: dict,

@@ -133,12 +133,24 @@ def muscl_reconstruct(q: np.ndarray, dx: float, k: float):
     cells the pair (left-face value q_i - psi/2, right-face value
     q_i + psi/2) is returned.
     """
-    dplus = q[2:] - q[1:-1]
-    dminus = q[1:-1] - q[:-2]
+    c = q[1:-1]
+    dplus = q[2:] - c
+    dminus = c - q[:-2]
     eps2 = (k * dx) ** 3
-    psi = ((dplus ** 2 + eps2) * dminus + (dminus ** 2 + eps2) * dplus) \
-        / (dplus ** 2 + dminus ** 2 + 2.0 * eps2)
-    return q[1:-1] - 0.5 * psi, q[1:-1] + 0.5 * psi
+    # psi = ((dplus^2 + eps2) dminus + (dminus^2 + eps2) dplus)
+    #       / (dplus^2 + dminus^2 + 2 eps2), in place in that order
+    den = dplus ** 2
+    half = den + eps2
+    half *= dminus
+    sq = dminus ** 2
+    den += sq
+    den += 2.0 * eps2
+    sq += eps2
+    sq *= dplus
+    half += sq
+    half /= den
+    half *= 0.5                          # psi / 2
+    return c - half, c + half
 
 
 # per-row ghost factor at a reflective wall: rho and p mirror, u flips sign

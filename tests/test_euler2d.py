@@ -13,8 +13,9 @@ from cpsfds.euler2d import (StructuredGrid2D, cartesian_grid, ramp_grid,
                             cons_to_prim_fields, prim_to_cons_fields,
                             Bc2DKind, BoundarySpec, advance_2d,
                             residual_2d, compute_dt_2d, post_shock_state,
-                            case_registry_2d, half_cylinder_case, run_case_2d,
-                            shock_reflection_case, stagnation_line_pressure)
+                            case_registry_2d, half_cylinder_case, ramp_case,
+                            run_case_2d, shock_reflection_case,
+                            stagnation_line_pressure)
 from cpsfds.solver1d import ReconstructionConfig, SolverBlowUp, \
     TimeControls, muscl_reconstruct
 from cpsfds.state import GasModel, NonPhysicalStateError, Prim2D, \
@@ -326,22 +327,103 @@ def test_residual_does_not_depend_on_the_flux_block_size(order, gas,
     the j faces of their cells.  At order 1 a block reads the face sides
     of its cells and one extended row on either side, at order 2 the
     reconstructed face states.  A side, face or flux row off by one at a
-    block edge changes the residual."""
-    grid = half_cylinder_grid(12, 16)
-    rng = np.random.default_rng(5)
-    shape = grid.xc.shape
-    U = prim_to_cons_fields(1.4 + 0.2 * rng.uniform(size=shape),
-                            2.0 + 0.5 * rng.uniform(-1, 1, shape),
-                            0.5 * rng.uniform(-1, 1, shape),
-                            1.0 + 0.2 * rng.uniform(size=shape), gas.gamma)
-    case = half_cylinder_case(mach=2.0)
+    block edge changes the residual.
+
+    The half cylinder, the shock reflection and a ramp_grid together put
+    every Bc2DKind on a block edge.  At order 1 a single block has its
+    padded i face geometry copied once, when the workspace is made;
+    several blocks copy theirs before each use, so a workspace reused for
+    a second residual, as in a march, gives the same answer."""
     recon = ReconstructionConfig(order)
-    W = cons_to_prim_fields(U, gas.gamma)
-    ref = residual_2d(W, grid, case.bc, recon, gas)
-    # one cell row, two rows, blocks of 5, 5 and 2 rows, one block
-    for faces in (1, 40, 5 * 17, 10 ** 6):
-        monkeypatch.setattr(euler2d, "_BLOCK_FACES", faces)
-        assert np.array_equal(residual_2d(W, grid, case.bc, recon, gas), ref)
+    rng = np.random.default_rng(5)
+    default = euler2d._BLOCK_FACES
+    for case in (half_cylinder_case(mach=2.0), shock_reflection_case(),
+                 ramp_case()):
+        grid = case.grid_factory(12, 16)
+        shape = grid.xc.shape
+        U = prim_to_cons_fields(1.4 + 0.2 * rng.uniform(size=shape),
+                                2.0 + 0.5 * rng.uniform(-1, 1, shape),
+                                0.5 * rng.uniform(-1, 1, shape),
+                                1.0 + 0.2 * rng.uniform(size=shape),
+                                gas.gamma)
+        W = cons_to_prim_fields(U, gas.gamma)
+        results = []
+        # one block, one cell row, two rows, blocks of 5, 5 and 2 rows
+        for faces in (default, 1, 40, 5 * 17, 10 ** 6):
+            monkeypatch.setattr(euler2d, "_BLOCK_FACES", faces)
+            results.append(residual_2d(W, grid, case.bc, recon, gas))
+            ws = euler2d._workspace(grid, order)
+            for _ in range(2):
+                results.append(residual_2d(W, grid, case.bc, recon, gas,
+                                           ws=ws))
+        assert len(euler2d._workspace(grid, order).plans) == 1
+        for got in results[1:]:
+            assert np.array_equal(got, results[0])
+
+
+def ghost_state(spec, cell, nx, ny):
+    """One ghost state of the boundary spec, from the interior cell that
+    it mirrors or copies and the boundary face normal (nx, ny)."""
+    if spec.kind is Bc2DKind.SLIP_WALL:
+        rho, u, v, p = cell
+        un = u * nx + v * ny
+        return [rho, u - 2.0 * un * nx, v - 2.0 * un * ny, p]
+    if spec.kind is Bc2DKind.SUPERSONIC_OUTFLOW:
+        return list(cell)
+    return list(spec.state)
+
+
+@pytest.mark.parametrize("ng", [1, 2])
+@pytest.mark.parametrize("turn", range(4))
+def test_extend_matches_a_layer_by_layer_construction(turn, ng):
+    """Each boundary in turn takes each Bc2DKind.  Layer k of a boundary
+    (k = 0 next to it) sits k + 1 places beyond the last cell; it mirrors
+    interior layer k across the boundary face at a slip wall, copies the
+    boundary layer at an outflow and holds the fixed state otherwise.
+    The fields are taken as an array or as a tuple of four fields, and
+    the ng x ng corners are left as they were."""
+    grid = half_cylinder_grid(5, 7)
+    ni, nj = grid.ni, grid.nj
+    rng = np.random.default_rng(turn)
+    W = np.stack([1.0 + rng.uniform(size=(ni, nj)),
+                  rng.uniform(-2.0, 2.0, (ni, nj)),
+                  rng.uniform(-2.0, 2.0, (ni, nj)),
+                  1.0 + rng.uniform(size=(ni, nj))])
+    kinds = list(Bc2DKind)
+    bc = {}
+    for k, side in enumerate(("imin", "imax", "jmin", "jmax")):
+        kind = kinds[(k + turn) % 4]
+        fixed = kind in (Bc2DKind.SUPERSONIC_INFLOW,
+                         Bc2DKind.POST_SHOCK_DIRICHLET)
+        bc[side] = BoundarySpec(kind, Prim2D(1.0 + k, 0.5 - k, 0.25 * k,
+                                             2.0 + k) if fixed else None)
+
+    def depth(side, k):
+        """The interior layer, counted from the boundary, that its ghost
+        layer k reads."""
+        return k if bc[side].kind is Bc2DKind.SLIP_WALL else 0
+
+    want = np.full((4, ni + 2 * ng, nj + 2 * ng), np.nan)
+    want[:, ng:-ng, ng:-ng] = W
+    for k in range(ng):
+        for j in range(nj):
+            for side, row, src, n in (
+                    ("imin", ng - 1 - k, depth("imin", k), 0),
+                    ("imax", ng + ni + k, ni - 1 - depth("imax", k), ni)):
+                want[:, row, ng + j] = ghost_state(
+                    bc[side], W[:, src, j], grid.iface_nx[n, j],
+                    grid.iface_ny[n, j])
+        for i in range(ni):
+            for side, col, src, n in (
+                    ("jmin", ng - 1 - k, depth("jmin", k), 0),
+                    ("jmax", ng + nj + k, nj - 1 - depth("jmax", k), nj)):
+                want[:, ng + i, col] = ghost_state(
+                    bc[side], W[:, i, src], grid.jface_nx[i, n],
+                    grid.jface_ny[i, n])
+    for fields in (W, tuple(W)):
+        out = np.full(want.shape, np.nan)
+        assert euler2d._extend(fields, grid, bc, ng, out) is out
+        np.testing.assert_array_equal(out, want)
 
 
 def test_first_order_face_sides_are_computed_once_per_cell(gas, monkeypatch):
@@ -457,6 +539,41 @@ def test_flux_kernel_allocates_nothing_block_sized(gas):
         ws[10:14],
         euler2d._flux_2d_kernel(*states[0], *states[1], nx, ny, gas.gamma,
                                 ds))
+
+
+def test_first_order_residual_allocates_nothing_block_sized(gas,
+                                                            monkeypatch):
+    """With its march workspace, one first-order residual on a grid of
+    three flux blocks allocates less than one block-sized array beyond
+    the net it returns: the block plans, their views and the padded face
+    geometry are built once per march, not once per residual.  A ufunc
+    over strided views takes numpy's iterator buffers, np.getbufsize()
+    values per operand whatever the block size, so the blocks here are
+    eight times the default size to stand clear of them."""
+    import tracemalloc
+    monkeypatch.setattr(euler2d, "_BLOCK_FACES", 8 * 8192)
+    grid = half_cylinder_grid(600, 255)
+    ws = euler2d._workspace(grid, 1)
+    rows = euler2d._block_rows(grid)
+    assert len(ws.plans) == 3
+    rng = np.random.default_rng(4)
+    shape = grid.xc.shape
+    W = np.stack([1.4 + 0.2 * rng.uniform(size=shape),
+                  2.0 + 0.5 * rng.uniform(-1, 1, shape),
+                  0.5 * rng.uniform(-1, 1, shape),
+                  1.0 + 0.2 * rng.uniform(size=shape)])
+    bc, recon = half_cylinder_case(mach=2.0).bc, ReconstructionConfig(1)
+    residual_2d(W, grid, bc, recon, gas, ws=ws)          # warm
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        net = residual_2d(W, grid, bc, recon, gas, ws=ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before - net.nbytes < np.empty((rows, grid.nj)).nbytes
+    assert np.array_equal(net, residual_2d(W, grid, bc, recon, gas))
 
 
 FIELDS_2D = ("rho", "u", "v", "p")
