@@ -172,7 +172,8 @@ def run_case(case: CaseSpec, scheme: SchemeKind, order: int = 1,
              n_cells: Optional[int] = None, cfl: Optional[float] = None,
              t_final: Optional[float] = None,
              gas: GasModel = GasModel(1.4)) -> CaseResult:
-    grid = Grid1D(case.x_min, case.x_max, n_cells or case.n_cells)
+    grid = Grid1D(case.x_min, case.x_max,
+                  case.n_cells if n_cells is None else n_cells)
     U = initialize(grid, case.initial_profile, gas)
     controls = TimeControls(t_final if t_final is not None else case.t_final,
                             cfl if cfl is not None else case.cfl)

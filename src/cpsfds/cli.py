@@ -1,7 +1,8 @@
 """Command-line front end: run benchmark cases, list the registries, and
 drive the built-in verification suites.
 
-Exit codes: 0 success, 2 configuration error, 3 solver blow-up.
+Exit codes: 0 success, 1 a verification check failed, 2 configuration
+error, 3 solver blow-up.
 """
 
 from __future__ import annotations
@@ -9,8 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,23 +20,11 @@ from .state import GasModel, PrimitiveState, physical_flux, \
     prim_to_cons_arrays
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 
 _SCHEMES = {k.value: k for k in SchemeKind}
-
-
-@dataclass
-class RunConfig:
-    case: str
-    scheme: str = "zbs"
-    order: int = 1
-    cells: Optional[int] = None
-    grid: Optional[tuple] = None
-    cfl: Optional[float] = None
-    t_final: Optional[float] = None
-    out: Optional[str] = None
-    fmt: str = "csv"
 
 
 # Rows rendered per pass of render.render_rows: bounds its work arrays and
@@ -97,54 +84,47 @@ def _eoc_table(case, scheme, order, gas) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(config: RunConfig) -> int:
+def _find_case(name):
+    """The 1D or 2D case of the given name; ValueError if neither registry
+    holds it."""
+    for case in (*bench1d.case_registry(), *euler2d.case_registry_2d()):
+        if case.name == name:
+            return case
+    raise ValueError(f"unknown case {name!r}")
+
+
+def run(config: argparse.Namespace) -> None:
+    """Solve the case of a checked run namespace and write its output."""
     gas = GasModel(1.4)
-    try:
-        case1d = bench1d.get_case(config.case)
-    except KeyError:
-        case1d = None
-    if case1d is not None:
-        scheme = _SCHEMES[config.scheme]
-        if config.fmt == "eoc":
-            if case1d.reference is bench1d.ReferenceKind.NONE:
-                print(f"case {config.case!r} has no reference solution for "
-                      "an EOC table", file=sys.stderr)
-                return EXIT_CONFIG
-            _write_text(config.out,
-                        [_eoc_table(case1d, scheme, config.order, gas)])
-            return EXIT_OK
-        result = bench1d.run_case(case1d, scheme, order=config.order,
-                                  n_cells=config.cells, cfl=config.cfl,
-                                  t_final=config.t_final, gas=gas)
+    case = _find_case(config.case)
+    if isinstance(case, euler2d.CaseSpec2D):
+        grid, U, log = euler2d.run_case_2d(
+            case, gas, grid_shape=config.grid, order=config.order,
+            cfl=config.cfl, t_final=config.t_final)
         if config.fmt == "report":
-            lines = [f"case={case1d.name} scheme={config.scheme} "
+            text = [f"case={case.name} grid={grid.ni}x{grid.nj} "
+                    f"steps={log.steps} t={log.t:.6f}\n"]
+        else:
+            text = _csv_2d(grid, U, gas, case.contour_levels)
+    elif config.fmt == "eoc":
+        text = [_eoc_table(case, _SCHEMES[config.scheme], config.order, gas)]
+    else:
+        result = bench1d.run_case(case, _SCHEMES[config.scheme],
+                                  order=config.order, n_cells=config.cells,
+                                  cfl=config.cfl, t_final=config.t_final,
+                                  gas=gas)
+        if config.fmt == "report":
+            lines = [f"case={case.name} scheme={config.scheme} "
                      f"order={config.order} cells={result.x.size} "
                      f"steps={result.steps}"]
             if result.errors:
                 lines.append(f"L1={_fmt(result.errors.l1)} "
                              f"L2={_fmt(result.errors.l2)} "
                              f"Linf={_fmt(result.errors.linf)}")
-            _write_text(config.out, ["\n".join(lines) + "\n"])
+            text = ["\n".join(lines) + "\n"]
         else:
-            _write_text(config.out, _csv_1d(result, gas.gamma))
-        return EXIT_OK
-
-    for case2d in euler2d.case_registry_2d():
-        if case2d.name == config.case:
-            grid, U, log = euler2d.run_case_2d(
-                case2d, gas, grid_shape=config.grid, order=config.order,
-                cfl=config.cfl, t_final=config.t_final)
-            if config.fmt == "report":
-                _write_text(config.out,
-                            [f"case={case2d.name} grid={grid.ni}x{grid.nj} "
-                             f"steps={log.steps} t={log.t:.6f}\n"])
-            else:
-                _write_text(config.out,
-                            _csv_2d(grid, U, gas, case2d.contour_levels))
-            return EXIT_OK
-
-    print(f"unknown case {config.case!r}", file=sys.stderr)
-    return EXIT_CONFIG
+            text = _csv_1d(result, gas.gamma)
+    _write_text(config.out, text)
 
 
 def list_cases(machine: bool = False) -> str:
@@ -334,16 +314,18 @@ def verify(suite: str, seed: int = 0) -> int:
         for check, ok, detail in suites[name](seed):
             print(f"[{'PASS' if ok else 'FAIL'}] {name}: {check} ({detail})")
             failed += 0 if ok else 1
-    return EXIT_OK if failed == 0 else 1
+    return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
 # --------------------------------------------------------------------------
 # argument handling
 
-def _read_config_file(path):
-    """The key=value lines of a config file.  A key is a run option's dest
-    or its flag without the dashes (t_final or t-final, fmt or format)."""
-    values = {}
+def _config_args(path):
+    """The key=value lines of a config file as --key=value tokens of the
+    run command.  A key is a run option's flag without the dashes or its
+    dest (t-final or t_final, format or fmt).  One token per line keeps a
+    value that starts with "-" a value."""
+    tokens = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -352,9 +334,10 @@ def _read_config_file(path):
             if "=" not in line:
                 raise ValueError(f"malformed config line: {line!r}")
             key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            values["fmt" if key == "format" else key] = val.strip()
-    return values
+            key = key.strip().replace("_", "-")
+            tokens.append(f"--{'format' if key == 'fmt' else key}="
+                          f"{val.strip()}")
+    return tokens
 
 
 def _parse_grid(text):
@@ -365,13 +348,11 @@ def _parse_grid(text):
         raise ValueError(f"grid must be NIxNJ, got {text!r}") from None
 
 
-def _check_run_config(config: RunConfig):
-    """Raise ValueError for an option value that no case accepts, or that
-    the run of the given case would ignore, so that it is reported before
-    any solve starts.  An unknown case is reported by run."""
-    if config.scheme not in _SCHEMES or config.order not in (1, 2) \
-            or config.fmt not in ("csv", "eoc", "report"):
-        raise ValueError("invalid scheme/order/format")
+def _check_run_config(config):
+    """Raise ValueError for an unknown case, or for an option value that no
+    case accepts or that the run of the given case would ignore, so that
+    it is reported before any solve starts."""
+    case = _find_case(config.case)
     if config.cells is not None and config.cells < MIN_CELLS:
         raise ValueError(f"cells must be at least {MIN_CELLS}, "
                          f"got {config.cells}")
@@ -384,21 +365,24 @@ def _check_run_config(config: RunConfig):
         if config.t_final == math.inf:
             raise ValueError("t-final must be finite, got inf")
     # options that the run would ignore
-    if config.case in {c.name for c in euler2d.case_registry_2d()}:
+    if isinstance(case, euler2d.CaseSpec2D):
         if config.scheme != SchemeKind.ZBS_FDS.value:
             raise ValueError(f"2D cases run zbs only, got {config.scheme}")
         if config.fmt == "eoc":
             raise ValueError("format eoc is for 1D cases only")
         if config.cells is not None:
             raise ValueError("cells is for 1D cases; 2D cases take grid")
-    elif config.case in {c.name for c in bench1d.case_registry()}:
+    else:
         if config.grid is not None:
             raise ValueError("grid is for 2D cases; 1D cases take cells")
-        if config.fmt == "eoc" and any(
-                q is not None for q in (config.cells, config.cfl,
-                                        config.t_final)):
-            raise ValueError("format eoc sets its own cells, cfl and "
-                             "t-final; give none of them")
+        if config.fmt == "eoc":
+            if case.reference is bench1d.ReferenceKind.NONE:
+                raise ValueError(f"case {case.name!r} has no reference "
+                                 "solution for an EOC table")
+            if any(q is not None for q in (config.cells, config.cfl,
+                                           config.t_final)):
+                raise ValueError("format eoc sets its own cells, cfl and "
+                                 "t-final; give none of them")
 
 
 def build_parser():
@@ -409,16 +393,18 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="run a benchmark case")
     p_run.add_argument("--case")
-    p_run.add_argument("--scheme", choices=sorted(_SCHEMES))
-    p_run.add_argument("--order", type=int, choices=(1, 2))
+    p_run.add_argument("--scheme", choices=sorted(_SCHEMES), default="zbs")
+    p_run.add_argument("--order", type=int, choices=(1, 2), default=1)
     p_run.add_argument("--cells", type=int)
     p_run.add_argument("--grid", help="NIxNJ for 2D cases")
     p_run.add_argument("--cfl", type=float)
     p_run.add_argument("--t-final", type=float)
     p_run.add_argument("--out")
     p_run.add_argument("--format", dest="fmt",
-                       choices=("csv", "eoc", "report"))
-    p_run.add_argument("--config", help="key=value file; flags win")
+                       choices=("csv", "eoc", "report"), default="csv")
+    p_run.add_argument("--config",
+                       help="file of key=value lines, each read as "
+                            "--key=value; flags win")
 
     p_list = sub.add_parser("list-cases", help="print the case registries")
     p_list.add_argument("--machine", action="store_true",
@@ -433,54 +419,44 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "list-cases":
         sys.stdout.write(list_cases(machine=args.machine))
         return EXIT_OK
     if args.command == "verify":
         return verify(args.suite, seed=args.seed)
 
-    merged = {}
     if args.config:
         try:
-            merged.update(_read_config_file(args.config))
+            tokens = _config_args(args.config)
         except (OSError, ValueError) as err:
             print(f"config error: {err}", file=sys.stderr)
             return EXIT_CONFIG
-    for key in ("case", "scheme", "order", "cells", "grid", "cfl",
-                "t_final", "out", "fmt"):
-        val = getattr(args, key)
-        if val is not None:
-            merged[key] = val
-    if "case" not in merged:
+        # argv[0] is the command: the file's options go right after it,
+        # so that the command line's own come later and win
+        args = parser.parse_args(argv[:1] + tokens + argv[1:])
+    if args.case is None:
         print("config error: no case given", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        config = RunConfig(
-            case=str(merged["case"]),
-            scheme=str(merged.get("scheme", "zbs")),
-            order=int(merged.get("order", 1)),
-            cells=int(merged["cells"]) if "cells" in merged else None,
-            grid=(_parse_grid(str(merged["grid"]))
-                  if "grid" in merged else None),
-            cfl=float(merged["cfl"]) if "cfl" in merged else None,
-            t_final=(float(merged["t_final"])
-                     if "t_final" in merged else None),
-            out=merged.get("out"),
-            fmt=str(merged.get("fmt", "csv")))
-        _check_run_config(config)
-    except (ValueError, TypeError) as err:
+        if args.grid is not None:
+            args.grid = _parse_grid(args.grid)
+        _check_run_config(args)
+    except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        return run(config)
+        run(args)
     except SolverBlowUp as err:
         print(f"blow-up: {err}", file=sys.stderr)
         return EXIT_BLOWUP
     except OSError as err:
         print(f"output error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -44,6 +44,9 @@ class StructuredGrid2D:
         yv = np.asarray(yv, dtype=float)
         if xv.shape != yv.shape or xv.ndim != 2:
             raise ValueError("vertex arrays must share a 2D shape")
+        if min(xv.shape) < 2:
+            raise ValueError("vertex arrays must span at least one cell, "
+                             f"got shape {xv.shape}")
         self.xv, self.yv = xv, yv
         self.ni = xv.shape[0] - 1
         self.nj = xv.shape[1] - 1
@@ -732,7 +735,7 @@ def case_registry_2d():
 def run_case_2d(case: CaseSpec2D, gas: GasModel = GasModel(1.4),
                 grid_shape=None, order: int = 1, cfl=None, t_final=None):
     """Build the grid, initialize, and march; returns (grid, U, log)."""
-    ni, nj = grid_shape or case.default_grid
+    ni, nj = case.default_grid if grid_shape is None else grid_shape
     grid = case.grid_factory(ni, nj)
     U = prim_to_cons_arrays(
         [np.broadcast_to(np.asarray(q, dtype=float), grid.xc.shape)

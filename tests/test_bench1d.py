@@ -122,6 +122,12 @@ def test_run_case_produces_errors_against_the_oracle(scheme):
     assert res.steps > 0
 
 
+def test_zero_cells_is_not_the_default_grid():
+    """Only None selects the case's default cell count: 0 ran 100 cells."""
+    with pytest.raises(ValueError, match="need at least 4 cells"):
+        run_case(get_case("sod"), SchemeKind.ZBS_FDS, n_cells=0)
+
+
 def test_smooth_case_error_shrinks_under_refinement():
     rows = convergence_table(get_case("smooth"), SchemeKind.ZBS_FDS,
                              [40, 80])

@@ -142,6 +142,10 @@ def test_missing_case_is_a_config_error(capsys):
     (["--case", "wedge", "--grid", "x40"], "grid must be NIxNJ, got 'x40'"),
     (["--case", "wedge", "--grid", "40x4x2"],
      "grid must be NIxNJ, got '40x4x2'"),
+    # a case that no registry holds, or one with nothing to compare against
+    (["--case", "nope"], "unknown case 'nope'"),
+    (["--case", "blast", "--format", "eoc"],
+     "case 'blast' has no reference solution for an EOC table"),
 ])
 def test_invalid_run_option_is_a_config_error(argv, message, capsys,
                                               monkeypatch):
@@ -165,14 +169,73 @@ def test_blow_up_exit_code_with_diagnostics(capsys):
 
 def test_config_file_is_read_and_flags_win(tmp_path):
     cfg = tmp_path / "run.cfg"
-    # keys that are no run option, such as seed=, are ignored
-    cfg.write_text("case=sod\ncells=40\nscheme=tvs\nseed=3\n"
-                   "# comment line\n")
+    cfg.write_text("case=sod\ncells=40\nscheme=tvs\n# comment line\n")
     out = tmp_path / "out.csv"
     code = run_main(["run", "--config", str(cfg), "--cells", "60",
                      "--out", str(out)])
     assert code == cli.EXIT_OK
     assert len(out.read_text().strip().split("\n")) == 61   # flag overrode 40
+
+
+def run_namespace(argv, monkeypatch):
+    """The namespace that main hands to cli.run for a run command line."""
+    seen = []
+    monkeypatch.setattr(cli, "run", seen.append)
+    assert run_main(["run"] + argv) == cli.EXIT_OK
+    (config,) = seen
+    return {k: v for k, v in vars(config).items() if k != "config"}
+
+
+@pytest.mark.parametrize("key,flag,value,other,base", [
+    ("case", "--case", "lax", "sod", []),
+    ("scheme", "--scheme", "tvs", "zbs", ["--case", "sod"]),
+    ("order", "--order", "2", "1", ["--case", "sod"]),
+    ("cells", "--cells", "40", "60", ["--case", "sod"]),
+    ("grid", "--grid", "10x12", "12x10", ["--case", "wedge"]),
+    ("cfl", "--cfl", "0.5", "0.25", ["--case", "sod"]),
+    ("t-final", "--t-final", "0.1", "0.05", ["--case", "sod"]),
+    ("t_final", "--t-final", "0.1", "0.05", ["--case", "sod"]),
+    ("out", "--out", "a.csv", "b.csv", ["--case", "sod"]),
+    ("format", "--format", "report", "csv", ["--case", "sod"]),
+    ("fmt", "--format", "report", "csv", ["--case", "sod"]),
+])
+def test_config_line_parses_as_its_flag(key, flag, value, other, base,
+                                        tmp_path, monkeypatch):
+    """key=value in the file gives what the flag gives; a flag beside the
+    file wins."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    by_flag = run_namespace(base + [flag, value], monkeypatch)
+    assert run_namespace(base + ["--config", str(cfg)], monkeypatch) \
+        == by_flag
+    by_other = run_namespace(base + [flag, other], monkeypatch)
+    assert by_other != by_flag
+    assert run_namespace(base + ["--config", str(cfg), flag, other],
+                         monkeypatch) == by_other
+
+
+def test_config_value_may_start_with_a_dash(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case=sod\nout=-sod.csv\n")
+    assert run_namespace(["--config", str(cfg)], monkeypatch)["out"] \
+        == "-sod.csv"
+
+
+@pytest.mark.parametrize("line,message", [
+    ("cels=40", "unrecognized arguments: --cels=40"),
+    ("order=3", "argument --order: invalid choice: 3"),
+    ("cfl=fast", "argument --cfl: invalid float value: 'fast'"),
+])
+def test_bad_config_line_fails_as_its_flag_would(line, message, tmp_path,
+                                                 capsys):
+    """A misspelt key or a bad value exits 2 through argparse, naming the
+    key as the flag that it stands for."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"case=sod\n{line}\n")
+    with pytest.raises(SystemExit) as done:
+        run_main(["run", "--config", str(cfg)])
+    assert done.value.code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_config_file_reads_keys_spelled_as_flags(tmp_path):

@@ -65,6 +65,14 @@ def test_grid_rejects_inverted_cells():
         StructuredGrid2D(x.T, y.T)              # reversed orientation
 
 
+@pytest.mark.parametrize("ni,nj", [(0, 5), (5, 0)])
+def test_grid_rejects_a_vertex_array_with_no_cells(ni, nj):
+    """Raised before any geometry: an empty area array once gave h = nan
+    and numpy's "Mean of empty slice" warning."""
+    with pytest.raises(ValueError, match="at least one cell"):
+        cartesian_grid(0.0, 1.0, 0.0, 1.0, ni, nj)
+
+
 def test_ramp_and_cylinder_grids_are_valid():
     ramp = ramp_grid(0.0, 3.0, 1.0, 30, 10, 0.5, 15.0)
     assert (ramp.area > 0.0).all()
@@ -708,6 +716,12 @@ def test_march_rejects_a_grid_below_two_cells_per_direction(shape, order,
         run_case_2d(half_cylinder_case(), gas, grid_shape=shape, order=order)
     ni, nj = shape
     assert str(err.value) == f"grid must be at least 2x2, got {ni}x{nj}"
+
+
+def test_empty_grid_shape_is_not_the_default_grid(gas):
+    """Only None selects the case's default grid: () ran 45x45."""
+    with pytest.raises(ValueError, match="not enough values to unpack"):
+        run_case_2d(half_cylinder_case(), gas, grid_shape=())
 
 
 def test_rotational_objectivity_quarter_turn(gas):
