@@ -190,7 +190,9 @@ def run_case(case: CaseSpec, scheme: SchemeKind, order: int = 1,
 
 def convergence_table(case: CaseSpec, scheme: SchemeKind, cell_counts,
                       order: int = 1, gas: GasModel = GasModel(1.4)):
-    """Rows of (n_cells, ErrorReport, eoc vs previous row or None)."""
+    """Rows of (n_cells, ErrorReport, eoc vs previous row or None).  Each
+    eoc is that of the L1, L2 and Linf error, or None where the two errors
+    are not both positive (a case that every grid solves exactly)."""
     rows = []
     prev = None
     for n in cell_counts:
@@ -200,9 +202,11 @@ def convergence_table(case: CaseSpec, scheme: SchemeKind, cell_counts,
         if prev is not None:
             (pn, pe, _) = prev
             ph = (case.x_max - case.x_min) / pn
-            orders = (eoc(pe.l1, res.errors.l1, ph, h),
-                      eoc(pe.l2, res.errors.l2, ph, h),
-                      eoc(pe.linf, res.errors.linf, ph, h))
+            orders = tuple(
+                eoc(e1, e2, ph, h) if e1 > 0.0 and e2 > 0.0 else None
+                for e1, e2 in ((pe.l1, res.errors.l1),
+                               (pe.l2, res.errors.l2),
+                               (pe.linf, res.errors.linf)))
         prev = (n, res.errors, orders)
         rows.append(prev)
     return rows

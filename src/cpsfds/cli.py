@@ -77,8 +77,8 @@ def _eoc_table(case, scheme, order, gas) -> str:
                                      order=order, gas=gas)
     lines = ["cells,L1,L2,Linf,EOC_L1,EOC_L2,EOC_Linf"]
     for n, err, orders in rows:
-        tail = (",".join(f"{o:.4f}" for o in orders) if orders
-                else ",,".join([""] * 2))
+        tail = ",".join("" if o is None else f"{o:.4f}"
+                        for o in orders or [None] * 3)
         lines.append(f"{n},{_fmt(err.l1)},{_fmt(err.l2)},{_fmt(err.linf)},"
                      f"{tail}")
     return "\n".join(lines) + "\n"
@@ -391,7 +391,9 @@ def build_parser():
         description="Convection-pressure split FDS Euler solver")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a benchmark case")
+    # no prefix matching, so a config key must be a whole flag or dest
+    p_run = sub.add_parser("run", help="run a benchmark case",
+                           allow_abbrev=False)
     p_run.add_argument("--case")
     p_run.add_argument("--scheme", choices=sorted(_SCHEMES), default="zbs")
     p_run.add_argument("--order", type=int, choices=(1, 2), default=1)

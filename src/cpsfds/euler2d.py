@@ -409,14 +409,17 @@ def _block_rows(grid: StructuredGrid2D):
 class _Faces(NamedTuple):
     """The faces of one direction in one flux block, as one flat run.
 
-    At order 1, left and right are the _face_sides tuples of the faces'
-    two sides, views of the block's cell sides.  At order 2 each is a pair
-    (slice, out): the faces' states are that slice of the flat face states
-    of the residual, and out are the five buffers of their _face_sides.
-    nx, ny, ds are the face geometry, flux and tmp the kernel's output and
-    temporaries, and high - low, two views of flux, is the net flux of
-    each cell of the block through its two faces of this direction.
+    sides are the _face_sides calls, as (args, out) pairs, that the flux
+    needs first: at order 1 the i faces hold the block's one call on its
+    cells and the j faces none, at order 2 each direction holds one call
+    per side on the faces' reconstructed states.  left and right are the
+    _face_sides tuples of the faces' two sides, views of those calls'
+    arguments and outputs.  nx, ny, ds are the face geometry, flux and tmp
+    the kernel's output and temporaries, and high - low, two views of
+    flux, is the net flux of each cell of the block through its two faces
+    of this direction.
     """
+    sides: tuple
     left: tuple
     right: tuple
     nx: np.ndarray
@@ -430,17 +433,14 @@ class _Faces(NamedTuple):
 
 class _Plan(NamedTuple):
     """One flux block of cell rows: the rows of the residual it writes, its
-    i and j faces, and diff, a buffer for the j faces' net flux.  At order
-    1, cells and sides are the arguments of the block's one _face_sides
-    call.  copies are the (destination, source) pairs that put the block's
-    i face geometry into the padded rows before its fluxes, when the rows
-    are shared with other blocks."""
+    i and j faces, and diff, a buffer for the j faces' net flux.  copies
+    are the (destination, source) pairs that put the block's i face
+    geometry into the padded rows before its fluxes, when the rows are
+    shared with other blocks."""
     rows: slice
     i: _Faces
     j: _Faces
     diff: np.ndarray
-    cells: tuple
-    sides: tuple
     copies: tuple
 
 
@@ -450,9 +450,12 @@ class _Workspace(NamedTuple):
     fields holds the four primitive fields with ng ghost layers beyond each
     boundary, shape (4, ni + 2 ng, nj + 2 ng).  Nothing writes its ng x ng
     corners; fields is allocated with ones, so they hold a physical state.
-    plans holds the flux blocks, which share one set of buffers.
+    states holds the face states of the i and the j faces at order 2, as
+    _face_states lays them out, and is None at order 1.  plans holds the
+    flux blocks, which share one set of buffers.
     """
     fields: np.ndarray
+    states: Optional[tuple]
     plans: tuple
 
 
@@ -468,7 +471,8 @@ def _workspace(grid: StructuredGrid2D, order: int) -> _Workspace:
     with ones to m columns in rows that the blocks share; a block copies
     its own into them before its fluxes, unless it is the only block,
     which copies it once here.  At order 2 an i face row is the nj
-    columns of the grid's own geometry.
+    columns of the grid's own geometry, and both sides of a block's faces
+    are the same flat run of the face states.
     """
     ni, nj, rows = grid.ni, grid.nj, _block_rows(grid)
     m = nj + 2
@@ -478,6 +482,8 @@ def _workspace(grid: StructuredGrid2D, order: int) -> _Workspace:
     tmp, flux = np.empty((10, size)), np.empty((4, size))
     sides = np.empty((5 * order, size))
     pads = np.ones((3, size)) if order == 1 else None
+    states = None if order == 1 else (np.ones((2, 4, (ni + 3) * nj)),
+                                      np.ones((2, 4, ni * m + 1)))
     plans = []
     for r0 in range(0, ni, rows):
         r1 = min(r0 + rows, ni)
@@ -497,66 +503,64 @@ def _workspace(grid: StructuredGrid2D, order: int) -> _Workspace:
             geom_i, cols = pads[:, :n_i], slice(1, -1)
             cells = tuple(fields[:, r0:r1 + 2].reshape(4, -1))
             out = tuple(sides[:, :(n + 2) * m])
-            run = cells + out
+            calls_i, calls_j, run = ((cells, out),), (), cells + out
             left_i, right_i = (tuple(q[k:k + n_i] for q in run)
                                for k in (0, m))
             left_j, right_j = (tuple(q[k:k + n_j] for q in run)
                                for k in (m, m + 1))
         else:
-            geom_i = [g.reshape(-1) for g in geom_i]
-            cols, cells, out = slice(None), (), ()
-            left_i, right_i, left_j, right_j = (
-                (slice(k, k + n_f), tuple(sides[b:b + 5, :n_f]))
-                for k, n_f, b in ((r0 * nj, n_i, 0), ((r0 + 1) * nj, n_i, 5),
-                                  (r0 * m, n_j, 0), (r0 * m + 1, n_j, 5)))
+            geom_i, cols = [g.reshape(-1) for g in geom_i], slice(None)
+            calls_i, calls_j = (
+                tuple((tuple(st[s, :, k:k + n_f]),
+                       tuple(sides[5 * s:5 * s + 5, :n_f])) for s in (0, 1))
+                for st, k, n_f in ((states[0], (r0 + 1) * nj, n_i),
+                                   (states[1], 1 + r0 * m, n_j)))
+            (left_i, right_i), (left_j, right_j) = (
+                (args + out for args, out in calls)
+                for calls in (calls_i, calls_j))
         f_i = flux[:, :n_i].reshape(4, n + 1, wi)[:, :, cols]
         f_j = flux[:, :n * m].reshape(4, n, m)
         plans.append(_Plan(
             slice(r0, r1),
-            _Faces(left_i, right_i, *geom_i, flux[:, :n_i], tmp[:, :n_i],
-                   f_i[:, 1:], f_i[:, :-1]),
-            _Faces(left_j, right_j, *geom_j, flux[:, :n_j], tmp[:, :n_j],
-                   f_j[:, :, 1:-1], f_j[:, :, :-2]),
-            tmp[:4, :n * nj].reshape(4, n, nj), cells, out, copies))
-    return _Workspace(fields, tuple(plans))
+            _Faces(calls_i, left_i, right_i, *geom_i, flux[:, :n_i],
+                   tmp[:, :n_i], f_i[:, 1:], f_i[:, :-1]),
+            _Faces(calls_j, left_j, right_j, *geom_j, flux[:, :n_j],
+                   tmp[:, :n_j], f_j[:, :, 1:-1], f_j[:, :, :-2]),
+            tmp[:4, :n * nj].reshape(4, n, nj), copies))
+    return _Workspace(fields, states, tuple(plans))
 
 
-def _face_states(fields, recon: ReconstructionConfig, h, step):
-    """The MUSCL face states of the extended fields, checked: for the i
-    faces and then the j faces, the pair of the left and the right states,
-    each four flat fields.
+def _face_states(fields, states, recon: ReconstructionConfig, h, step):
+    """Write the MUSCL face states of the extended fields into states, the
+    (2, 4, (ni + 3) nj) i states and the (2, 4, ni m + 1) j states, m =
+    nj + 2, and check them.
 
-    Left and right states of i face f are at f and f + nj of the i
-    states.  The j states are rows of nj + 2, one per cell row, and the
-    states of j face f are at f and f + 1; the face at the end of a row
+    The left and the right state of a face share one flat offset of the
+    fields of sides 0 and 1.  The states of i face row r, the high face
+    values of extended row r and the low ones of row r + 1, are at
+    (r + 1) nj.  The j states are rows of m, one per cell row, and those
+    of j face (r, c) are at 1 + r m + c; the face at the end of a row
     wraps to the next and is dropped.  The row ends that only it reads
     are set to ones, after the check.  Every face is checked, the i faces
     first, before any flux is formed; a failed check names the face by its
     grid index (i, j).
     """
-    i, j = (zip(*(muscl_reconstruct(q, h, recon.limiter_k) for q in ext))
-            for ext in (fields[:, :, 2:-2],
-                        fields[:, 2:-2].transpose(0, 2, 1)))
-    lo_i, hi_i = i
-    lo_j, hi_j = ([q.T for q in side] for side in j)
-    check_faces(([q[:-1] for q in hi_i], [q[1:] for q in lo_i]), step)
-    check_faces(([q[:, :-1] for q in hi_j], [q[:, 1:] for q in lo_j]), step)
-    for q, end in zip(hi_j + lo_j, [-1] * 4 + [0] * 4):
-        q[:, end] = 1.0
-    return tuple(tuple(tuple(q.reshape(-1) for q in side) for side in pair)
-                 for pair in ((hi_i, lo_i), (hi_j, lo_j)))
-
-
-def _faces_flux(faces: _Faces, states, gamma):
-    """_sides_flux of faces into faces.flux.  states is None at order 1,
-    whose side tuples the plan holds; at order 2 it is the left and the
-    right flat face states of the faces' direction."""
-    left, right = faces.left, faces.right
-    if states is not None:
-        left, right = (_face_sides(*(q[run] for q in side), gamma, out)
-                       for side, (run, out) in zip(states, (left, right)))
-    _sides_flux(left, right, faces.nx, faces.ny, gamma, faces.ds,
-                faces.flux, faces.tmp)
+    ni, nj = fields.shape[1] - 4, fields.shape[2] - 4
+    m = nj + 2
+    st_i, st_j = states
+    for q, lo, hi in zip(fields[:, :, 2:-2], st_i[1, :, :(ni + 2) * nj],
+                         st_i[0, :, nj:]):
+        muscl_reconstruct(q, h, recon.limiter_k,
+                          out=(lo.reshape(ni + 2, nj), hi.reshape(ni + 2, nj)))
+    for q, lo, hi in zip(fields[:, 2:-2].transpose(0, 2, 1),
+                         st_j[1, :, :ni * m], st_j[0, :, 1:]):
+        muscl_reconstruct(q, h, recon.limiter_k,
+                          out=(lo.reshape(ni, m).T, hi.reshape(ni, m).T))
+    check_faces(st_i[:, :, nj:(ni + 2) * nj].reshape(2, 4, ni + 1, nj), step)
+    check_faces(st_j[:, :, 1:1 + ni * m].reshape(2, 4, ni, m)[..., :nj + 1],
+                step)
+    st_j[0, :, m::m] = 1.0               # high values of extended column m - 1
+    st_j[1, :, :ni * m:m] = 1.0          # low values of extended column 0
 
 
 def residual_2d(W, grid: StructuredGrid2D, bc: dict,
@@ -579,20 +583,20 @@ def residual_2d(W, grid: StructuredGrid2D, bc: dict,
     if ws is None:
         ws = _workspace(grid, recon.order)
     fields = _extend(W, grid, bc, recon.order, ws.fields)   # ng = order
-    i_states = j_states = None
     if recon.order == 2:
-        i_states, j_states = _face_states(fields, recon, grid.h, step)
+        _face_states(fields, ws.states, recon, grid.h, step)
     net = np.empty((4, grid.ni, grid.nj))
     for plan in ws.plans:
         for dst, src in plan.copies:
             dst[...] = src
-        if recon.order == 1:
-            _face_sides(*plan.cells, g, plan.sides)
         cells = net[:, plan.rows]
-        _faces_flux(plan.i, i_states, g)
-        np.subtract(plan.i.high, plan.i.low, out=cells)
-        _faces_flux(plan.j, j_states, g)
-        cells += np.subtract(plan.j.high, plan.j.low, out=plan.diff)
+        for faces, diff in ((plan.i, cells), (plan.j, plan.diff)):
+            for args, out in faces.sides:
+                _face_sides(*args, g, out)
+            _sides_flux(faces.left, faces.right, faces.nx, faces.ny, g,
+                        faces.ds, faces.flux, faces.tmp)
+            np.subtract(faces.high, faces.low, out=diff)
+        cells += plan.diff
     net /= grid.area
     return np.negative(net, out=net)
 

@@ -126,12 +126,13 @@ def compute_dt(rho, u, p, gas: GasModel, dx: float, cfl: float) -> float:
     return cfl * dx / float(np.max(np.abs(u) + a))
 
 
-def muscl_reconstruct(q: np.ndarray, dx: float, k: float):
+def muscl_reconstruct(q: np.ndarray, dx: float, k: float, out=None):
     """Limited face values for one variable.
 
     q includes one ghost value on each end; for each of the m-2 interior
     cells the pair (left-face value q_i - psi/2, right-face value
-    q_i + psi/2) is returned.
+    q_i + psi/2) is returned, written into the pair of arrays out if it
+    is given.
     """
     c = q[1:-1]
     dplus = q[2:] - c
@@ -150,7 +151,11 @@ def muscl_reconstruct(q: np.ndarray, dx: float, k: float):
     half += sq
     half /= den
     half *= 0.5                          # psi / 2
-    return c - half, c + half
+    if out is None:
+        return c - half, c + half
+    np.subtract(c, half, out=out[0])
+    np.add(c, half, out=out[1])
+    return out
 
 
 # per-row ghost factor at a reflective wall: rho and p mirror, u flips sign

@@ -172,21 +172,15 @@ def check_faces(faces, step):
     """Raise NonPhysicalStateError unless every reconstructed face value is
     finite, with rho and p positive.
 
-    faces holds the left and the right face states, each the fields
-    (rho, u, p) or (rho, u, v, p): one (2, fields, n) array, tested whole,
-    or two sequences of arrays, tested field by field.  Left comes before
-    right; within a side, a non-finite value, in field order, before a
-    non-positive rho, then p.  The error names the field and the first
-    face where the fault occurs, by its index in the field arrays.
+    faces is one (2, fields, ...) array of the left and the right face
+    states, each the fields (rho, u, p) or (rho, u, v, p).  Left comes
+    before right; within a side, a non-finite value, in field order,
+    before a non-positive rho, then p.  The error names the field and the
+    first face where the fault occurs, by its index in the field arrays.
     """
-    if isinstance(faces, np.ndarray):
-        # rho and p are the first and the last field
-        ok = (faces[:, ::faces.shape[1] - 1].min() > 0.0
-              and np.isfinite(faces).all())
-    else:
-        ok = (all(side[k].min() > 0.0 for side in faces for k in (0, -1))
-              and all(np.isfinite(q).all() for side in faces for q in side))
-    if ok:
+    # rho and p are the first and the last field
+    if (faces[:, ::faces.shape[1] - 1].min() > 0.0
+            and np.isfinite(faces).all()):
         return
     for side in faces:
         names = ("rho", "u", "v", "p") if len(side) == 4 else ("rho", "u", "p")

@@ -372,6 +372,7 @@ def test_criterion_7_blast_tvs_blows_up():
 # --------------------------------------------------------------------------
 # 8. shock-entropy interaction, second order
 
+@pytest.mark.slow
 def test_criterion_8_shock_entropy_second_order():
     case = get_case("shock-entropy")
     ref = run_case(case, SchemeKind.ZBS_FDS, order=2, n_cells=6400)
@@ -437,6 +438,7 @@ def _embedding_drift():
     return diff / float(np.max(np.abs(U1)))
 
 
+@pytest.mark.slow
 def test_criterion_9_two_dimensional_properties():
     checks = []
 

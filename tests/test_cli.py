@@ -80,6 +80,20 @@ def test_eoc_format_emits_the_refinement_table(tmp_path):
     assert cells == [40, 80, 160, 320, 640]
 
 
+def test_eoc_format_leaves_the_order_of_exact_errors_empty(tmp_path):
+    """The stationary contact is exact on every grid: the table has five
+    rows of zero errors and no order, where it used to raise."""
+    out = tmp_path / "eoc.csv"
+    code = run_main(["run", "--case", "contact", "--format", "eoc",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    rows = [line.split(",") for line in out.read_text().split("\n")[1:-1]]
+    assert [int(row[0]) for row in rows] == [40, 80, 160, 320, 640]
+    for row in rows:
+        assert [float(q) for q in row[1:4]] == [0.0] * 3
+        assert row[4:] == [""] * 3
+
+
 def test_eoc_format_rejects_cases_without_a_reference(capsys):
     assert run_main(["run", "--case", "blast", "--format", "eoc"]) \
         == cli.EXIT_CONFIG
@@ -225,6 +239,9 @@ def test_config_value_may_start_with_a_dash(tmp_path, monkeypatch):
     ("cels=40", "unrecognized arguments: --cels=40"),
     ("order=3", "argument --order: invalid choice: 3"),
     ("cfl=fast", "argument --cfl: invalid float value: 'fast'"),
+    # a key is a whole flag, not a prefix of one
+    ("cell=40", "unrecognized arguments: --cell=40"),
+    ("ord=2", "unrecognized arguments: --ord=2"),
 ])
 def test_bad_config_line_fails_as_its_flag_would(line, message, tmp_path,
                                                  capsys):
@@ -236,6 +253,14 @@ def test_bad_config_line_fails_as_its_flag_would(line, message, tmp_path,
         run_main(["run", "--config", str(cfg)])
     assert done.value.code == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+def test_abbreviated_flag_is_unknown(capsys):
+    """A prefix of a run flag is not taken as the flag."""
+    with pytest.raises(SystemExit) as done:
+        run_main(["run", "--case", "sod", "--cell", "40"])
+    assert done.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --cell 40" in capsys.readouterr().err
 
 
 def test_config_file_reads_keys_spelled_as_flags(tmp_path):

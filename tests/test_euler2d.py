@@ -606,23 +606,18 @@ FIELDS_2D = ("rho", "u", "v", "p")
      "reconstructed u non-finite", (1, 1)),
 ])
 def test_face_scan_reports_in_a_fixed_precedence(arrays, message, cell):
-    """Keys name a field of the left side, or of the right after "right".
-    The scan reports the same fault whether the sides come as sequences of
-    field arrays or as one stacked array."""
-    sides = [{k: np.ones((3, 4)) for k in FIELDS_2D} for _ in range(2)]
+    """Keys name a field of the left side, or of the right after "right",
+    of one stacked (2, 4, 3, 4) array of face states."""
+    faces = np.ones((2, len(FIELDS_2D), 3, 4))
     for key, entries in arrays.items():
         side, _, name = key.rpartition(" ")
         for i, j, val in entries:
-            sides[side == "right"][name][i, j] = val
-    faces = [[side[k] for k in FIELDS_2D] for side in sides]
-    for given in (faces, np.array(faces)):
-        with pytest.raises(NonPhysicalStateError) as err:
-            check_faces(given, step=7)
-        assert message in str(err.value)
-        assert (err.value.cell, err.value.step) == (cell, 7)
-    valid = [[np.ones((3, 4))] * 4] * 2
-    check_faces(valid, step=7)
-    check_faces(np.array(valid), step=7)
+            faces[int(side == "right"), FIELDS_2D.index(name), i, j] = val
+    with pytest.raises(NonPhysicalStateError) as err:
+        check_faces(faces, step=7)
+    assert message in str(err.value)
+    assert (err.value.cell, err.value.step) == (cell, 7)
+    check_faces(np.ones_like(faces), step=7)
 
 
 @pytest.mark.parametrize("axis,face", [(0, (3, 5)), (1, (2, 6))],
@@ -643,6 +638,28 @@ def test_face_scan_names_the_grid_face_in_either_sweep(axis, face, gas):
         residual_2d(W, grid, bc, ReconstructionConfig(2), gas, step=3)
     assert str(err.value) == \
         f"reconstructed p not positive, cell={face}, step=3"
+
+
+def test_face_scan_reports_an_i_face_before_a_j_face_across_blocks(
+        gas, monkeypatch):
+    """On a 12x9 grid of six flux blocks, a dip that faults i face
+    (11, 4) in the last block is reported before one that faults j face
+    (1, 6) in the first; the j dip alone is reported as that j face."""
+    monkeypatch.setattr(euler2d, "_BLOCK_FACES", 20)
+    grid = cartesian_grid(0.0, 1.0, 0.0, 0.75, 12, 9)
+    assert len(euler2d._workspace(grid, 2).plans) == 6
+    bc = dict.fromkeys(("imin", "imax", "jmin", "jmax"),
+                       BoundarySpec(Bc2DKind.SUPERSONIC_OUTFLOW))
+    for dips, face in (([(10, 4), (11, 4), (1, 5), (1, 6)], (11, 4)),
+                       ([(1, 5), (1, 6)], (1, 6))):
+        p = np.ones((12, 9))
+        for k, cell in enumerate(dips):
+            p[cell] = 100.0 if k % 2 else 0.1
+        W = (np.ones_like(p), np.zeros_like(p), np.zeros_like(p), p)
+        with pytest.raises(NonPhysicalStateError) as err:
+            residual_2d(W, grid, bc, ReconstructionConfig(2), gas, step=3)
+        assert str(err.value) == \
+            f"reconstructed p not positive, cell={face}, step=3"
 
 
 @pytest.mark.parametrize("state", [(1.0, 0.0, 0.0, -1.0),

@@ -297,6 +297,7 @@ def test_2d_primitives_are_recovered_once_per_stage(order, gas, monkeypatch):
     assert calls[0] == order * log.steps
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_second_order_blast_blows_up_in_reconstruction(scheme, gas):
     """Pins a known defect (ROADMAP item 4): at order 2 the limited MUSCL
