@@ -80,7 +80,7 @@ def _blast_profile(x):
     return np.ones_like(x), np.zeros_like(x), p
 
 
-def case_registry(gamma: float = 1.4):
+def case_registry():
     t = (BoundaryCondition.TRANSMISSIVE,) * 2
     return [
         CaseSpec("smooth", 0.0, 2.0, 0.5, 40,
@@ -111,9 +111,9 @@ def case_registry(gamma: float = 1.4):
         CaseSpec("slow-shock", 0.0, 1.0, 4.0, 100, t,
                  ReferenceKind.EXACT_RIEMANN,
                  PrimitiveState(*cons_to_prim_arrays(
-                     (3.86, -3.1266, 27.0913), gamma).tolist()),
+                     (3.86, -3.1266, 27.0913), GasModel().gamma).tolist()),
                  PrimitiveState(*cons_to_prim_arrays(
-                     (1.0, -3.44, 8.4168), gamma).tolist()), 0.5),
+                     (1.0, -3.44, 8.4168), GasModel().gamma).tolist()), 0.5),
         CaseSpec("mach3", 0.0, 1.0, 0.1, 100, t,
                  ReferenceKind.EXACT_RIEMANN,
                  PrimitiveState(3.857, 0.92, 10.333),
@@ -126,8 +126,8 @@ def case_registry(gamma: float = 1.4):
     ]
 
 
-def get_case(name: str, gamma: float = 1.4) -> CaseSpec:
-    for case in case_registry(gamma):
+def get_case(name: str) -> CaseSpec:
+    for case in case_registry():
         if case.name == name:
             return case
     raise KeyError(f"unknown 1D case {name!r}")

@@ -24,7 +24,7 @@ from .splittings import FaceGeometry
 from .solver1d import ReconstructionConfig, TimeControls, march, \
     muscl_reconstruct
 from .state import GasModel, Prim2D, check_faces, cons_to_prim_arrays, \
-    prim_to_cons_arrays
+    first_index, prim_to_cons_arrays
 
 
 # --------------------------------------------------------------------------
@@ -47,6 +47,8 @@ class StructuredGrid2D:
         if min(xv.shape) < 2:
             raise ValueError("vertex arrays must span at least one cell, "
                              f"got shape {xv.shape}")
+        if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+            raise ValueError("grid vertices must be finite")
         self.xv, self.yv = xv, yv
         self.ni = xv.shape[0] - 1
         self.nj = xv.shape[1] - 1
@@ -63,12 +65,17 @@ class StructuredGrid2D:
 
         dxi = xv[:, 1:] - xv[:, :-1]          # (ni+1, nj)
         dyi = yv[:, 1:] - yv[:, :-1]
+        dxj = xv[:-1, :] - xv[1:, :]          # (ni, nj+1)
+        dyj = yv[:-1, :] - yv[1:, :]
+        for name, dx, dy in (("i", dxi, dyi), ("j", dxj, dyj)):
+            short = (dx == 0.0) & (dy == 0.0)
+            if short.any():
+                raise ValueError(f"grid has a zero-length {name} face "
+                                 f"{first_index(short)}")
         self.iface_ds = np.hypot(dxi, dyi)
         self.iface_nx = dyi / self.iface_ds
         self.iface_ny = -dxi / self.iface_ds
 
-        dxj = xv[:-1, :] - xv[1:, :]          # (ni, nj+1)
-        dyj = yv[:-1, :] - yv[1:, :]
         # nx, ny, ds of the j faces in rows of nj + 2, the last a dummy face
         # of ones: the residual reads the j faces of a block of cell rows
         # as one flat run (see _workspace).  Three arrays, not one block of
@@ -265,9 +272,9 @@ def interface_flux_2d(wL: Prim2D, wR: Prim2D, geom: FaceGeometry,
 # perfbench (its 2D set-up and layer trace) and a test counting calls per
 # stage reach; advance_2d looks cons_to_prim_fields up here at each stage.
 
-def cons_to_prim_fields(U, gamma, *, step=None):
+def cons_to_prim_fields(U, gamma):
     """(4, ni, nj) conserved field -> (4, ni, nj) primitive fields."""
-    return cons_to_prim_arrays(U, gamma, step=step)
+    return cons_to_prim_arrays(U, gamma)
 
 
 def prim_to_cons_fields(rho, u, v, p, gamma):
@@ -530,7 +537,7 @@ def _workspace(grid: StructuredGrid2D, order: int) -> _Workspace:
     return _Workspace(fields, states, tuple(plans))
 
 
-def _face_states(fields, states, recon: ReconstructionConfig, h, step):
+def _face_states(fields, states, recon: ReconstructionConfig, h):
     """Write the MUSCL face states of the extended fields into states, the
     (2, 4, (ni + 3) nj) i states and the (2, 4, ni m + 1) j states, m =
     nj + 2, and check them.
@@ -556,16 +563,14 @@ def _face_states(fields, states, recon: ReconstructionConfig, h, step):
                          st_j[1, :, :ni * m], st_j[0, :, 1:]):
         muscl_reconstruct(q, h, recon.limiter_k,
                           out=(lo.reshape(ni, m).T, hi.reshape(ni, m).T))
-    check_faces(st_i[:, :, nj:(ni + 2) * nj].reshape(2, 4, ni + 1, nj), step)
-    check_faces(st_j[:, :, 1:1 + ni * m].reshape(2, 4, ni, m)[..., :nj + 1],
-                step)
+    check_faces(st_i[:, :, nj:(ni + 2) * nj].reshape(2, 4, ni + 1, nj))
+    check_faces(st_j[:, :, 1:1 + ni * m].reshape(2, 4, ni, m)[..., :nj + 1])
     st_j[0, :, m::m] = 1.0               # high values of extended column m - 1
     st_j[1, :, :ni * m:m] = 1.0          # low values of extended column 0
 
 
 def residual_2d(W, grid: StructuredGrid2D, bc: dict,
-                recon: ReconstructionConfig, gas: GasModel, step=None,
-                ws: Optional[_Workspace] = None):
+                recon: ReconstructionConfig, gas: GasModel, ws=None):
     """-(1/A) sum of face fluxes times face lengths; shape (4, ni, nj).
 
     W holds the primitive cell fields (rho, u, v, p).  ws is the workspace
@@ -584,7 +589,7 @@ def residual_2d(W, grid: StructuredGrid2D, bc: dict,
         ws = _workspace(grid, recon.order)
     fields = _extend(W, grid, bc, recon.order, ws.fields)   # ng = order
     if recon.order == 2:
-        _face_states(fields, ws.states, recon, grid.h, step)
+        _face_states(fields, ws.states, recon, grid.h)
     net = np.empty((4, grid.ni, grid.nj))
     for plan in ws.plans:
         for dst, src in plan.copies:
@@ -614,9 +619,9 @@ def advance_2d(U, grid: StructuredGrid2D, bc: dict,
     ws = _workspace(grid, recon.order)
     return march(
         U,
-        lambda U, step: cons_to_prim_fields(U, gas.gamma, step=step),
+        lambda U: cons_to_prim_fields(U, gas.gamma),
         lambda W: compute_dt_2d(*W, grid, gas, controls.cfl),
-        lambda W, step: residual_2d(W, grid, bc, recon, gas, step, ws),
+        lambda W: residual_2d(W, grid, bc, recon, gas, ws=ws),
         controls, recon.order, "zbs-2d")
 
 

@@ -183,7 +183,7 @@ def _extend(W, ng, bc):
     return out
 
 
-def _residual(W, scheme, bc, recon, dx, gas, step):
+def _residual(W, scheme, bc, recon, dx, gas):
     """-dF/dx for the (3, n) primitive cell array W."""
     if recon.order == 1:
         We = _extend(W, 1, bc)
@@ -196,7 +196,7 @@ def _residual(W, scheme, bc, recon, dx, gas, step):
         L, R = hi[:-1].T, lo[1:].T
         # limited face states can lose positivity; reject them as cells are.
         # The scan tests one stacked copy; the flux reads the views faster.
-        check_faces(np.concatenate((L, R)).reshape(2, 3, -1), step)
+        check_faces(np.concatenate((L, R)).reshape(2, 3, -1))
     F = interface_flux_batch(scheme, L[0], L[1], L[2], R[0], R[1], R[2],
                              gas.gamma)
     return (F[:, :-1] - F[:, 1:]) / dx
@@ -205,14 +205,14 @@ def _residual(W, scheme, bc, recon, dx, gas, step):
 def march(U, to_prim, dt_fn, residual_fn, controls, order, label):
     """Time-step policy shared by the 1D and 2D solvers.  Returns (U, StepLog).
 
-    to_prim(U, step) recovers the primitives once per stage; the first
-    stage's serve both dt_fn(W) and residual_fn(W, step).  Order 1 takes a
-    forward Euler step, order 2 the two-stage SSP Runge-Kutta step.  dt is
-    clamped to land on controls.t_final, and at most MAX_STEPS are taken.
-    With controls.steady_drop set, the march stops once the L2 norm of the
+    to_prim(U) recovers the primitives once per stage; the first stage's
+    serve both dt_fn(W) and residual_fn(W).  Order 1 takes a forward Euler
+    step, order 2 the two-stage SSP Runge-Kutta step.  dt is clamped to
+    land on controls.t_final, and at most MAX_STEPS are taken.  With
+    controls.steady_drop set, the march stops once the L2 norm of the
     first-stage density residual has fallen by that factor from its value
-    at the first step.  A NonPhysicalStateError anywhere becomes
-    SolverBlowUp(label, step, cell).
+    at the first step.  No callback takes the step: the march alone wraps
+    a NonPhysicalStateError in SolverBlowUp(label, step, cell).
 
     residual_fn returns a new array, which the step then overwrites.  The
     updates run in place, in the order of U1 = U + dt R and
@@ -223,11 +223,10 @@ def march(U, to_prim, dt_fn, residual_fn, controls, order, label):
     steady_drop = controls.steady_drop
     res0 = None
     while log.t < controls.t_final and log.steps < MAX_STEPS:
-        step = log.steps
         try:
-            W = to_prim(U, step)
+            W = to_prim(U)
             dt = min(dt_fn(W), controls.t_final - log.t)
-            R = residual_fn(W, step)
+            R = residual_fn(W)
             if steady_drop is not None:
                 res = float(np.sqrt(np.sum(R[0] ** 2)))
             U1 = R                       # U1 = U + dt R, in R
@@ -236,14 +235,14 @@ def march(U, to_prim, dt_fn, residual_fn, controls, order, label):
             if order == 1:
                 U = U1
             else:
-                R1 = residual_fn(to_prim(U1, step), step)
+                R1 = residual_fn(to_prim(U1))
                 R1 *= dt                 # U = 0.5 U + 0.5 (U1 + dt R1)
                 R1 += U1
                 R1 *= 0.5
                 U *= 0.5
                 U += R1
         except NonPhysicalStateError as err:
-            raise SolverBlowUp(label, step, err.cell, err) from err
+            raise SolverBlowUp(label, log.steps, err.cell, err) from err
         log.steps += 1
         log.t += dt
         if steady_drop is not None:
@@ -264,9 +263,9 @@ def advance(U: np.ndarray, grid: Grid1D, scheme: SchemeKind,
     dx = grid.dx
     return march(
         U,
-        lambda U, step: cons_to_prim_arrays(U, gas.gamma, step=step),
+        lambda U: cons_to_prim_arrays(U, gas.gamma),
         lambda W: compute_dt(*W, gas, dx, controls.cfl),
-        lambda W, step: _residual(W, scheme, bc, recon, dx, gas, step),
+        lambda W: _residual(W, scheme, bc, recon, dx, gas),
         controls, recon.order, scheme.value)
 
 

@@ -15,11 +15,11 @@ import numpy as np
 class NonPhysicalStateError(ValueError):
     """Raised when a state with rho <= 0 or p <= 0 is encountered.
 
-    Carries the offending values; no clipping or positivity floor is ever
-    applied silently.
+    Carries the fault, its values and its cell, never the step (see
+    SolverBlowUp); no clipping or positivity floor is ever applied silently.
     """
 
-    def __init__(self, message, *, rho=None, p=None, cell=None, step=None):
+    def __init__(self, message, *, rho=None, p=None, cell=None):
         parts = [message]
         if rho is not None:
             parts.append(f"rho={rho!r}")
@@ -27,13 +27,10 @@ class NonPhysicalStateError(ValueError):
             parts.append(f"p={p!r}")
         if cell is not None:
             parts.append(f"cell={cell}")
-        if step is not None:
-            parts.append(f"step={step}")
         super().__init__(", ".join(parts))
         self.rho = rho
         self.p = p
         self.cell = cell
-        self.step = step
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,7 @@ def prim_to_cons_arrays(W, gamma):
                      p / (gamma - 1.0) + 0.5 * rho * ke])
 
 
-def _raise_first_bad(rho, p, step):
+def _raise_first_bad(rho, p):
     """Raise NonPhysicalStateError for the first cell whose rho, or else
     whose p, is not finite and positive."""
     for name, q in (("density", rho), ("pressure", p)):
@@ -123,11 +120,10 @@ def _raise_first_bad(rho, p, step):
             cell = first_index(bad)
             raise NonPhysicalStateError(
                 f"non-physical {name} in solution", rho=float(rho[cell]),
-                p=None if q is rho else float(q[cell]), cell=cell,
-                step=step)
+                p=None if q is rho else float(q[cell]), cell=cell)
 
 
-def cons_to_prim_arrays(U, gamma, *, step=None):
+def cons_to_prim_arrays(U, gamma):
     """Conserved rows (rho, momenta..., rho E) of a (3, ...) or (4, ...)
     array -> the primitive rows (rho, velocities..., p), stacked in an
     array of the same shape.  One state is a (3,) or (4,) array.
@@ -141,7 +137,7 @@ def cons_to_prim_arrays(U, gamma, *, step=None):
     rho, p = U[0, ...], W[-1, ...]       # 0-d views for one state
     if not rho.min() > 0.0:
         # rho is at fault, so p, not yet written, is never read
-        _raise_first_bad(rho, p, step)
+        _raise_first_bad(rho, p)
     W[0] = rho
     # p = |m|^2, with the velocity rows after the first as scratch
     np.square(U[1], out=p)
@@ -155,7 +151,7 @@ def cons_to_prim_arrays(U, gamma, *, step=None):
     np.divide(U[1:-1], rho, out=W[1:-1])
     # rho and p are the first and the last row
     if not (p.min() > 0.0 and W[::len(W) - 1].max() < np.inf):
-        _raise_first_bad(rho, p, step)
+        _raise_first_bad(rho, p)
     return W
 
 
@@ -168,7 +164,7 @@ def first_index(bad):
     return tuple(int(i) for i in np.unravel_index(k, bad.shape))
 
 
-def check_faces(faces, step):
+def check_faces(faces):
     """Raise NonPhysicalStateError unless every reconstructed face value is
     finite, with rho and p positive.
 
@@ -189,10 +185,10 @@ def check_faces(faces, step):
             if bad.any():
                 raise NonPhysicalStateError(
                     f"reconstructed {name} non-finite",
-                    cell=first_index(bad), step=step)
+                    cell=first_index(bad))
         for name, q in ((names[0], side[0]), (names[-1], side[-1])):
             bad = ~(q > 0.0)
             if bad.any():
                 raise NonPhysicalStateError(
                     f"reconstructed {name} not positive",
-                    cell=first_index(bad), step=step)
+                    cell=first_index(bad))

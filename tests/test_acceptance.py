@@ -423,13 +423,13 @@ def _embedding_drift():
     wall = BoundarySpec(Bc2DKind.SLIP_WALL)
     bc2 = {"imin": out, "imax": out, "jmin": wall, "jmax": wall}
 
-    for step in range(50):
+    for _ in range(50):
         r, u, p = cons_to_prim_arrays(U1, GAS.gamma)
         dt = compute_dt(r, u, p, GAS, g1.dx, 0.5)
         U1 = U1 + dt * _residual(np.array([r, u, p]), SchemeKind.ZBS_FDS,
-                                 bc1, recon, g1.dx, GAS, step)
+                                 bc1, recon, g1.dx, GAS)
         U2 = U2 + dt * residual_2d(cons_to_prim_fields(U2, GAS.gamma), g2,
-                                   bc2, recon, GAS, step=step)
+                                   bc2, recon, GAS)
     diff = max(
         float(np.max(np.abs(U2[0] - U1[0][:, None]))),
         float(np.max(np.abs(U2[1] - U1[1][:, None]))),

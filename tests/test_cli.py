@@ -179,6 +179,8 @@ def test_blow_up_exit_code_with_diagnostics(capsys):
     err = capsys.readouterr().err
     assert "blew up" in err
     assert "step" in err and "cell" in err
+    # the march names the step once; the error beneath it names the cell
+    assert err.count("step") == 1
 
 
 def test_config_file_is_read_and_flags_win(tmp_path):
