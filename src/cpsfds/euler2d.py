@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -88,9 +89,15 @@ class StructuredGrid2D:
         np.hypot(dxj, dyj, out=self.jface_ds)
         np.divide(dyj, self.jface_ds, out=self.jface_nx)
         np.divide(-dxj, self.jface_ds, out=self.jface_ny)
-        # length of each cell's boundary, for the time-step scan
-        self.perimeter = (self.iface_ds[:-1] + self.iface_ds[1:]
-                          + self.jface_ds[:, :-1] + self.jface_ds[:, 1:])
+        # each cell's averaged face vectors, half the sum of n ds = (dy, -dx)
+        # over its two faces of a direction, and the sum of their lengths,
+        # for the time step (compute_dt_2d)
+        self.si_x = 0.5 * (dyi[:-1] + dyi[1:])
+        self.si_y = -0.5 * (dxi[:-1] + dxi[1:])
+        self.sj_x = 0.5 * (dyj[:, :-1] + dyj[:, 1:])
+        self.sj_y = -0.5 * (dxj[:, :-1] + dxj[:, 1:])
+        self.s_len = (np.hypot(self.si_x, self.si_y)
+                      + np.hypot(self.sj_x, self.sj_y))
 
         # representative spacing for the limiter threshold
         self.h = float(np.sqrt(np.mean(self.area)))
@@ -307,6 +314,14 @@ class BoundarySpec:
         if not fixed and self.state is not None:
             raise ValueError(f"{self.kind.value} reads no state")
 
+    @cached_property
+    def ghost(self):
+        """The fixed state as a read-only (4, 1, 1) column, the value of
+        every ghost cell beyond this boundary; built on first use."""
+        col = np.array([*self.state])[:, None, None]
+        col.flags.writeable = False
+        return col
+
 
 def _ghost_layers(cells, spec: BoundarySpec, ng, low, nxb, nyb, out):
     """Write ng ghost layers beyond one end of axis 1 of the (4, n, m)
@@ -327,7 +342,7 @@ def _ghost_layers(cells, spec: BoundarySpec, ng, low, nxb, nyb, out):
         out[1] -= un * nxb
         out[2] -= un * nyb
     else:   # a fixed state
-        out[...] = np.array([*spec.state])[:, None, None]
+        out[...] = spec.ghost
 
 
 def _extend(W, grid: StructuredGrid2D, bc: dict, ng, out):
@@ -368,35 +383,31 @@ def check_grid_shape(ni, nj):
 
 def compute_dt_2d(rho, u, v, p, grid: StructuredGrid2D, gas: GasModel,
                   cfl: float) -> float:
-    """The standard unsplit time step: cfl times the smallest area / (L_i
-    + L_j), with the cell's own state and L_i, L_j the spectral radii of
-    the i and j directions, each (|u . n| + a) ds averaged over that
-    direction's two faces.  L_i + L_j is half the sum over the cell's four
-    faces, 0.5 (a P + sum |u . n| ds).  On a Cartesian cell this is
+    """The standard unsplit time step in the form of Blazek (Computational
+    Fluid Dynamics: Principles and Applications, ch. 6): cfl times the
+    smallest area / (L_i + L_j), with the cell's own state and
+    L = |u . S| + a |S| the spectral radius of a direction, S its averaged
+    face vector, half the sum of n ds over the cell's two faces of that
+    direction (grid.si_x, ..., and grid.s_len = |S_i| + |S_j|).
+
+    On a parallelogram the opposite faces share n ds, so L_i + L_j is half
+    the sum over the four faces of (|u . n| + a) ds; elsewhere the triangle
+    inequality makes it no larger, so dt is never smaller than that
+    face-by-face bound.  On a Cartesian cell this is
     cfl / ((|u| + a)/dx + (|v| + a)/dy), the 2D analogue of 1D compute_dt;
     cfl = 0.5 is linearly stable for first-order ZBS (its limit at rest is
     0.80)."""
     tot = np.multiply(gas.gamma, p)      # a = sqrt(gamma p / rho), in place
     tot /= rho
     np.sqrt(tot, out=tot)
-    tot *= grid.perimeter
+    tot *= grid.s_len
     un, t = np.empty_like(tot), np.empty_like(tot)
-    for nx, ny, ds in (
-            (grid.iface_nx[:-1, :], grid.iface_ny[:-1, :],
-             grid.iface_ds[:-1, :]),
-            (grid.iface_nx[1:, :], grid.iface_ny[1:, :],
-             grid.iface_ds[1:, :]),
-            (grid.jface_nx[:, :-1], grid.jface_ny[:, :-1],
-             grid.jface_ds[:, :-1]),
-            (grid.jface_nx[:, 1:], grid.jface_ny[:, 1:],
-             grid.jface_ds[:, 1:])):
-        np.multiply(u, nx, out=un)       # |u . n| ds, in place
-        np.multiply(v, ny, out=t)
+    for sx, sy in ((grid.si_x, grid.si_y), (grid.sj_x, grid.sj_y)):
+        np.multiply(u, sx, out=un)       # |u . S|, in place
+        np.multiply(v, sy, out=t)
         un += t
         np.abs(un, out=un)
-        un *= ds
         tot += un
-    tot *= 0.5          # L_i + L_j; a power of two, so exact
     np.divide(grid.area, tot, out=tot)
     return cfl * float(np.min(tot))
 
@@ -422,9 +433,9 @@ class _Faces(NamedTuple):
     per side on the faces' reconstructed states.  left and right are the
     _face_sides tuples of the faces' two sides, views of those calls'
     arguments and outputs.  nx, ny, ds are the face geometry, flux and tmp
-    the kernel's output and temporaries, and high - low, two views of
-    flux, is the net flux of each cell of the block through its two faces
-    of this direction.
+    the kernel's output and temporaries, and low - high, two views of
+    flux, is minus the net flux out of each cell of the block through its
+    two faces of this direction.
     """
     sides: tuple
     left: tuple
@@ -548,9 +559,10 @@ def _face_states(fields, states, recon: ReconstructionConfig, h):
     (r + 1) nj.  The j states are rows of m, one per cell row, and those
     of j face (r, c) are at 1 + r m + c; the face at the end of a row
     wraps to the next and is dropped.  The row ends that only it reads
-    are set to ones, after the check.  Every face is checked, the i faces
-    first, before any flux is formed; a failed check names the face by its
-    grid index (i, j).
+    are set to ones before the check, so the j scan runs over whole rows
+    of m and finds no fault in that column.  Every face is checked, the i
+    faces first, before any flux is formed; a failed check names the face
+    by its grid index (i, j).
     """
     ni, nj = fields.shape[1] - 4, fields.shape[2] - 4
     m = nj + 2
@@ -563,10 +575,10 @@ def _face_states(fields, states, recon: ReconstructionConfig, h):
                          st_j[1, :, :ni * m], st_j[0, :, 1:]):
         muscl_reconstruct(q, h, recon.limiter_k,
                           out=(lo.reshape(ni, m).T, hi.reshape(ni, m).T))
-    check_faces(st_i[:, :, nj:(ni + 2) * nj].reshape(2, 4, ni + 1, nj))
-    check_faces(st_j[:, :, 1:1 + ni * m].reshape(2, 4, ni, m)[..., :nj + 1])
     st_j[0, :, m::m] = 1.0               # high values of extended column m - 1
     st_j[1, :, :ni * m:m] = 1.0          # low values of extended column 0
+    check_faces(st_i[:, :, nj:(ni + 2) * nj].reshape(2, 4, ni + 1, nj))
+    check_faces(st_j[:, :, 1:1 + ni * m].reshape(2, 4, ni, m))
 
 
 def residual_2d(W, grid: StructuredGrid2D, bc: dict,
@@ -600,10 +612,10 @@ def residual_2d(W, grid: StructuredGrid2D, bc: dict,
                 _face_sides(*args, g, out)
             _sides_flux(faces.left, faces.right, faces.nx, faces.ny, g,
                         faces.ds, faces.flux, faces.tmp)
-            np.subtract(faces.high, faces.low, out=diff)
+            np.subtract(faces.low, faces.high, out=diff)
         cells += plan.diff
     net /= grid.area
-    return np.negative(net, out=net)
+    return net
 
 
 def advance_2d(U, grid: StructuredGrid2D, bc: dict,

@@ -8,6 +8,7 @@ primitive variables and a two-stage SSP time integration.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +38,9 @@ class Grid1D:
     def __post_init__(self):
         if self.n_cells < MIN_CELLS:
             raise ValueError(f"need at least {MIN_CELLS} cells")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError("domain bounds must be finite, got "
+                             f"[{self.x_min}, {self.x_max}]")
         if not self.x_max > self.x_min:
             raise ValueError("empty domain")
 

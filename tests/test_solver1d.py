@@ -3,6 +3,7 @@ boundary conditions, conservation and blow-up reporting."""
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,10 @@ def test_grid_validation():
         Grid1D(0.0, 1.0, 3)
     with pytest.raises(ValueError):
         Grid1D(1.0, 0.0, 10)
+    for x_min, x_max in ((0.0, math.inf), (-math.inf, 0.0),
+                         (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            Grid1D(x_min, x_max, 10)
     g = Grid1D(0.0, 2.0, 8)
     assert g.dx == pytest.approx(0.25)
     np.testing.assert_allclose(g.centers(),
