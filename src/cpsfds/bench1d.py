@@ -192,7 +192,11 @@ def convergence_table(case: CaseSpec, scheme: SchemeKind, cell_counts,
                       order: int = 1, gas: GasModel = GasModel(1.4)):
     """Rows of (n_cells, ErrorReport, eoc vs previous row or None).  Each
     eoc is that of the L1, L2 and Linf error, or None where the two errors
-    are not both positive (a case that every grid solves exactly)."""
+    are not both positive (a case that every grid solves exactly).  Raises
+    ValueError, before any solve, for a case without a reference
+    solution."""
+    if case.reference is ReferenceKind.NONE:
+        raise ValueError(f"case {case.name!r} has no reference solution")
     rows = []
     prev = None
     for n in cell_counts:

@@ -13,11 +13,10 @@ import sys
 
 import numpy as np
 
-from . import bench1d, euler2d, exact_riemann, fds1d, splittings
+from . import bench1d, euler2d
 from .fds1d import SchemeKind
 from .solver1d import MIN_CELLS, SolverBlowUp, check_cfl, check_t_final
-from .state import GasModel, PrimitiveState, physical_flux, \
-    prim_to_cons_arrays
+from .state import GasModel
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -150,171 +149,32 @@ def list_cases(machine: bool = False) -> str:
 # --------------------------------------------------------------------------
 # verification suites
 
-def _random_state(rng) -> PrimitiveState:
-    return PrimitiveState(float(rng.uniform(0.1, 10.0)),
-                          float(rng.uniform(-5.0, 5.0)),
-                          float(rng.uniform(0.1, 10.0)))
-
-
-def _suite_algebra(seed, n=200):
-    rng = np.random.default_rng(seed)
-    gas = GasModel(1.4)
-    checks = []
-
-    worst_split = worst_jordan = worst_free = worst_uprop = 0.0
-    for _ in range(n):
-        w = _random_state(rng)
-        F = physical_flux(w, gas)
-        for kind in splittings.SplittingKind:
-            sf = splittings.split_flux(kind, w, gas)
-            worst_split = max(worst_split,
-                              float(np.max(np.abs(sf.total - F))))
-        for kind in (splittings.SplittingKind.ZHA_BILGEN,
-                     splittings.SplittingKind.TORO_VAZQUEZ):
-            A = splittings.convection_jacobian(kind, w, gas)
-            es = splittings.convection_eigensystem(kind, w, gas)
-            worst_jordan = max(worst_jordan,
-                               splittings.verify_jordan(A, es)
-                               / max(1.0, float(np.max(np.abs(A)))))
-        wR = _random_state(rng)
-        # the free constants of the generalized eigenvectors leave the
-        # Jordan residual small ...
-        for x1 in (-1.0, 2.0):
-            es = splittings.convection_eigensystem(
-                splittings.SplittingKind.ZHA_BILGEN, w, gas, x1=x1, x3=x1)
-            A = splittings.convection_jacobian(
-                splittings.SplittingKind.ZHA_BILGEN, w, gas)
-            worst_free = max(worst_free, splittings.verify_jordan(A, es)
-                             / max(1.0, float(np.max(np.abs(A)))))
-        wb = splittings.face_average(w, wR)
-        dU = (prim_to_cons_arrays(wR, gas.gamma)
-              - prim_to_cons_arrays(w, gas.gamma))
-        central = 0.5 * (physical_flux(w, gas) + physical_flux(wR, gas))
-        for scheme, kind in (
-                (SchemeKind.ZBS_FDS, splittings.SplittingKind.ZHA_BILGEN),
-                (SchemeKind.TVS_FDS, splittings.SplittingKind.TORO_VAZQUEZ)):
-            es = splittings.pressure_eigensystem(kind, wb, gas)
-            # ... and never reach the flux: it equals the dissipation
-            # assembled from the eigensystems at the face state
-            flux = fds1d.interface_flux(scheme, w, wR, gas)
-            d_press = splittings.upwind_dissipation(es, dU)
-            for x1 in (-1.0, 2.0):
-                conv = splittings.convection_eigensystem(kind, wb, gas,
-                                                         x1=x1, x3=x1)
-                d_conv = splittings.upwind_dissipation(conv, dU)
-                want = central - 0.5 * (d_conv + d_press)
-                worst_free = max(worst_free,
-                                 float(np.max(np.abs(flux - want)))
-                                 / max(1.0, float(np.max(np.abs(flux)))))
-            # U-property of the pressure parts: flux jump = R Lambda R^-1 dU
-            jump = splittings.split_flux(kind, wR, gas).pressure \
-                - splittings.split_flux(kind, w, gas).pressure
-            R = es.vectors
-            model = R @ (es.eigenvalues * np.linalg.solve(R, dU))
-            scale = max(1.0, float(np.max(np.abs(jump))))
-            worst_uprop = max(worst_uprop,
-                              float(np.max(np.abs(model - jump))) / scale)
-
-    checks.append(("splitting consistency", worst_split <= 1e-12,
-                   f"max residual {worst_split:.2e}"))
-    checks.append(("Jordan residuals", worst_jordan <= 1e-10,
-                   f"max residual {worst_jordan:.2e}"))
-    checks.append(("free-parameter invariance", worst_free <= 1e-11,
-                   f"max deviation {worst_free:.2e}"))
-    checks.append(("pressure-part U property", worst_uprop <= 1e-11,
-                   f"max residual {worst_uprop:.2e}"))
-
-    worst = 0.0
-    for m in (1.5, 2.0, 5.0, 10.0, 100.0):
-        wl, wr = bench1d.steady_shock_states(m, gas)
-        scale = max(prim_to_cons_arrays(w, gas.gamma)[2]    # rho E
-                    for w in (wl, wr))
-        worst = max(worst, abs(bench1d.error3(wl, wr, gas)) / scale)
-    checks.append(("steady-shock jump identity", worst <= 1e-12,
-                   f"max scaled residual {worst:.2e}"))
-    return checks
-
-
-def _suite_oracle(seed, n=100):
-    rng = np.random.default_rng(seed)
-    gas = GasModel(1.4)
-    worst = 0.0
-    failures = 0
-    for _ in range(n):
-        wL, wR = _random_state(rng), _random_state(rng)
-        try:
-            star = exact_riemann.solve_star(wL, wR, gas)
-        except exact_riemann.VacuumError:
-            continue
-        except exact_riemann.ConvergenceError:
-            failures += 1
-            continue
-        res = abs(exact_riemann.pressure_function(star.p_star, wL, wR, gas))
-        worst = max(worst, res / max(wL.p, wR.p))
-    checks = [("star-state residuals", failures == 0 and worst <= 1e-10,
-               f"max scaled residual {worst:.2e}, {failures} failures")]
-
-    sod = bench1d.get_case("sod")
-    star = exact_riemann.solve_star(sod.left, sod.right, gas)
-    mid = exact_riemann.sample(star, sod.left, sod.right, gas, star.u_star)
-    ok = abs(mid.p - star.p_star) <= 1e-10 * star.p_star
-    checks.append(("sampling consistency at the contact", ok,
-                   f"p={mid.p:.6e} vs p*={star.p_star:.6e}"))
-    return checks
-
-
-def _suite_conservation(seed):
-    gas = GasModel(1.4)
-    from .solver1d import BoundaryCondition, Grid1D, ReconstructionConfig, \
-        TimeControls, advance
-    rng = np.random.default_rng(seed)
-    checks = []
-    grid = Grid1D(0.0, 1.0, 64)
-    x = grid.centers()
-    rho = 1.0 + 0.3 * np.sin(2.0 * math.pi * x) \
-        + 0.1 * float(rng.uniform(0, 1))
-    u = 0.5 * np.cos(2.0 * math.pi * x)
-    p = 1.0 + 0.2 * np.sin(4.0 * math.pi * x)
-    U0 = prim_to_cons_arrays((rho, u, p), gas.gamma)
-    worst = 0.0
-    for scheme in SchemeKind:
-        U, _ = advance(U0, grid, scheme, ReconstructionConfig(order=1),
-                       (BoundaryCondition.PERIODIC,) * 2,
-                       TimeControls(0.1), gas)
-        tot0 = U0.sum(axis=1) * grid.dx
-        tot = U.sum(axis=1) * grid.dx
-        scale = np.abs(U0).sum(axis=1) * grid.dx   # momentum total is ~0
-        worst = max(worst, float(np.max(np.abs(tot - tot0) / scale)))
-    checks.append(("periodic conservation", worst <= 1e-12,
-                   f"max relative drift {worst:.2e}"))
-
-    const = prim_to_cons_arrays((np.full(64, 1.3), np.full(64, 0.7),
-                                 np.full(64, 2.1)), gas.gamma)
-    U, _ = advance(const, grid, SchemeKind.TVS_FDS,
-                   ReconstructionConfig(order=2),
-                   (BoundaryCondition.PERIODIC,) * 2, TimeControls(0.1), gas)
-    drift = float(np.max(np.abs(U - const)))
-    checks.append(("uniform-state preservation", drift <= 1e-13,
-                   f"max drift {drift:.2e}"))
-    return checks
-
-
 def verify(suite: str, seed: int = 0) -> int:
-    suites = {"algebra": _suite_algebra, "oracle": _suite_oracle,
-              "conservation": _suite_conservation}
-    if suite == "all":
-        names = list(suites)
-    elif suite in suites:
-        names = [suite]
-    else:
-        print(f"unknown suite {suite!r}", file=sys.stderr)
-        return EXIT_CONFIG
+    """Print one line per record of the named suite of cpsfds.checks, or of
+    every suite for "all"; EXIT_CHECK_FAILED if any record fails."""
+    # imported on first use: a run never loads the property checks
+    from .checks import SUITES
     failed = 0
-    for name in names:
-        for check, ok, detail in suites[name](seed):
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {check} ({detail})")
-            failed += 0 if ok else 1
+    for name in SUITES if suite == "all" else (suite,):
+        for c in SUITES[name](seed):
+            print(f"[{'PASS' if c.ok else 'FAIL'}] {name}: {c.name} "
+                  f"(worst {c.worst:.2e}, bound {c.bound:.0e}, "
+                  f"samples {c.samples})")
+            failed += not c.ok
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
+
+
+class _SuiteNames:
+    """The suites that verify takes: those of cpsfds.checks, and "all".
+    argparse reads them only to parse or print a verify command, so that
+    building the parser for a run imports no check code."""
+
+    def __iter__(self):
+        from .checks import SUITES
+        return iter((*SUITES, "all"))
+
+    def __contains__(self, name):
+        return name in tuple(self)
 
 
 # --------------------------------------------------------------------------
@@ -413,9 +273,10 @@ def build_parser():
                         help="tab-separated, one case per line")
 
     p_verify = sub.add_parser("verify", help="run property suites")
-    p_verify.add_argument("suite",
-                          choices=("algebra", "oracle", "conservation",
-                                   "all"))
+    # a metavar, so that argparse lists the choices only in an error or in
+    # the help text
+    p_verify.add_argument("suite", choices=_SuiteNames(), metavar="suite",
+                          help="%(choices)s")
     p_verify.add_argument("--seed", type=int, default=0)
     return parser
 

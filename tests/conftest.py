@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from cpsfds.state import GasModel, PrimitiveState
+# the sampler and scale of cpsfds.checks, shared by the tests
+from cpsfds.checks import random_primitive, wave_scale  # noqa: F401
+from cpsfds.state import GasModel
 
 
 @pytest.fixture
@@ -11,24 +13,8 @@ def gas():
     return GasModel(1.4)
 
 
-def random_primitive(rng) -> PrimitiveState:
-    """A physical state with wide dynamic range in rho, u, p."""
-    rho = 10.0 ** rng.uniform(-2.0, 2.0)
-    u = rng.uniform(-50.0, 50.0)
-    p = 10.0 ** rng.uniform(-2.0, 4.0)
-    return PrimitiveState(rho, u, p)
-
-
 def random_pair(rng):
     return random_primitive(rng), random_primitive(rng)
-
-
-def wave_scale(es, dU, speed):
-    """Largest entry of |R| |speed R^-1 dU| for the basis R of es: the size
-    of the wave terms of R |Lambda| R^-1 dU, which its rounding is relative
-    to, with |Lambda| bounded by speed."""
-    alpha = np.linalg.solve(es.vectors, dU)
-    return float(np.max(np.abs(es.vectors) @ np.abs(speed * alpha)))
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 """End-to-end acceptance criteria for the solver library.
 
 Each criterion emits exactly one PASS/FAIL line per clause (echoed in the
-terminal summary) and then asserts.  The heavy 2D runs live in criterion 9;
-the whole file takes several minutes, dominated by the 400x400 wedge run.
+terminal summary) and then asserts.  Criteria 1 and 2 assert on the records
+of `cpsfds.checks.algebra`, the ones `cpsfds verify algebra` prints.  The
+heavy 2D runs live in criterion 9, whose 400x400 wedge run takes about a
+minute, most of the file's time.
 """
 
 import math
@@ -11,11 +13,10 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import random_primitive
 
-from cpsfds import bench1d, exact_riemann
+from cpsfds import bench1d, checks, exact_riemann
 from cpsfds.bench1d import (get_case, run_case, convergence_table,
-                            error3_sweep, fan_jump_ratio)
+                            fan_jump_ratio)
 from cpsfds.euler2d import (Prim2D, BoundarySpec, Bc2DKind,
                             cartesian_grid, half_cylinder_grid,
                             prim_to_cons_fields, cons_to_prim_fields,
@@ -25,12 +26,7 @@ from cpsfds.euler2d import (Prim2D, BoundarySpec, Bc2DKind,
 from cpsfds.fds1d import SchemeKind
 from cpsfds.solver1d import (Grid1D, ReconstructionConfig, SolverBlowUp,
                              TimeControls, _residual, compute_dt, initialize)
-from cpsfds.splittings import (SplittingKind, split_flux, convection_jacobian,
-                               pressure_jacobian, convection_eigensystem,
-                               pressure_eigensystem, face_average,
-                               verify_jordan)
-from cpsfds.state import (GasModel, PrimitiveState, physical_flux,
-                          prim_to_cons_arrays, cons_to_prim_arrays)
+from cpsfds.state import GasModel, cons_to_prim_arrays
 
 GAS = GasModel(1.4)
 SCHEMES = list(SchemeKind)
@@ -46,130 +42,32 @@ def report(num, clause, ok, detail):
 
 
 # --------------------------------------------------------------------------
-# 1. algebraic suite
+# 1 and 2. the records of the algebra suite, which `cpsfds verify` prints
 
-def test_criterion_1_algebraic_suite():
-    rng = np.random.default_rng(SEED)
-    n = 1000
-    worst = {"split": 0.0, "jacobian_fd": 0.0, "jordan": 0.0,
-             "strengths": 0.0, "uprop": 0.0, "x1_invariance": 0.0}
+JUMP = "steady-shock jump identity"
 
-    def fd_jacobian(pick, kind, w):
-        U0 = prim_to_cons_arrays(w, GAS.gamma)
 
-        def f(U):
-            g = GAS.gamma
-            rho = U[0]
-            u = U[1] / rho
-            p = (g - 1.0) * (U[2] - 0.5 * U[1] ** 2 / rho)
-            return pick(split_flux(kind, PrimitiveState(rho, u, p), GAS))
+@pytest.fixture(scope="module")
+def algebra():
+    return checks.algebra(SEED)
 
-        # the pressure response to a U_j perturbation is (gamma-1) c_j h;
-        # cap h so strongly supersonic low-pressure states stay physical
-        g = GAS.gamma
-        sens = np.array([0.5 * w.u ** 2, abs(w.u), 1.0]) + 1e-30
-        num = np.empty((3, 3))
-        for j in range(3):
-            h = 1e-6 * max(abs(U0[j]), 1.0)
-            h = min(h, 0.2 * w.p / ((g - 1.0) * sens[j]))
-            Up, Um = U0.copy(), U0.copy()
-            Up[j] += h
-            Um[j] -= h
-            num[:, j] = (f(Up) - f(Um)) / (2.0 * h)
-        return num
 
-    for i in range(n):
-        wL = random_primitive(rng)
-        wR = random_primitive(rng)
-
-        # splitting consistency, all three splittings
-        F = physical_flux(wL, GAS)
-        for kind in SplittingKind:
-            sf = split_flux(kind, wL, GAS)
-            worst["split"] = max(worst["split"],
-                                 np.max(np.abs(sf.total - F))
-                                 / max(np.max(np.abs(F)), 1.0))
-
-        # Jordan residual and free-parameter invariance of the completed
-        # convection bases
-        for kind in (SplittingKind.ZHA_BILGEN, SplittingKind.TORO_VAZQUEZ):
-            A = convection_jacobian(kind, wL, GAS)
-            nrm = max(np.max(np.abs(A)), 1.0)
-            es = convection_eigensystem(kind, wL, GAS)
-            worst["jordan"] = max(worst["jordan"],
-                                  verify_jordan(A, es) / nrm)
-            for x1 in (-3.0, 0.7):
-                es = convection_eigensystem(kind, wL, GAS, x1=x1,
-                                            x3=2.0 * x1)
-                worst["x1_invariance"] = max(worst["x1_invariance"],
-                                             verify_jordan(A, es) / nrm)
-
-        # finite-difference Jacobian checks on a subsample
-        if i < 100:
-            for kind in SplittingKind:
-                for A, pick in (
-                        (convection_jacobian(kind, wL, GAS),
-                         lambda sf: sf.convection),
-                        (pressure_jacobian(kind, wL, GAS),
-                         lambda sf: sf.pressure)):
-                    num = fd_jacobian(pick, kind, wL)
-                    worst["jacobian_fd"] = max(
-                        worst["jacobian_fd"],
-                        np.max(np.abs(A - num))
-                        / max(np.max(np.abs(A)), 1.0))
-
-        # the wave strengths alpha = R^-1 dU rebuild the jump written
-        # through the face averages, and the pressure parts satisfy the Roe
-        # U-property, for both schemes
-        wb = face_average(wL, wR)
-        drho, du, dp = wR.rho - wL.rho, wR.u - wL.u, wR.p - wL.p
-        g = GAS.gamma
-        dU_avg = np.array([drho, wb.rho * du + wb.u * drho,
-                           dp / (g - 1.0) + 0.5 * wb.u ** 2 * drho
-                           + wb.rho * wb.u * du])
-        dU = prim_to_cons_arrays(wR, g) - prim_to_cons_arrays(wL, g)
-        speed = abs(wb.u) + math.sqrt(wb.u ** 2 + 4.0 * g * wb.p / wb.rho)
-        for kind in (SplittingKind.ZHA_BILGEN, SplittingKind.TORO_VAZQUEZ):
-            es = pressure_eigensystem(kind, wb, GAS)
-            R = es.vectors
-            al = np.linalg.solve(R, dU)
-            rownorm = np.max(np.abs(R), axis=0)
-            scale = max(float(np.sum(np.abs(al) * rownorm)),
-                        np.max(np.abs(dU_avg)), 1.0)
-            worst["strengths"] = max(worst["strengths"],
-                                     np.max(np.abs(R @ al - dU_avg)) / scale)
-            jump = split_flux(kind, wR, GAS).pressure \
-                - split_flux(kind, wL, GAS).pressure
-            scale = max(float(np.sum(np.abs(al) * speed * rownorm)), 1.0)
-            worst["uprop"] = max(worst["uprop"],
-                                 np.max(np.abs(R @ (al * es.eigenvalues)
-                                               - jump))
-                                 / scale)
-
-    ok = (worst["split"] <= 1e-12 and worst["jacobian_fd"] <= 1e-4
-          and worst["jordan"] <= 1e-10 and worst["strengths"] <= 1e-12
-          and worst["uprop"] <= 1e-12 and worst["x1_invariance"] <= 1e-11)
-    detail = ", ".join(f"{k}={v:.1e}" for k, v in worst.items())
+def test_criterion_1_algebraic_suite(algebra):
+    records = [c for c in algebra if c.name != JUMP]
+    ok = all(c.ok for c in records)
+    detail = ", ".join(f"{c.name} {c.worst:.1e}" for c in records)
     assert report(1, " (algebraic suite)", ok, detail)
 
 
-# --------------------------------------------------------------------------
-# 2. energy-jump identity over the steady-shock family
-
-def test_criterion_2_energy_jump_identity():
-    machs = [1.5, 2.0, 5.0, 10.0, 100.0, 1000.0]
-    rows = error3_sweep(machs, GAS)
-    worst = 0.0
-    for (m, err, ratio) in rows:
-        wl, wr = bench1d.steady_shock_states(m, GAS)
-        scale = max(wl.p, wr.p) / (GAS.gamma - 1.0) \
-            + max(wl.rho * wl.u ** 2, wr.rho * wr.u ** 2)
-        worst = max(worst, abs(err) / scale)
-    ratio_1000 = rows[-1][2]
-    ok = worst <= 1e-12 and abs(ratio_1000 - 6.0) <= 1e-2
+def test_criterion_2_energy_jump_identity(algebra):
+    jump, = (c for c in algebra if c.name == JUMP)
+    wl, wr = bench1d.steady_shock_states(1000.0, GAS)
+    ratio = wr.rho / wl.rho
+    ok = jump.ok and abs(ratio - 6.0) <= 1e-2
     assert report(2, " (energy-jump identity)", ok,
-                  f"max scaled residual {worst:.1e}, "
-                  f"density ratio at M=1000 is {ratio_1000:.4f}")
+                  f"max scaled residual {jump.worst:.1e} over M = "
+                  f"{checks.SHOCK_MACHS[0]}..{checks.SHOCK_MACHS[-1]}, "
+                  f"density ratio at M=1000 is {ratio:.4f}")
 
 
 # --------------------------------------------------------------------------

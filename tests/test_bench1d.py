@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_pair
 
+from cpsfds import bench1d
 from cpsfds.bench1d import (case_registry, get_case, run_case,
                             error_norms, eoc, convergence_table,
                             reference_profile, steady_shock_states, error3,
@@ -135,3 +136,15 @@ def test_smooth_case_error_shrinks_under_refinement():
     assert o1 is None
     assert e2.l1 < e1.l1
     assert 0.5 < o2[0] < 1.5     # first order scheme
+
+
+@pytest.mark.parametrize("cells", [(40,), (40, 80)])
+def test_convergence_table_without_a_reference_raises_before_solving(
+        cells, monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved a case without a reference")
+
+    monkeypatch.setattr(bench1d, "run_case", solve)
+    with pytest.raises(ValueError, match="no reference solution"):
+        convergence_table(get_case("shock-entropy"), SchemeKind.ZBS_FDS,
+                          cells)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpsfds import cli, euler2d, render
+from cpsfds import bench1d, checks, cli, euler2d, exact_riemann, fds1d, \
+    render, splittings
 from cpsfds.state import GasModel
 
 
@@ -480,12 +481,65 @@ def test_verify_suites_pass_and_are_reproducible(capsys):
     assert "FAIL" not in first
 
 
-def test_free_parameter_check_fails_on_a_perturbed_flux(monkeypatch, capsys):
-    """The flux part of the check compares interface_flux with the flux
-    assembled from the eigensystems, so a 1e-9 relative error fails it."""
-    flux = cli.fds1d.interface_flux
-    monkeypatch.setattr(cli.fds1d, "interface_flux",
-                        lambda *args: flux(*args) * (1.0 + 1e-9))
-    assert run_main(["verify", "algebra", "--seed", "0"]) == 1
-    out = capsys.readouterr().out
-    assert "[FAIL] algebra: free-parameter invariance" in out
+def test_verify_prints_one_line_per_record(capsys):
+    assert run_main(["verify", "all", "--seed", "0"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    records = [(suite, c) for suite, run in checks.SUITES.items()
+               for c in run(0)]
+    assert lines == [f"[PASS] {suite}: {c.name} (worst {c.worst:.2e}, "
+                     f"bound {c.bound:.0e}, samples {c.samples})"
+                     for suite, c in records]
+
+
+def test_unknown_suite_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_main(["verify", "nosuch"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+
+
+def test_run_loads_no_check_code():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from cpsfds import cli; "
+         "cli.main(['run', '--case', 'sod', '--cells', '8', "
+         "'--format', 'report']); print('cpsfds.checks' in sys.modules)"],
+        env=checkout_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("module,name,perturb,record", [
+    (splittings, "pressure_jacobian", lambda v: v * (1.0 + 1e-3),
+     "finite-difference Jacobians"),
+    (fds1d, "interface_flux", lambda v: v * (1.0 + 1e-9),
+     "flux equals its eigenstructure"),
+    (bench1d, "error3", lambda v: v + 1e-9, "steady-shock jump identity"),
+], ids=["pressure_jacobian", "interface_flux", "error3"])
+def test_a_perturbation_fails_exactly_its_check(module, name, perturb,
+                                                record, monkeypatch, capsys):
+    """A small error in what a check compares fails that record and no
+    other: the flux check compares interface_flux with the flux assembled
+    from the eigensystems, so a 1e-9 relative error fails it."""
+    f = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kwargs: perturb(f(*args, **kwargs)))
+    assert run_main(["verify", "algebra", "--seed", "0"]) \
+        == cli.EXIT_CHECK_FAILED
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if not line.startswith("[PASS]")]
+    assert len(failed) == 1
+    assert failed[0].startswith(f"[FAIL] algebra: {record} (")
+
+
+def test_a_check_without_samples_fails(monkeypatch, capsys):
+    """Were every pair to open a vacuum, no star state would be checked,
+    and the record fails rather than passing on no samples."""
+    def vacuum(*args, **kwargs):
+        raise exact_riemann.VacuumError("initial states open a vacuum")
+
+    monkeypatch.setattr(exact_riemann, "solve_star", vacuum)
+    assert run_main(["verify", "oracle"]) == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().out == (
+        "[FAIL] oracle: star-state residuals (worst 0.00e+00, bound 1e-10, "
+        "samples 0)\n")
