@@ -73,22 +73,26 @@ class StructuredGrid2D:
             if short.any():
                 raise ValueError(f"grid has a zero-length {name} face "
                                  f"{first_index(short)}")
-        self.iface_ds = np.hypot(dxi, dyi)
-        self.iface_nx = dyi / self.iface_ds
-        self.iface_ny = -dxi / self.iface_ds
-
-        # nx, ny, ds of the j faces in rows of nj + 2, the last a dummy face
-        # of ones: the residual reads the j faces of a block of cell rows
-        # as one flat run (see _workspace).  Three arrays, not one block of
-        # three: on the 400 x 400 wedge one 3.9 MB block shifts the heap
-        # layout and raises the run's peak RSS by 4.5 MB.
-        self.jface_rows = tuple(np.ones((self.ni, self.nj + 2))
-                                for _ in range(3))
-        self.jface_nx, self.jface_ny, self.jface_ds = \
-            (q[:, :-1] for q in self.jface_rows)
-        np.hypot(dxj, dyj, out=self.jface_ds)
-        np.divide(dyj, self.jface_ds, out=self.jface_nx)
-        np.divide(-dxj, self.jface_ds, out=self.jface_ny)
+        # nx, ny and half the length ds of the faces of each direction, in
+        # rows of nj + 2 padded with ones, a dummy face at both ends of an
+        # i row and at the end of a j row: the residual reads the faces of
+        # a block of cell rows as one flat run (see _workspace).  Three
+        # arrays, not one block of three: on the 400 x 400 wedge one 3.9 MB
+        # block shifts the heap layout and raises the run's peak RSS by
+        # 4.5 MB.
+        self.iface_rows, self.jface_rows = (
+            tuple(np.ones((n, self.nj + 2)) for _ in range(3))
+            for n in (self.ni + 1, self.ni))
+        geom_i = tuple(q[:, 1:-1] for q in self.iface_rows)
+        geom_j = tuple(q[:, :-1] for q in self.jface_rows)
+        for (nx, ny, half_ds), dx, dy in ((geom_i, dxi, dyi),
+                                          (geom_j, dxj, dyj)):
+            np.hypot(dx, dy, out=half_ds)
+            np.divide(dy, half_ds, out=nx)
+            np.divide(-dx, half_ds, out=ny)
+            half_ds *= 0.5
+        self.iface_nx, self.iface_ny, self.iface_half_ds = geom_i
+        self.jface_nx, self.jface_ny, self.jface_half_ds = geom_j
         # each cell's averaged face vectors, half the sum of n ds = (dy, -dx)
         # over its two faces of a direction, and the sum of their lengths,
         # for the time step (compute_dt_2d)
@@ -163,11 +167,11 @@ def _face_sides(rho, u, v, p, gamma, out):
     return rho, u, v, p, s, ps, ru, rv, rH
 
 
-def _sides_flux(left, right, nx, ny, gamma, ds, out, tmp):
-    """Vectorized face flux times the face length ds, written into out,
-    from the side tuples of _face_sides.
+def _sides_flux(left, right, nx, ny, gamma, half_ds, out, tmp):
+    """Vectorized face flux times the face length, written into out, from
+    the side tuples of _face_sides and half_ds, half the face length.
 
-    out holds the four flux components, tmp ten arrays of the same shape
+    out holds the four flux components, tmp nine arrays of the same shape
     for the temporaries; the other arguments broadcast to that shape.  The
     flux is the average of the two normal fluxes
     u_perp (rho, rho u, rho v, rho H) + p (0, n_x, n_y, 0) minus half the
@@ -195,7 +199,7 @@ def _sides_flux(left, right, nx, ny, gamma, ds, out, tmp):
     """
     rL, uL, vL, pL, sL, psL, ruL, rvL, rHL = left
     rR, uR, vR, pR, sR, psR, ruR, rvR, rHR = right
-    a, iw, upL, upR, upb, absu, lam, q, pn, half_ds = tmp
+    a, iw, upL, upR, upb, absu, lam, q, pn = tmp
     np.add(sL, sR, out=iw)               # iw = 1 / (sL + sR)
     np.divide(1.0, iw, out=iw)
     np.multiply(uL, nx, out=upL)         # upL = uL nx + vL ny
@@ -222,7 +226,6 @@ def _sides_flux(left, right, nx, ny, gamma, ds, out, tmp):
     cL, cR = upL, upR                    # cL = upL + absu, cR = upR - absu
     cL += absu
     cR -= absu
-    np.multiply(0.5, ds, out=half_ds)
 
     np.multiply(rL, cL, out=a)           # (rL cL + rR cR) half_ds
     np.multiply(rR, cR, out=b)
@@ -257,10 +260,10 @@ def _flux_2d_kernel(rL, uL, vL, pL, rR, uR, vR, pR, nx, ny, gamma,
     shape = np.broadcast(rL, uL, vL, pL, rR, uR, vR, pR, nx, ny, ds).shape
     if out is None:
         out = np.empty((4,) + shape)
-    ws = np.empty((20,) + shape)
-    return _sides_flux(_face_sides(rL, uL, vL, pL, gamma, ws[10:15]),
-                       _face_sides(rR, uR, vR, pR, gamma, ws[15:]), nx, ny,
-                       gamma, ds, out, ws[:10])
+    ws = np.empty((19,) + shape)
+    return _sides_flux(_face_sides(rL, uL, vL, pL, gamma, ws[9:14]),
+                       _face_sides(rR, uR, vR, pR, gamma, ws[14:]), nx, ny,
+                       gamma, 0.5 * ds, out, ws[:9])
 
 
 def interface_flux_2d(wL: Prim2D, wR: Prim2D, geom: FaceGeometry,
@@ -432,17 +435,17 @@ class _Faces(NamedTuple):
     cells and the j faces none, at order 2 each direction holds one call
     per side on the faces' reconstructed states.  left and right are the
     _face_sides tuples of the faces' two sides, views of those calls'
-    arguments and outputs.  nx, ny, ds are the face geometry, flux and tmp
-    the kernel's output and temporaries, and low - high, two views of
-    flux, is minus the net flux out of each cell of the block through its
-    two faces of this direction.
+    arguments and outputs.  nx, ny, half_ds are the face geometry, flux
+    and tmp the kernel's output and temporaries, and low - high, two views
+    of flux, is minus the net flux out of each cell of the block through
+    its two faces of this direction.
     """
     sides: tuple
     left: tuple
     right: tuple
     nx: np.ndarray
     ny: np.ndarray
-    ds: np.ndarray
+    half_ds: np.ndarray
     flux: np.ndarray
     tmp: np.ndarray
     high: np.ndarray
@@ -451,15 +454,11 @@ class _Faces(NamedTuple):
 
 class _Plan(NamedTuple):
     """One flux block of cell rows: the rows of the residual it writes, its
-    i and j faces, and diff, a buffer for the j faces' net flux.  copies
-    are the (destination, source) pairs that put the block's i face
-    geometry into the padded rows before its fluxes, when the rows are
-    shared with other blocks."""
+    i and j faces, and diff, a buffer for the j faces' net flux."""
     rows: slice
     i: _Faces
     j: _Faces
     diff: np.ndarray
-    copies: tuple
 
 
 class _Workspace(NamedTuple):
@@ -480,45 +479,32 @@ class _Workspace(NamedTuple):
 def _workspace(grid: StructuredGrid2D, order: int) -> _Workspace:
     """The workspace of residual_2d for grid at the given order.
 
-    A j face row runs over m = nj + 2 columns, the faces between the
-    extended columns of one cell row and the one that wraps to the next
-    row, so a block's j faces are one flat run of grid.jface_rows.  At
-    order 1 an i face row, between two extended rows, runs over m columns
-    too.  The faces that ghost columns and wraps add read physical ghost,
-    corner or dummy states and are dropped.  The i face geometry is padded
-    with ones to m columns in rows that the blocks share; a block copies
-    its own into them before its fluxes, unless it is the only block,
-    which copies it once here.  At order 2 an i face row is the nj
-    columns of the grid's own geometry, and both sides of a block's faces
-    are the same flat run of the face states.
+    A face row of either direction runs over m = nj + 2 columns: an i face
+    row the faces between two extended rows, a j face row the faces
+    between the extended columns of one cell row and the one that wraps to
+    the next row.  So a block's faces of a direction are one flat run of
+    the grid's face rows (grid.iface_rows, grid.jface_rows) and of their
+    sides: at order 1 the cells of the block and its ghosts, at order 2
+    the face states, where both sides of a face share one offset.  The
+    faces that ghost columns and wraps add read physical ghost, corner or
+    dummy states and the grid's dummy geometry, and are dropped.
     """
     ni, nj, rows = grid.ni, grid.nj, _block_rows(grid)
     m = nj + 2
-    wi = m if order == 1 else nj       # columns of an i face row
     size = (rows + 2) * m
     fields = np.ones((4, ni + 2 * order, nj + 2 * order))   # ng = order
-    tmp, flux = np.empty((10, size)), np.empty((4, size))
+    tmp, flux = np.empty((9, size)), np.empty((4, size))
     sides = np.empty((5 * order, size))
-    pads = np.ones((3, size)) if order == 1 else None
-    states = None if order == 1 else (np.ones((2, 4, (ni + 3) * nj)),
+    states = None if order == 1 else (np.ones((2, 4, (ni + 3) * m)),
                                       np.ones((2, 4, ni * m + 1)))
     plans = []
     for r0 in range(0, ni, rows):
         r1 = min(r0 + rows, ni)
         n = r1 - r0
-        n_i, n_j = (n + 1) * wi, n * m - 1
-        geom_i = [g[r0:r1 + 1] for g in (grid.iface_nx, grid.iface_ny,
-                                         grid.iface_ds)]
+        n_i, n_j = (n + 1) * m, n * m - 1
+        geom_i = [g[r0:r1 + 1].reshape(-1) for g in grid.iface_rows]
         geom_j = [g[r0:r1].reshape(-1)[:n_j] for g in grid.jface_rows]
-        copies = ()
         if order == 1:
-            copies = tuple(zip((q[:n_i].reshape(n + 1, m)[:, 1:-1]
-                                for q in pads), geom_i))
-            if rows == ni:
-                for dst, src in copies:
-                    dst[...] = src
-                copies = ()
-            geom_i, cols = pads[:, :n_i], slice(1, -1)
             cells = tuple(fields[:, r0:r1 + 2].reshape(4, -1))
             out = tuple(sides[:, :(n + 2) * m])
             calls_i, calls_j, run = ((cells, out),), (), cells + out
@@ -527,16 +513,15 @@ def _workspace(grid: StructuredGrid2D, order: int) -> _Workspace:
             left_j, right_j = (tuple(q[k:k + n_j] for q in run)
                                for k in (m, m + 1))
         else:
-            geom_i, cols = [g.reshape(-1) for g in geom_i], slice(None)
             calls_i, calls_j = (
                 tuple((tuple(st[s, :, k:k + n_f]),
                        tuple(sides[5 * s:5 * s + 5, :n_f])) for s in (0, 1))
-                for st, k, n_f in ((states[0], (r0 + 1) * nj, n_i),
+                for st, k, n_f in ((states[0], (r0 + 1) * m, n_i),
                                    (states[1], 1 + r0 * m, n_j)))
             (left_i, right_i), (left_j, right_j) = (
                 (args + out for args, out in calls)
                 for calls in (calls_i, calls_j))
-        f_i = flux[:, :n_i].reshape(4, n + 1, wi)[:, :, cols]
+        f_i = flux[:, :n_i].reshape(4, n + 1, m)[:, :, 1:-1]
         f_j = flux[:, :n * m].reshape(4, n, m)
         plans.append(_Plan(
             slice(r0, r1),
@@ -544,40 +529,43 @@ def _workspace(grid: StructuredGrid2D, order: int) -> _Workspace:
                    tmp[:, :n_i], f_i[:, 1:], f_i[:, :-1]),
             _Faces(calls_j, left_j, right_j, *geom_j, flux[:, :n_j],
                    tmp[:, :n_j], f_j[:, :, 1:-1], f_j[:, :, :-2]),
-            tmp[:4, :n * nj].reshape(4, n, nj), copies))
+            tmp[:4, :n * nj].reshape(4, n, nj)))
     return _Workspace(fields, states, tuple(plans))
 
 
 def _face_states(fields, states, recon: ReconstructionConfig, h):
     """Write the MUSCL face states of the extended fields into states, the
-    (2, 4, (ni + 3) nj) i states and the (2, 4, ni m + 1) j states, m =
+    (2, 4, (ni + 3) m) i states and the (2, 4, ni m + 1) j states, m =
     nj + 2, and check them.
 
     The left and the right state of a face share one flat offset of the
-    fields of sides 0 and 1.  The states of i face row r, the high face
-    values of extended row r and the low ones of row r + 1, are at
-    (r + 1) nj.  The j states are rows of m, one per cell row, and those
-    of j face (r, c) are at 1 + r m + c; the face at the end of a row
-    wraps to the next and is dropped.  The row ends that only it reads
-    are set to ones before the check, so the j scan runs over whole rows
-    of m and finds no fault in that column.  Every face is checked, the i
-    faces first, before any flux is formed; a failed check names the face
-    by its grid index (i, j).
+    fields of sides 0 and 1, and both directions lay their states in rows
+    of m.  The states of i face (r, c), the high face value of extended
+    row r + 1 and the low one of row r + 2 in grid column c, are at
+    (r + 1) m + c + 1; the two slots of each row at c = -1 and c = nj are
+    never written and stay ones.  The j states are rows of m, one per cell
+    row, and those of j face (r, c) are at 1 + r m + c; the face at the
+    end of a row wraps to the next and is dropped.  The row ends that only
+    it reads are set to ones before the check.  So both scans run over
+    whole rows of m and find no fault in the dummy columns.  Every face is
+    checked, the i faces first, before any flux is formed; a failed check
+    names the face by its grid index (i, j).
     """
     ni, nj = fields.shape[1] - 4, fields.shape[2] - 4
     m = nj + 2
     st_i, st_j = states
-    for q, lo, hi in zip(fields[:, :, 2:-2], st_i[1, :, :(ni + 2) * nj],
-                         st_i[0, :, nj:]):
+    for q, lo, hi in zip(fields[:, :, 2:-2], st_i[1, :, :(ni + 2) * m],
+                         st_i[0, :, m:]):
         muscl_reconstruct(q, h, recon.limiter_k,
-                          out=(lo.reshape(ni + 2, nj), hi.reshape(ni + 2, nj)))
+                          out=(lo.reshape(ni + 2, m)[:, 1:-1],
+                               hi.reshape(ni + 2, m)[:, 1:-1]))
     for q, lo, hi in zip(fields[:, 2:-2].transpose(0, 2, 1),
                          st_j[1, :, :ni * m], st_j[0, :, 1:]):
         muscl_reconstruct(q, h, recon.limiter_k,
                           out=(lo.reshape(ni, m).T, hi.reshape(ni, m).T))
     st_j[0, :, m::m] = 1.0               # high values of extended column m - 1
     st_j[1, :, :ni * m:m] = 1.0          # low values of extended column 0
-    check_faces(st_i[:, :, nj:(ni + 2) * nj].reshape(2, 4, ni + 1, nj))
+    check_faces(st_i[:, :, m + 1:(ni + 2) * m + 1].reshape(2, 4, ni + 1, m))
     check_faces(st_j[:, :, 1:1 + ni * m].reshape(2, 4, ni, m))
 
 
@@ -604,14 +592,12 @@ def residual_2d(W, grid: StructuredGrid2D, bc: dict,
         _face_states(fields, ws.states, recon, grid.h)
     net = np.empty((4, grid.ni, grid.nj))
     for plan in ws.plans:
-        for dst, src in plan.copies:
-            dst[...] = src
         cells = net[:, plan.rows]
         for faces, diff in ((plan.i, cells), (plan.j, plan.diff)):
             for args, out in faces.sides:
                 _face_sides(*args, g, out)
             _sides_flux(faces.left, faces.right, faces.nx, faces.ny, g,
-                        faces.ds, faces.flux, faces.tmp)
+                        faces.half_ds, faces.flux, faces.tmp)
             np.subtract(faces.low, faces.high, out=diff)
         cells += plan.diff
     net /= grid.area

@@ -15,7 +15,7 @@ from cpsfds.euler2d import (StructuredGrid2D, cartesian_grid, ramp_grid,
                             residual_2d, compute_dt_2d, post_shock_state,
                             case_registry_2d, half_cylinder_case, ramp_case,
                             run_case_2d, shock_reflection_case,
-                            stagnation_line_pressure)
+                            stagnation_line_pressure, wedge_case)
 from cpsfds.solver1d import ReconstructionConfig, SolverBlowUp, \
     TimeControls, muscl_reconstruct
 from cpsfds.state import GasModel, NonPhysicalStateError, Prim2D, \
@@ -54,6 +54,8 @@ def test_cartesian_grid_geometry():
     np.testing.assert_allclose(g.iface_ny, 0.0, atol=1e-15)
     np.testing.assert_allclose(g.jface_nx, 0.0, atol=1e-15)
     np.testing.assert_allclose(g.jface_ny, 1.0)
+    np.testing.assert_allclose(g.iface_half_ds, 0.5 * 0.25)
+    np.testing.assert_allclose(g.jface_half_ds, 0.5 * 0.25)
     assert np.sum(g.area) == pytest.approx(2.0)
 
 
@@ -447,10 +449,10 @@ def test_residual_does_not_depend_on_the_flux_block_size(order, gas,
     block edge changes the residual.
 
     The half cylinder, the shock reflection and a ramp_grid together put
-    every Bc2DKind on a block edge.  At order 1 a single block has its
-    padded i face geometry copied once, when the workspace is made;
-    several blocks copy theirs before each use, so a workspace reused for
-    a second residual, as in a march, gives the same answer."""
+    every Bc2DKind on a block edge.  Each block reads its i and j face
+    geometry from the grid's face rows and writes only the workspace's
+    shared buffers, so a workspace reused for a second residual, as in a
+    march, gives the same answer."""
     recon = ReconstructionConfig(order)
     rng = np.random.default_rng(5)
     default = euler2d._BLOCK_FACES
@@ -628,19 +630,20 @@ def test_flux_kernel_allocates_nothing_block_sized(gas):
     import tracemalloc
     rng = np.random.default_rng(2)
     shape = (64, 128)
-    ws = np.empty((24,) + shape)
+    ws = np.empty((23,) + shape)
     states = [[1.0 + rng.uniform(size=shape), rng.uniform(-2, 2, shape),
                rng.uniform(-2, 2, shape), 1.0 + rng.uniform(size=shape)]
               for _ in range(2)]
     nx, ny = np.cos(rng.uniform(0, 6, shape)), np.sin(rng.uniform(0, 6,
                                                                   shape))
     ds = rng.uniform(0.5, 1.0, shape)
+    half_ds = 0.5 * ds
 
     def block():
         left = euler2d._face_sides(*states[0], gas.gamma, ws[:5])
         right = euler2d._face_sides(*states[1], gas.gamma, ws[5:10])
-        euler2d._sides_flux(left, right, nx, ny, gas.gamma, ds, ws[10:14],
-                            ws[14:])
+        euler2d._sides_flux(left, right, nx, ny, gas.gamma, half_ds,
+                            ws[10:14], ws[14:])
 
     block()                                    # warm
     tracemalloc.start()
@@ -662,8 +665,9 @@ def test_first_order_residual_allocates_nothing_block_sized(gas,
                                                             monkeypatch):
     """With its march workspace, one first-order residual on a grid of
     three flux blocks allocates less than one block-sized array beyond
-    the net it returns: the block plans, their views and the padded face
-    geometry are built once per march, not once per residual.  A ufunc
+    the net it returns: the block plans and their views are built once
+    per march, not once per residual, and every block reads its face
+    geometry from the grid's face rows as it is, with no copy.  A ufunc
     over strided views takes numpy's iterator buffers, np.getbufsize()
     values per operand whatever the block size, so the blocks here are
     eight times the default size to stand clear of them."""
@@ -729,17 +733,23 @@ def test_face_scan_reports_in_a_fixed_precedence(arrays, message, cell):
     check_faces(np.ones_like(faces))
 
 
-@pytest.mark.parametrize("axis,face", [(0, (3, 5)), (1, (2, 6))],
-                         ids=["i-sweep", "j-sweep"])
-def test_face_scan_names_the_grid_face_in_either_sweep(axis, face, gas):
-    """A pressure dip at cell (2, 5) of a 6x9 grid, with a far larger
+@pytest.mark.parametrize("axis,dip", [(0, (2, 5)), (0, (2, 0)), (0, (2, 8)),
+                                     (1, (2, 5))],
+                         ids=["i-sweep", "i-sweep-first-j", "i-sweep-last-j",
+                              "j-sweep"])
+def test_face_scan_names_the_grid_face_in_either_sweep(axis, dip, gas):
+    """A pressure dip at a cell of a 6x9 grid, with a far larger
     neighbour above it along one direction, drives the limited value at
     the dip's high face negative in that direction only.  Both
-    directions report the face by its grid index (i, j)."""
+    directions report the face by its grid index (i, j), the neighbour's.
+    The i faces at j = 0 and j = nj - 1 sit next to the two dummy slots
+    of each row of i face states, which a scan window off by one would
+    take for grid faces."""
     grid = cartesian_grid(0.0, 1.0, 0.0, 1.5, 6, 9)
     p = np.ones((6, 9))
-    p[2, 5] = 0.1
-    p[(3, 5) if axis == 0 else (2, 6)] = 100.0
+    p[dip] = 0.1
+    face = (dip[0] + 1, dip[1]) if axis == 0 else (dip[0], dip[1] + 1)
+    p[face] = 100.0
     W = (np.ones_like(p), np.zeros_like(p), np.zeros_like(p), p)
     bc = dict.fromkeys(("imin", "imax", "jmin", "jmax"),
                        BoundarySpec(Bc2DKind.SUPERSONIC_OUTFLOW))
@@ -1000,6 +1010,25 @@ def test_second_order_half_cylinder_blows_up_at_the_wall_outflow_corner(gas):
         run_case_2d(half_cylinder_case(), gas, order=2)
     assert (err.value.step, err.value.cell) == (52, (44, 0))
     assert "cell (44, 0)" in str(err.value)
+
+
+@pytest.mark.slow
+def test_second_order_wedge_blows_up_off_the_ramp_wall(gas):
+    """Pins a known defect (ROADMAP item 16): at order 2 the wedge
+    completes on the n x n grids from 100 to 108 and blows up on
+    109 x 109, three cells off the ramp's slip wall and downstream of
+    its corner, where the face scan finds a non-positive reconstructed
+    pressure at i face (97, 3).  The grid's two flux blocks share an i
+    face row, so the run also crosses a block edge at order 2.  A remedy
+    for that item changes this test."""
+    case = wedge_case()
+    grid = case.grid_factory(109, 109)
+    assert len(euler2d._workspace(grid, 2).plans) == 2
+    with pytest.raises(SolverBlowUp) as err:
+        run_case_2d(case, gas, grid_shape=(109, 109), order=2)
+    assert (err.value.step, err.value.cell) == (452, (97, 3))
+    assert str(err.value) == ("zbs-2d blew up at step 452, cell (97, 3): "
+                              "reconstructed p not positive, cell=(97, 3)")
 
 
 @pytest.mark.slow

@@ -79,7 +79,7 @@ def test_star_state_zeroes_the_pressure_function(rng):
         except VacuumError:
             continue
         resid = pressure_function(star.p_star, wL, wR, gas)
-        assert abs(resid) <= 1e-9 * max(wL.p, wR.p, 1.0)
+        assert abs(resid) <= 1e-10 * max(wL.p, wR.p)
 
 
 def test_vacuum_formation_raises():
