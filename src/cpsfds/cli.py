@@ -26,8 +26,9 @@ EXIT_BLOWUP = 3
 _SCHEMES = {k.value: k for k in SchemeKind}
 
 
-# Rows rendered per pass of render.render_rows: bounds its work arrays and
-# each piece of text held in memory before it is written.
+# Rows stacked and rendered per pass of render.render_rows: bounds the
+# stacked rows, the renderer's work arrays and each piece of text held in
+# memory before it is written.
 _CSV_CHUNK_ROWS = 4096
 
 
@@ -48,13 +49,15 @@ def _write_text(path, pieces):
 def _csv(header, columns):
     """Header lines, then one row per element of the equal-sized columns,
     every value written as _fmt writes it.  Yields the text in pieces of
-    at most _CSV_CHUNK_ROWS rows."""
+    at most _CSV_CHUNK_ROWS rows, each stacked from the columns on its
+    own, so the whole table is never held."""
     # imported on first use: a process that writes no CSV never compiles it
     from .render import render_rows
     yield "".join(line + "\n" for line in header)
-    table = np.stack([np.ravel(c) for c in columns], axis=1)
-    for k in range(0, len(table), _CSV_CHUNK_ROWS):
-        yield render_rows(table[k:k + _CSV_CHUNK_ROWS])
+    columns = [np.ravel(c) for c in columns]
+    for k in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        yield render_rows(np.stack([c[k:k + _CSV_CHUNK_ROWS]
+                                    for c in columns], axis=1))
 
 
 def _csv_1d(result: bench1d.CaseResult, gamma: float):

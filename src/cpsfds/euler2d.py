@@ -282,9 +282,10 @@ def interface_flux_2d(wL: Prim2D, wR: Prim2D, geom: FaceGeometry,
 # perfbench (its 2D set-up and layer trace) and a test counting calls per
 # stage reach; advance_2d looks cons_to_prim_fields up here at each stage.
 
-def cons_to_prim_fields(U, gamma):
-    """(4, ni, nj) conserved field -> (4, ni, nj) primitive fields."""
-    return cons_to_prim_arrays(U, gamma)
+def cons_to_prim_fields(U, gamma, out=None):
+    """(4, ni, nj) conserved field -> (4, ni, nj) primitive fields, written
+    into out if it is given (see cons_to_prim_arrays)."""
+    return cons_to_prim_arrays(U, gamma, out)
 
 
 def prim_to_cons_fields(rho, u, v, p, gamma):
@@ -399,26 +400,38 @@ def compute_dt_2d(rho, u, v, p, grid: StructuredGrid2D, gas: GasModel,
     face-by-face bound.  On a Cartesian cell this is
     cfl / ((|u| + a)/dx + (|v| + a)/dy), the 2D analogue of 1D compute_dt;
     cfl = 0.5 is linearly stable for first-order ZBS (its limit at rest is
-    0.80)."""
-    tot = np.multiply(gas.gamma, p)      # a = sqrt(gamma p / rho), in place
-    tot /= rho
-    np.sqrt(tot, out=tot)
-    tot *= grid.s_len
-    un, t = np.empty_like(tot), np.empty_like(tot)
-    for sx, sy in ((grid.si_x, grid.si_y), (grid.sj_x, grid.sj_y)):
-        np.multiply(u, sx, out=un)       # |u . S|, in place
-        np.multiply(v, sy, out=t)
-        un += t
-        np.abs(un, out=un)
-        tot += un
-    np.divide(grid.area, tot, out=tot)
-    return cfl * float(np.min(tot))
+    0.80).
+
+    The temporaries span one flux block of cell rows (_block_rows), not
+    the field; the smallest of the block minima is the field's minimum,
+    so the result does not depend on the block size."""
+    rows = _block_rows(grid)
+    least = np.inf                       # np.minimum keeps a nan, as np.min
+    for r0 in range(0, grid.ni, rows):
+        b = slice(r0, r0 + rows)
+        ub, vb = u[b], v[b]
+        tot = np.multiply(gas.gamma, p[b])   # a = sqrt(gamma p / rho)
+        tot /= rho[b]
+        np.sqrt(tot, out=tot)
+        tot *= grid.s_len[b]
+        un, t = np.empty_like(tot), np.empty_like(tot)
+        for sx, sy in ((grid.si_x, grid.si_y), (grid.sj_x, grid.sj_y)):
+            np.multiply(ub, sx[b], out=un)      # |u . S|, in place
+            np.multiply(vb, sy[b], out=t)
+            un += t
+            np.abs(un, out=un)
+            tot += un
+        np.divide(grid.area[b], tot, out=tot)
+        least = np.minimum(least, tot.min())
+        del tot, un, t                   # before the next block makes its own
+    return cfl * float(least)
 
 
 # Faces of one direction per flux block: the kernel's temporaries for one
 # block fit the 2 MiB L2 cache.  A block is a whole number of cell rows (at
 # least one), each with nj + 1 j faces.  The value is read when a
-# workspace is made, and sizes its buffers and its blocks.
+# workspace is made, and sizes its buffers and its blocks, and at each
+# compute_dt_2d call, which forms its temporaries one block at a time.
 _BLOCK_FACES = 8192
 
 
@@ -570,12 +583,15 @@ def _face_states(fields, states, recon: ReconstructionConfig, h):
 
 
 def residual_2d(W, grid: StructuredGrid2D, bc: dict,
-                recon: ReconstructionConfig, gas: GasModel, ws=None):
+                recon: ReconstructionConfig, gas: GasModel, ws=None,
+                out=None):
     """-(1/A) sum of face fluxes times face lengths; shape (4, ni, nj).
 
     W holds the primitive cell fields (rho, u, v, p).  ws is the workspace
     that a march made for this grid and order; a call without one makes
-    its own.
+    its own.  The residual is written into out, a (4, ni, nj) float array,
+    if it is given, else into a new array.  out may be W itself: W is read
+    only once, when it is copied into the workspace's ghosted fields.
 
     The faces are evaluated in blocks of cell rows: first the i faces that
     bound the block's cells, then the j faces of those cells.  An i face
@@ -590,7 +606,7 @@ def residual_2d(W, grid: StructuredGrid2D, bc: dict,
     fields = _extend(W, grid, bc, recon.order, ws.fields)   # ng = order
     if recon.order == 2:
         _face_states(fields, ws.states, recon, grid.h)
-    net = np.empty((4, grid.ni, grid.nj))
+    net = np.empty((4, grid.ni, grid.nj)) if out is None else out
     for plan in ws.plans:
         cells = net[:, plan.rows]
         for faces, diff in ((plan.i, cells), (plan.j, plan.diff)):
@@ -612,14 +628,19 @@ def advance_2d(U, grid: StructuredGrid2D, bc: dict,
 
     Raises ValueError, before any step, for a grid with fewer than
     MIN_CELLS_2D cells along a direction.  All residuals of the march
-    share one workspace."""
+    share one workspace, and every stage one (4, ni, nj) buffer: its
+    primitives are written into it, then its residual over them.  The
+    buffer is an array of its own, not the interior of the workspace's
+    ghosted fields: the primitive recovery and the time step run faster
+    on a contiguous array."""
     check_grid_shape(grid.ni, grid.nj)
     ws = _workspace(grid, recon.order)
+    stage = np.empty((4, grid.ni, grid.nj))
     return march(
         U,
-        lambda U: cons_to_prim_fields(U, gas.gamma),
+        lambda U: cons_to_prim_fields(U, gas.gamma, out=stage),
         lambda W: compute_dt_2d(*W, grid, gas, controls.cfl),
-        lambda W: residual_2d(W, grid, bc, recon, gas, ws=ws),
+        lambda W: residual_2d(W, grid, bc, recon, gas, ws=ws, out=W),
         controls, recon.order, "zbs-2d")
 
 

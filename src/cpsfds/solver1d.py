@@ -126,8 +126,11 @@ class SolverBlowUp(RuntimeError):
 
 
 def compute_dt(rho, u, p, gas: GasModel, dx: float, cfl: float) -> float:
-    a = np.sqrt(gas.gamma * p / rho)
-    return cfl * dx / float(np.max(np.abs(u) + a))
+    a = np.multiply(gas.gamma, p)        # a = sqrt(gamma p / rho), in place
+    a /= rho
+    np.sqrt(a, out=a)
+    a += np.abs(u)
+    return cfl * dx / float(a.max())
 
 
 def muscl_reconstruct(q: np.ndarray, dx: float, k: float, out=None):
@@ -218,11 +221,16 @@ def march(U, to_prim, dt_fn, residual_fn, controls, order, label):
     at the first step.  No callback takes the step: the march alone wraps
     a NonPhysicalStateError in SolverBlowUp(label, step, cell).
 
-    residual_fn returns a new array, which the step then overwrites.  The
-    updates run in place, in the order of U1 = U + dt R and
-    U = 0.5 U + 0.5 (U1 + dt R1), so they round as those expressions do.
+    residual_fn(W) may return W itself, refilled with the residual, or a
+    new array; the step overwrites it either way, so to_prim may hand
+    every stage one buffer.  The march takes its own copy of U, and at
+    order 2 one buffer for U1, and updates both in place: order 1 as
+    U += dt R, order 2 in the order of U1 = U + dt R and
+    U = 0.5 U + 0.5 (U1 + dt R1).  IEEE addition commutes, so U += dt R
+    rounds as U1 = U + dt R does.
     """
     U = np.array(U, dtype=float)
+    U1 = None if order == 1 else np.empty_like(U)
     log = StepLog()
     steady_drop = controls.steady_drop
     res0 = None
@@ -233,12 +241,12 @@ def march(U, to_prim, dt_fn, residual_fn, controls, order, label):
             R = residual_fn(W)
             if steady_drop is not None:
                 res = float(np.sqrt(np.sum(R[0] ** 2)))
-            U1 = R                       # U1 = U + dt R, in R
-            U1 *= dt
-            U1 += U
             if order == 1:
-                U = U1
+                R *= dt
+                U += R
             else:
+                np.multiply(R, dt, out=U1)   # U1 = U + dt R
+                U1 += U
                 R1 = residual_fn(to_prim(U1))
                 R1 *= dt                 # U = 0.5 U + 0.5 (U1 + dt R1)
                 R1 += U1

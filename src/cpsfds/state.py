@@ -123,17 +123,19 @@ def _raise_first_bad(rho, p):
                 p=None if q is rho else float(q[cell]), cell=cell)
 
 
-def cons_to_prim_arrays(U, gamma):
+def cons_to_prim_arrays(U, gamma, out=None):
     """Conserved rows (rho, momenta..., rho E) of a (3, ...) or (4, ...)
     array -> the primitive rows (rho, velocities..., p), stacked in an
-    array of the same shape.  One state is a (3,) or (4,) array.
+    array of the same shape, or written into out, a float array of that
+    shape, and returned.  out must not overlap U: p is written before
+    rho E is read.  One state is a (3,) or (4,) array.
 
     Raises NonPhysicalStateError unless every rho, then every p, is finite
     and positive; the error names the first bad cell in C order (see
     first_index).  The pressure is (gamma - 1) (rho E - |m|^2 / (2 rho)).
     """
     U = np.asarray(U, dtype=float)
-    W = np.empty(U.shape)
+    W = np.empty(U.shape) if out is None else out
     rho, p = U[0, ...], W[-1, ...]       # 0-d views for one state
     if not rho.min() > 0.0:
         # rho is at fault, so p, not yet written, is never read

@@ -434,9 +434,9 @@ def test_renderer_matches_percent_format_at_the_extremes():
     assert_renders_as_percent(extremes + [-v for v in extremes], cols=4)
 
 
-def csv_peak_beyond_table(n):
-    """Peak bytes traced while draining cli._csv over six n x n columns,
-    less the stacked (n * n, 6) table."""
+def csv_peak(n):
+    """Peak bytes traced while draining cli._csv over six n x n columns
+    (the columns themselves are made before tracing starts)."""
     columns = np.random.default_rng(5).standard_normal((6, n, n))
     render.render_tables()
     tracemalloc.start()
@@ -446,7 +446,12 @@ def csv_peak_beyond_table(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - columns.nbytes
+    return peak
+
+
+def csv_peak_beyond_table(n):
+    """csv_peak(n) less the size of the stacked (n * n, 6) table."""
+    return csv_peak(n) - np.empty((n * n, 6)).nbytes
 
 
 def test_csv_memory_is_bounded_by_one_chunk():
@@ -454,6 +459,13 @@ def test_csv_memory_is_bounded_by_one_chunk():
     small, large = csv_peak_beyond_table(100), csv_peak_beyond_table(400)
     assert large < 8e6
     assert large < small + 0.5e6
+
+
+def test_csv_never_stacks_the_whole_table():
+    """Each chunk of rows is stacked from the columns on its own, so
+    writing six 400 x 400 columns peaks below one stacked (160000, 6)
+    table, 7.68 MB."""
+    assert csv_peak(400) < np.empty((400 * 400, 6)).nbytes
 
 
 def test_import_builds_no_render_tables():

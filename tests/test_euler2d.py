@@ -26,7 +26,7 @@ from cpsfds.splittings import (FaceGeometry, face_geometry, split_flux_2d,
                                pressure_eigensystem_2d, face_average,
                                upwind_dissipation, verify_jordan)
 
-from conftest import wave_scale
+from conftest import reference_march, wave_scale
 
 
 def random_state_2d(rng) -> Prim2D:
@@ -406,6 +406,29 @@ def test_time_step_is_never_below_the_face_by_face_bound(grid, parallelograms,
         assert (lam < ref * (1.0 - 1e-6)).any()
 
 
+@pytest.mark.parametrize("case", case_registry_2d(), ids=lambda c: c.name)
+def test_time_step_over_row_blocks_is_the_whole_field_value(case, gas, rng,
+                                                            monkeypatch):
+    """compute_dt_2d forms its temporaries one flux block of cell rows at
+    a time; the smallest block minimum is the minimum over the field, so
+    dt is exactly the whole-field expression, whatever the block size.
+    The second field puts the smallest dt in the last cell row."""
+    grid = case.grid_factory(30, 20)
+    rho, u, v, p = _random_fields(rng, grid.xc.shape)
+    for fast in (False, True):
+        if fast:
+            u[-1, -1] = 50.0
+        a = np.sqrt(gas.gamma * p / rho)
+        lam = (a * grid.s_len + np.abs(u * grid.si_x + v * grid.si_y)
+               + np.abs(u * grid.sj_x + v * grid.sj_y))
+        want = 0.5 * float(np.min(grid.area / lam))
+        # one row, 7 rows (the last block 2), 15 rows, one block
+        for faces in (1, 7 * 21, 15 * 21, 10 ** 6):
+            monkeypatch.setattr(euler2d, "_BLOCK_FACES", faces)
+            assert compute_dt_2d(rho, u, v, p, grid, gas, 0.5) == want
+    assert euler2d._block_rows(grid) == grid.ni
+
+
 def test_interface_flux_reduces_to_1d_along_the_x_axis(gas, rng):
     from cpsfds.fds1d import SchemeKind, interface_flux
     geom = FaceGeometry(1.0, 0.0, 1.0)
@@ -478,6 +501,36 @@ def test_residual_does_not_depend_on_the_flux_block_size(order, gas,
         assert len(euler2d._workspace(grid, order).plans) == 1
         for got in results[1:]:
             assert np.array_equal(got, results[0])
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_march_with_reused_buffers_matches_a_fresh_array_reference(
+        order, gas, monkeypatch):
+    """advance_2d writes every stage's primitives and residual into one
+    buffer, updates U in place and, at order 2, U1 in a buffer of its own;
+    the result equals, bit for bit, the march on fresh arrays with a
+    residual_2d that makes its own workspace and output.  The shock
+    reflection puts a slip wall and two fixed states on a grid of six flux
+    blocks."""
+    monkeypatch.setattr(euler2d, "_BLOCK_FACES", 40)
+    case = shock_reflection_case()
+    grid = case.grid_factory(24, 8)
+    assert len(euler2d._workspace(grid, order).plans) == 6
+    rng = np.random.default_rng(8)
+    shape = grid.xc.shape
+    U0 = prim_to_cons_fields(1.0 + 0.2 * rng.uniform(size=shape),
+                             2.9 + 0.3 * rng.uniform(-1, 1, shape),
+                             0.3 * rng.uniform(-1, 1, shape),
+                             0.7 + 0.1 * rng.uniform(size=shape), gas.gamma)
+    recon, t_final = ReconstructionConfig(order), 0.1
+    U, log = advance_2d(U0, grid, case.bc, recon,
+                        TimeControls(t_final, case.cfl), gas)
+    want, steps = reference_march(
+        U0, lambda U: cons_to_prim_fields(U, gas.gamma),
+        lambda W: compute_dt_2d(*W, grid, gas, case.cfl),
+        lambda W: residual_2d(W, grid, case.bc, recon, gas), t_final, order)
+    assert log.steps == steps >= 3
+    assert np.array_equal(U, want)
 
 
 def ghost_state(spec, cell, nx, ny):
@@ -695,6 +748,58 @@ def test_first_order_residual_allocates_nothing_block_sized(gas,
         tracemalloc.stop()
     assert peak - before - net.nbytes < np.empty((rows, grid.nj)).nbytes
     assert np.array_equal(net, residual_2d(W, grid, bc, recon, gas))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_march_allocates_no_field_per_step(order, gas, monkeypatch):
+    """An advance_2d march of several steps on a grid of three flux blocks
+    holds its copy of U, one stage buffer for every stage's primitives and
+    residual, at order 2 one U1 buffer, and its workspace.  Beyond those
+    its peak stays below one block of the conserved field, which covers
+    compute_dt_2d's three block-sized temporaries, and at order 2 below
+    that plus the peak of one face-state reconstruction, whose
+    muscl_reconstruct temporaries span the extended cells of a direction.
+    So no step allocates a primitive field, a residual, a U1 or a field of
+    time-step temporaries.  The blocks are eight times the default size,
+    as in test_first_order_residual_allocates_nothing_block_sized."""
+    import tracemalloc
+    monkeypatch.setattr(euler2d, "_BLOCK_FACES", 8 * 8192)
+    grid = half_cylinder_grid(600, 255)
+    assert len(euler2d._workspace(grid, order).plans) == 3
+    rng = np.random.default_rng(4)
+    shape = grid.xc.shape
+    W = np.stack([1.4 + 0.2 * rng.uniform(size=shape),
+                  2.0 + 0.5 * rng.uniform(-1, 1, shape),
+                  0.5 * rng.uniform(-1, 1, shape),
+                  1.0 + 0.2 * rng.uniform(size=shape)])
+    U0 = prim_to_cons_fields(*W, gas.gamma)
+    bc, recon = half_cylinder_case(mach=2.0).bc, ReconstructionConfig(order)
+    dt = compute_dt_2d(*W, grid, gas, 0.5)
+    advance_2d(U0, grid, bc, recon, TimeControls(0.5 * dt, 0.5), gas)  # warm
+    allowed = np.empty((4, euler2d._block_rows(grid), grid.nj)).nbytes
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        ws = euler2d._workspace(grid, order)
+        workspace = tracemalloc.get_traced_memory()[0] - before
+        if order == 2:
+            fields = euler2d._extend(W, grid, bc, 2, ws.fields)
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            euler2d._face_states(fields, ws.states, recon, grid.h)
+            allowed += tracemalloc.get_traced_memory()[1] - start
+            del fields
+        del ws
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        _, log = advance_2d(U0, grid, bc, recon,
+                            TimeControls(3.5 * dt, 0.5), gas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert log.steps >= 3
+    held = (3 if order == 2 else 2) * U0.nbytes + workspace
+    assert peak - before - held < allowed
 
 
 FIELDS_2D = ("rho", "u", "v", "p")

@@ -17,6 +17,8 @@ from cpsfds.solver1d import (Grid1D, BoundaryCondition, TimeControls,
 from cpsfds.state import NonPhysicalStateError, check_faces, \
     cons_to_prim_arrays
 
+from conftest import reference_march
+
 SCHEMES = list(SchemeKind)
 PERIODIC = (BoundaryCondition.PERIODIC,) * 2
 REFLECTIVE = (BoundaryCondition.REFLECTIVE,) * 2
@@ -300,6 +302,27 @@ def test_2d_primitives_are_recovered_once_per_stage(order, gas, monkeypatch):
                                     t_final=0.2)
     assert log.steps > 0
     assert calls[0] == order * log.steps
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_march_in_place_matches_a_fresh_array_reference(order, scheme, gas):
+    """advance updates U in place and, at order 2, U1 in one buffer of the
+    march; the result equals, bit for bit, the march on fresh arrays."""
+    case = get_case("sod")
+    grid = Grid1D(case.x_min, case.x_max, 50)
+    U0 = initialize(grid, case.initial_profile, gas)
+    recon = ReconstructionConfig(order)
+    U, log = advance(U0, grid, scheme, recon, case.bc,
+                     TimeControls(case.t_final, case.cfl), gas)
+    want, steps = reference_march(
+        U0, lambda U: cons_to_prim_arrays(U, gas.gamma),
+        lambda W: compute_dt(*W, gas, grid.dx, case.cfl),
+        lambda W: solver1d._residual(W, scheme, case.bc, recon, grid.dx,
+                                     gas),
+        case.t_final, order)
+    assert log.steps == steps > 0
+    assert np.array_equal(U, want)
 
 
 @pytest.mark.slow
