@@ -8,10 +8,11 @@ much of the pressure work ends up on the pressure side:
   * Toro-Vazquez:  F_p = (0, p, gamma p u / (gamma - 1))
 
 Every convection Jacobian is weakly hyperbolic (real eigenvalues, defective
-eigenvector set).  For the Zha-Bilgen and Toro-Vazquez splittings the basis is
-completed with generalized eigenvectors forming a Jordan chain of order two;
-the Liou-Steffen convection part stays defective and is exposed for analysis
-only (no scheme is built on it).
+eigenvector set).  Each basis is completed with a generalized eigenvector
+forming a Jordan chain of order two (Toro & Vazquez-Cendon, Computers &
+Fluids 70, 2012).  No scheme is built on the Liou-Steffen split (Liou &
+Steffen, JCP 107, 1993): its convection and pressure dissipations both jump
+at u = 0 (see `pressure_eigensystem`).
 
 The 2D face-normal Zha-Bilgen split follows the same pattern.
 `EigenSystem` is the one decomposition type: `verify_jordan` checks it against
@@ -50,17 +51,16 @@ class SplitFlux:
 
 @dataclass
 class EigenSystem:
-    """Eigenvalues with a complete (or deliberately incomplete) basis.
+    """Eigenvalues with a square, complete basis of (generalized)
+    eigenvectors.
 
     ``chain_links[k] = j`` declares column k generalized with chain head j:
-    A R_k = lambda_k R_k + R_j.  ``defective`` marks a basis that cannot be
-    completed by the construction used here (Liou-Steffen convection part).
+    A R_k = lambda_k R_k + R_j.
     """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray            # basis columns, shape (n, m) with m <= n
+    vectors: np.ndarray            # basis columns, shape (n, n)
     chain_links: dict = field(default_factory=dict)
-    defective: bool = False
 
 
 def split_flux(kind: SplittingKind, w: PrimitiveState,
@@ -133,19 +133,15 @@ def convection_eigensystem(kind: SplittingKind, w: PrimitiveState,
                            x3: float = 0.0) -> EigenSystem:
     """Eigenvalues and (generalized) eigenvector basis of the convection part.
 
-    x1, x3 are the arbitrary constants in the generalized eigenvectors; every
-    scheme output downstream is independent of them.
+    x1, x3 are the arbitrary constants in the generalized eigenvectors (x3
+    in the Zha-Bilgen one only); every scheme output downstream is
+    independent of them.  The Liou-Steffen generalized eigenvector grows
+    like 1/((gamma - 1) u).  At rest all three Liou-Steffen eigenvalues are
+    0, with Jordan blocks [2, 1], and the chain head is (1, 0, gamma E).
     """
     g = gas.gamma
     u = w.u
     E = total_energy(w, gas)
-    if kind is SplittingKind.LIOU_STEFFEN:
-        # Two independent eigenvectors only; no order-two chain closes.
-        vecs = np.column_stack([
-            [0.0, 0.0, 1.0],            # for gamma*u
-            [1.0, u, 0.5 * u * u],      # for u
-        ])
-        return EigenSystem(np.array([g * u, u, u]), vecs, defective=True)
     if kind is SplittingKind.ZHA_BILGEN:
         vecs = np.column_stack([
             [1.0, u, E],                    # chain head
@@ -153,16 +149,34 @@ def convection_eigensystem(kind: SplittingKind, w: PrimitiveState,
             [0.0, 0.0, 1.0],
         ])
         return EigenSystem(np.array([u, u, u]), vecs, chain_links={1: 0})
+    # Toro-Vazquez and Liou-Steffen: e3 for lam, and one chain for u
+    lam, head, c = 0.0, [1.0, u, 0.5 * u * u], u
+    if kind is SplittingKind.LIOU_STEFFEN:
+        lam, d = g * u, (g - 1.0) * u
+        if d == 0.0:
+            # at rest lam = u = 0, with blocks [2, 1]
+            head, c = [1.0, 0.0, g * E], 0.0
+        else:
+            c = (0.5 * u * u + 1.5 * d * u - g * E) / d
     vecs = np.column_stack([
-        [0.0, 0.0, 1.0],                            # for eigenvalue 0
-        [1.0, u, 0.5 * u * u],                      # chain head, eigenvalue u
-        [x1, 1.0 + u * x1, u + 0.5 * u * u * x1],   # generalized
+        [0.0, 0.0, 1.0],                            # for eigenvalue lam
+        head,                                       # chain head, eigenvalue u
+        [x1, 1.0 + u * x1, c + 0.5 * u * u * x1],   # generalized
     ])
-    return EigenSystem(np.array([0.0, u, u]), vecs, chain_links={2: 1})
+    return EigenSystem(np.array([lam, u, u]), vecs, chain_links={2: 1})
 
 
 def pressure_eigensystem(kind: SplittingKind, w: PrimitiveState,
                          gas: GasModel) -> EigenSystem:
+    """Eigenvalues and eigenvector basis of the pressure part.
+
+    The Liou-Steffen basis has det R = -u, so at rest (u = 0) it is singular
+    and upwind_dissipation raises LinAlgError, as for
+    pressure_eigensystem_2d at rest.  Its dissipation R |Lambda| R^-1 jumps
+    there: as u -> 0+- it tends to -+(gamma - 1) in the momentum-from-energy
+    entry.  That of the Liou-Steffen convection part tends to +-gamma E in
+    the energy-from-momentum entry, and is 0 at u = 0.
+    """
     g = gas.gamma
     u = w.u
     a = sound_speed(w, gas)
@@ -324,8 +338,6 @@ def upwind_dissipation(es: EigenSystem, dU) -> np.ndarray:
     The Jordan coupling is dropped, so where all eigenvalues are equal the
     result is |lambda| dU, whatever the generalized eigenvectors.
     """
-    if es.defective:
-        raise ValueError("a defective basis cannot expand a jump")
     R = es.vectors
     return R @ (np.abs(es.eigenvalues) * np.linalg.solve(R, dU))
 
@@ -391,10 +403,8 @@ def jordan_matrix(eigenvalues, chain_links):
 
 def verify_jordan(A: np.ndarray, es: EigenSystem) -> float:
     """Max-abs residual of R^-1 A R - J for the basis R of es, with J
-    assembled from its eigenvalues and chain links.  Raises ValueError on a
-    defective basis and LinAlgError on a singular one."""
-    if es.defective:
-        raise ValueError("a defective basis has no Jordan form")
+    assembled from its eigenvalues and chain links.  Raises LinAlgError on a
+    singular basis."""
     R = es.vectors
     if abs(np.linalg.det(R)) < 1e-300:
         raise np.linalg.LinAlgError("singular basis matrix")

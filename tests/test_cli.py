@@ -449,14 +449,10 @@ def csv_peak(n):
     return peak
 
 
-def csv_peak_beyond_table(n):
-    """csv_peak(n) less the size of the stacked (n * n, 6) table."""
-    return csv_peak(n) - np.empty((n * n, 6)).nbytes
-
-
 def test_csv_memory_is_bounded_by_one_chunk():
-    """Rendering holds one chunk's work arrays at a time, never a table's."""
-    small, large = csv_peak_beyond_table(100), csv_peak_beyond_table(400)
+    """Rendering holds one chunk's work arrays at a time, never a table's,
+    so the peak does not grow with the table."""
+    small, large = csv_peak(100), csv_peak(400)
     assert large < 8e6
     assert large < small + 0.5e6
 
@@ -542,6 +538,28 @@ def test_a_perturbation_fails_exactly_its_check(module, name, perturb,
               if not line.startswith("[PASS]")]
     assert len(failed) == 1
     assert failed[0].startswith(f"[FAIL] algebra: {record} (")
+
+
+def test_a_liou_steffen_basis_error_fails_the_jordan_records(monkeypatch,
+                                                            capsys):
+    """The Jordan records cover the Liou-Steffen basis, on which no scheme
+    is built: an error in it fails those two records and no other."""
+    f = splittings.convection_eigensystem
+
+    def perturbed(kind, *args, **kwargs):
+        es = f(kind, *args, **kwargs)
+        if kind is splittings.SplittingKind.LIOU_STEFFEN:
+            es.eigenvalues[0] *= 1.0 + 1e-6
+        return es
+
+    monkeypatch.setattr(splittings, "convection_eigensystem", perturbed)
+    assert run_main(["verify", "algebra", "--seed", "0"]) \
+        == cli.EXIT_CHECK_FAILED
+    failed = [line.split(" (")[0] for line in
+              capsys.readouterr().out.splitlines()
+              if not line.startswith("[PASS]")]
+    assert failed == ["[FAIL] algebra: Jordan residuals",
+                      "[FAIL] algebra: free-parameter invariance"]
 
 
 def test_a_check_without_samples_fails(monkeypatch, capsys):

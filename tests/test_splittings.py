@@ -8,17 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_primitive
+from conftest import random_primitive, wave_scale
 
 from cpsfds.splittings import (SplittingKind, EigenSystem, split_flux,
                                convection_jacobian, pressure_jacobian,
                                convection_eigensystem, pressure_eigensystem,
                                jordan_block_signature, jordan_matrix,
-                               verify_jordan, upwind_dissipation)
-from cpsfds.state import PrimitiveState, physical_flux, prim_to_cons_arrays
+                               verify_jordan, upwind_dissipation,
+                               face_average)
+from cpsfds.state import PrimitiveState, physical_flux, prim_to_cons_arrays, \
+    total_energy
 
 ALL_KINDS = list(SplittingKind)
-CHAINED_KINDS = [SplittingKind.ZHA_BILGEN, SplittingKind.TORO_VAZQUEZ]
+LS = SplittingKind.LIOU_STEFFEN
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -76,7 +78,7 @@ def test_jacobians_sum_to_full_euler_jacobian(kind, gas, rng):
                                    atol=1e-12 * np.max(np.abs(base)))
 
 
-@pytest.mark.parametrize("kind", CHAINED_KINDS)
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_convection_eigensystem_satisfies_chain_relations(kind, gas, rng):
     for _ in range(50):
         w = random_primitive(rng)
@@ -94,17 +96,81 @@ def test_convection_eigensystem_satisfies_chain_relations(kind, gas, rng):
         assert abs(np.linalg.det(es.vectors)) > 1e-12
 
 
-def test_liou_steffen_convection_part_is_marked_defective(gas):
-    w = PrimitiveState(1.0, 2.0, 3.0)
-    es = convection_eigensystem(SplittingKind.LIOU_STEFFEN, w, gas)
-    assert es.defective
-    assert es.vectors.shape[1] < 3
-    A = convection_jacobian(SplittingKind.LIOU_STEFFEN, w, gas)
-    with pytest.raises(ValueError):
-        verify_jordan(A, es)
+@pytest.mark.parametrize("u,expected", [(2.0, [2]), (0.0, [2, 1])],
+                         ids=["moving", "at-rest"])
+def test_liou_steffen_convection_blocks(u, expected, gas):
+    """One order-two block for u, and at rest, where gamma u = u = 0, a
+    second block of order one."""
+    w = PrimitiveState(1.0, u, 3.0)
+    assert jordan_block_signature(convection_jacobian(LS, w, gas), u) \
+        == expected
 
 
-@pytest.mark.parametrize("kind", CHAINED_KINDS)
+def test_liou_steffen_basis_at_rest_is_a_jordan_basis(gas, rng):
+    w = PrimitiveState(1.3, 0.0, 0.7)
+    A = convection_jacobian(LS, w, gas)
+    for x1 in (0.0, *rng.uniform(-5, 5, size=5)):
+        es = convection_eigensystem(LS, w, gas, x1=x1)
+        np.testing.assert_array_equal(es.eigenvalues, 0.0)
+        assert verify_jordan(A, es) <= 1e-15 * np.max(np.abs(A))
+
+
+def test_liou_steffen_dissipation_does_not_see_the_free_parameter(gas, rng):
+    """Though R is ill conditioned near u = 0, R |Lambda| R^-1 dU at the
+    face state is the same for every x1, to rounding of its wave terms."""
+    for _ in range(200):
+        wL, wR = random_primitive(rng), random_primitive(rng)
+        wb = face_average(wL, wR)
+        dU = prim_to_cons_arrays(wR, gas.gamma) \
+            - prim_to_cons_arrays(wL, gas.gamma)
+        es = [convection_eigensystem(LS, wb, gas, x1=x1) for x1 in (-3, 0.7)]
+        scale = max(wave_scale(e, dU, abs(wb.u)) for e in es)
+        np.testing.assert_allclose(upwind_dissipation(es[0], dU),
+                                   upwind_dissipation(es[1], dU), rtol=0,
+                                   atol=1e-14 * scale)
+
+
+def test_liou_steffen_dissipation_jumps_at_rest(gas):
+    """As u -> 0+- the convection dissipation R |Lambda| R^-1 tends to
+    +-gamma E in its energy-from-momentum entry and the pressure one to
+    -+(gamma - 1) in its momentum-from-energy entry; at u = 0 the
+    convection term is 0."""
+    g = gas.gamma
+
+    def dissipation(es):
+        return np.column_stack([upwind_dissipation(es, e) for e in np.eye(3)])
+
+    for u in (1e-6, -1e-6):
+        w = PrimitiveState(1.3, u, 0.7)
+        side = np.sign(u)
+        es = convection_eigensystem(LS, w, gas)
+        # the generalized eigenvector grows like 1/((gamma - 1) u)
+        assert es.vectors[2, 2] * (g - 1.0) * u == pytest.approx(
+            -g * total_energy(w, gas), rel=1e-5)
+        conv = dissipation(es)
+        press = dissipation(pressure_eigensystem(LS, w, gas))
+        assert conv[2, 1] == pytest.approx(side * g * total_energy(w, gas),
+                                           rel=1e-5)
+        assert press[1, 2] == pytest.approx(-side * (g - 1.0), rel=1e-5)
+        # every other entry is O(u)
+        conv[2, 1] = press[1, 2] = 0.0
+        assert np.max(np.abs(conv)) < 10 * abs(u)
+        assert np.max(np.abs(press)) < 10 * abs(u)
+    np.testing.assert_array_equal(dissipation(convection_eigensystem(
+        LS, PrimitiveState(1.3, 0.0, 0.7), gas)), 0.0)
+
+
+def test_liou_steffen_pressure_basis_is_singular_at_rest(gas):
+    """det R = -u, so upwind_dissipation cannot invert it at u = 0."""
+    for u in (0.5, -2.0):
+        es = pressure_eigensystem(LS, PrimitiveState(1.0, u, 1.0), gas)
+        assert np.linalg.det(es.vectors) == pytest.approx(-u, rel=1e-14)
+    es = pressure_eigensystem(LS, PrimitiveState(1.0, 0.0, 1.0), gas)
+    with pytest.raises(np.linalg.LinAlgError):
+        upwind_dissipation(es, np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_jordan_residual_independent_of_free_parameters(kind, gas, rng):
     w = PrimitiveState(1.3, -2.1, 0.7)
     A = convection_jacobian(kind, w, gas)
@@ -118,6 +184,7 @@ def test_jordan_residual_independent_of_free_parameters(kind, gas, rng):
 @pytest.mark.parametrize("kind,expected", [
     (SplittingKind.ZHA_BILGEN, [2, 1]),
     (SplittingKind.TORO_VAZQUEZ, [2]),
+    (SplittingKind.LIOU_STEFFEN, [2]),
 ])
 def test_block_signature_of_repeated_eigenvalue(kind, expected, gas):
     w = PrimitiveState(1.7, 1.9, 2.3)
@@ -156,7 +223,7 @@ def test_pressure_eigensystem_satisfies_eigen_relations(kind, gas, rng):
         assert np.max(np.abs(resid)) <= 1e-10 * scale
 
 
-@pytest.mark.parametrize("kind", CHAINED_KINDS)
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_pressure_eigenvectors_are_independent(kind, gas, rng):
     for _ in range(25):
         w = random_primitive(rng)
@@ -166,8 +233,7 @@ def test_pressure_eigenvectors_are_independent(kind, gas, rng):
 
 def test_upwind_dissipation_of_a_chain_is_the_scaled_jump(gas, rng):
     """Every Zha-Bilgen convection eigenvalue is u, so with the Jordan
-    coupling dropped R |Lambda| R^-1 dU is |u| dU for any free constants;
-    a defective basis is refused."""
+    coupling dropped R |Lambda| R^-1 dU is |u| dU for any free constants."""
     for _ in range(50):
         w = random_primitive(rng)
         dU = rng.normal(size=3)
@@ -179,9 +245,6 @@ def test_upwind_dissipation_of_a_chain_is_the_scaled_jump(gas, rng):
         np.testing.assert_allclose(got, abs(w.u) * dU, rtol=0,
                                    atol=1e-13 * cond * abs(w.u)
                                    * np.max(np.abs(dU)))
-    with pytest.raises(ValueError):
-        upwind_dissipation(convection_eigensystem(
-            SplittingKind.LIOU_STEFFEN, w, gas), dU)
 
 
 def test_splittings_does_not_load_the_2d_solver():
