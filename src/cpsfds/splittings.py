@@ -19,6 +19,8 @@ The 2D face-normal Zha-Bilgen split follows the same pattern.
 a Jacobian, and `upwind_dissipation` assembles R |Lambda| R^-1 dU from it.
 Evaluated at `face_average(wL, wR)`, the convection and pressure terms
 together are the reference that both flux kernels are checked against.
+Each function also takes a stack of states (fields that are arrays of one
+shape), and returns vectors (..., n) and matrices (..., n, n).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .state import GasModel, Prim2D, PrimitiveState, prim_to_cons_arrays, \
-    sound_speed, total_energy
+    total_energy
 
 
 class SplittingKind(enum.Enum):
@@ -58,9 +60,21 @@ class EigenSystem:
     A R_k = lambda_k R_k + R_j.
     """
 
-    eigenvalues: np.ndarray
-    vectors: np.ndarray            # basis columns, shape (n, n)
+    eigenvalues: np.ndarray        # shape (..., n)
+    vectors: np.ndarray            # basis columns, shape (..., n, n)
     chain_links: dict = field(default_factory=dict)
+
+
+def _vector(*q):
+    """Components that broadcast together, stacked on a new last axis."""
+    return np.stack(np.broadcast_arrays(*q), axis=-1)
+
+
+def _matrix(rows, columns=False):
+    """An (..., n, n) matrix from its n rows, or else its n columns."""
+    flat = _vector(*(q for row in rows for q in row))
+    M = flat.reshape(flat.shape[:-1] + (len(rows), len(rows)))
+    return np.swapaxes(M, -1, -2) if columns else M
 
 
 def split_flux(kind: SplittingKind, w: PrimitiveState,
@@ -69,14 +83,14 @@ def split_flux(kind: SplittingKind, w: PrimitiveState,
     rho, u, p = w.rho, w.u, w.p
     E = total_energy(w, gas)
     if kind is SplittingKind.LIOU_STEFFEN:
-        fc = np.array([rho * u, rho * u * u, rho * u * E + p * u])
-        fp = np.array([0.0, p, 0.0])
+        fc = _vector(rho * u, rho * u * u, rho * u * E + p * u)
+        fp = _vector(0.0, p, 0.0)
     elif kind is SplittingKind.ZHA_BILGEN:
-        fc = np.array([rho * u, rho * u * u, rho * u * E])
-        fp = np.array([0.0, p, p * u])
+        fc = _vector(rho * u, rho * u * u, rho * u * E)
+        fp = _vector(0.0, p, p * u)
     else:
-        fc = np.array([rho * u, rho * u * u, 0.5 * rho * u ** 3])
-        fp = np.array([0.0, p, g * p * u / (g - 1.0)])
+        fc = _vector(rho * u, rho * u * u, 0.5 * rho * u ** 3)
+        fp = _vector(0.0, p, g * p * u / (g - 1.0))
     return SplitFlux(fc, fp)
 
 
@@ -86,19 +100,19 @@ def convection_jacobian(kind: SplittingKind, w: PrimitiveState,
     u = w.u
     E = total_energy(w, gas)
     if kind is SplittingKind.LIOU_STEFFEN:
-        return np.array([
+        return _matrix([
             [0.0, 1.0, 0.0],
             [-u * u, 2.0 * u, 0.0],
             [-g * u * E + (g - 1.0) * u ** 3,
              g * E - 1.5 * (g - 1.0) * u * u, g * u],
         ])
     if kind is SplittingKind.ZHA_BILGEN:
-        return np.array([
+        return _matrix([
             [0.0, 1.0, 0.0],
             [-u * u, 2.0 * u, 0.0],
             [-u * E, E, u],
         ])
-    return np.array([
+    return _matrix([
         [0.0, 1.0, 0.0],
         [-u * u, 2.0 * u, 0.0],
         [-u ** 3, 1.5 * u * u, 0.0],
@@ -112,15 +126,15 @@ def pressure_jacobian(kind: SplittingKind, w: PrimitiveState,
     a2 = g * w.p / w.rho
     row2 = [0.5 * (g - 1.0) * u * u, -(g - 1.0) * u, g - 1.0]
     if kind is SplittingKind.LIOU_STEFFEN:
-        return np.array([[0.0, 0.0, 0.0], row2, [0.0, 0.0, 0.0]])
+        return _matrix([[0.0, 0.0, 0.0], row2, [0.0, 0.0, 0.0]])
     if kind is SplittingKind.ZHA_BILGEN:
-        return np.array([
+        return _matrix([
             [0.0, 0.0, 0.0],
             row2,
             [-a2 * u / g + 0.5 * (g - 1.0) * u ** 3,
              a2 / g - (g - 1.0) * u * u, (g - 1.0) * u],
         ])
-    return np.array([
+    return _matrix([
         [0.0, 0.0, 0.0],
         row2,
         [-u * a2 / (g - 1.0) + 0.5 * g * u ** 3,
@@ -143,27 +157,26 @@ def convection_eigensystem(kind: SplittingKind, w: PrimitiveState,
     u = w.u
     E = total_energy(w, gas)
     if kind is SplittingKind.ZHA_BILGEN:
-        vecs = np.column_stack([
+        vecs = _matrix([
             [1.0, u, E],                    # chain head
             [x1, 1.0 + u * x1, x3],         # generalized
             [0.0, 0.0, 1.0],
-        ])
-        return EigenSystem(np.array([u, u, u]), vecs, chain_links={1: 0})
+        ], columns=True)
+        return EigenSystem(_vector(u, u, u), vecs, chain_links={1: 0})
     # Toro-Vazquez and Liou-Steffen: e3 for lam, and one chain for u
     lam, head, c = 0.0, [1.0, u, 0.5 * u * u], u
     if kind is SplittingKind.LIOU_STEFFEN:
         lam, d = g * u, (g - 1.0) * u
-        if d == 0.0:
-            # at rest lam = u = 0, with blocks [2, 1]
-            head, c = [1.0, 0.0, g * E], 0.0
-        else:
-            c = (0.5 * u * u + 1.5 * d * u - g * E) / d
-    vecs = np.column_stack([
+        rest = d == 0.0         # lam = u = 0, with blocks [2, 1]
+        head[2] = np.where(rest, g * E, head[2])
+        c = np.where(rest, 0.0, (0.5 * u * u + 1.5 * d * u - g * E)
+                     / np.where(rest, 1.0, d))
+    vecs = _matrix([
         [0.0, 0.0, 1.0],                            # for eigenvalue lam
         head,                                       # chain head, eigenvalue u
         [x1, 1.0 + u * x1, c + 0.5 * u * u * x1],   # generalized
-    ])
-    return EigenSystem(np.array([lam, u, u]), vecs, chain_links={2: 1})
+    ], columns=True)
+    return EigenSystem(_vector(lam, u, u), vecs, chain_links={2: 1})
 
 
 def pressure_eigensystem(kind: SplittingKind, w: PrimitiveState,
@@ -179,31 +192,30 @@ def pressure_eigensystem(kind: SplittingKind, w: PrimitiveState,
     """
     g = gas.gamma
     u = w.u
-    a = sound_speed(w, gas)
+    a = np.sqrt(g * w.p / w.rho)
     if kind is SplittingKind.LIOU_STEFFEN:
-        vecs = np.column_stack([
+        vecs = _matrix([
             [0.0, 1.0, 0.0],
             [1.0, 0.0, -0.5 * u * u],
             [0.0, 1.0, u],
-        ])
-        return EigenSystem(np.array([-(g - 1.0) * u, 0.0, 0.0]), vecs)
+        ], columns=True)
+        return EigenSystem(_vector(-(g - 1.0) * u, 0.0, 0.0), vecs)
     if kind is SplittingKind.ZHA_BILGEN:
         c = np.sqrt((g - 1.0) / g) * a
         s = a / np.sqrt(g * (g - 1.0))
-        vecs = np.column_stack([
+        vecs = _matrix([
             [0.0, 1.0, u - s],
             [1.0, u, 0.5 * u * u],
             [0.0, 1.0, u + s],
-        ])
-        return EigenSystem(np.array([-c, 0.0, c]), vecs)
+        ], columns=True)
+        return EigenSystem(_vector(-c, 0.0, c), vecs)
     beta = np.sqrt(u * u + 4.0 * a * a)
-    vecs = np.column_stack([
+    vecs = _matrix([
         [0.0, 1.0, u + 0.5 * (u - beta) / (g - 1.0)],
         [1.0, u, 0.5 * u * u],
         [0.0, 1.0, u + 0.5 * (u + beta) / (g - 1.0)],
-    ])
-    return EigenSystem(
-        np.array([0.5 * (u - beta), 0.0, 0.5 * (u + beta)]), vecs)
+    ], columns=True)
+    return EigenSystem(_vector(0.5 * (u - beta), 0.0, 0.5 * (u + beta)), vecs)
 
 
 # --- the split normal flux at a face of a 2D grid ---
@@ -232,8 +244,8 @@ def face_geometry(a, b) -> FaceGeometry:
 def split_flux_2d(w: Prim2D, geom: FaceGeometry, gas: GasModel) -> SplitFlux:
     """Normal-flux split F = u_perp U + (0, p n_x, p n_y, p u_perp)."""
     up = w.u * geom.n_x + w.v * geom.n_y
-    fc = up * prim_to_cons_arrays(w, gas.gamma)
-    fp = np.array([0.0, w.p * geom.n_x, w.p * geom.n_y, w.p * up])
+    fc = _vector(*(up * q for q in prim_to_cons_arrays(w, gas.gamma)))
+    fp = _vector(0.0, w.p * geom.n_x, w.p * geom.n_y, w.p * up)
     return SplitFlux(fc, fp)
 
 
@@ -243,8 +255,9 @@ def convection_jacobian_2d(w: Prim2D, geom: FaceGeometry,
     nx, ny = geom.n_x, geom.n_y
     up = w.u * nx + w.v * ny
     U = prim_to_cons_arrays(w, gas.gamma)
-    grad = np.array([-up, nx, ny, 0.0]) / w.rho
-    return up * np.eye(4) + np.outer(U, grad)
+    grad = (-up / w.rho, nx / w.rho, ny / w.rho, 0.0)
+    return _matrix([[up * (i == j) + U[i] * grad[j] for j in range(4)]
+                    for i in range(4)])
 
 
 def pressure_jacobian_2d(w: Prim2D, geom: FaceGeometry,
@@ -256,7 +269,7 @@ def pressure_jacobian_2d(w: Prim2D, geom: FaceGeometry,
     theta2 = 0.5 * (u * u + v * v)
     a2 = g * w.p / w.rho
     phi2 = a2 / (g * (g - 1.0))
-    return (g - 1.0) * np.array([
+    return (g - 1.0) * _matrix([
         [0.0, 0.0, 0.0, 0.0],
         [theta2 * nx, -nx * u, -nx * v, nx],
         [theta2 * ny, -ny * u, -ny * v, ny],
@@ -275,16 +288,14 @@ def convection_eigensystem_2d(w: Prim2D, geom: FaceGeometry, gas: GasModel,
     """
     nx, ny = geom.n_x, geom.n_y
     up = w.u * nx + w.v * ny
-    head = prim_to_cons_arrays(w, gas.gamma) / w.rho   # (1, u, v, E)
     c = 1.0 + up * x1
-    gen = np.array([x1, c * nx - xt * ny, c * ny + xt * nx, x4])
-    vecs = np.column_stack([
-        head,
-        gen,
+    vecs = _matrix([
+        prim_to_cons_arrays(w, gas.gamma) / w.rho,   # (1, u, v, E)
+        [x1, c * nx - xt * ny, c * ny + xt * nx, x4],
         [0.0, -ny, nx, 0.0],
         [0.0, 0.0, 0.0, 1.0],
-    ])
-    return EigenSystem(np.array([up, up, up, up]), vecs, chain_links={1: 0})
+    ], columns=True)
+    return EigenSystem(_vector(up, up, up, up), vecs, chain_links={1: 0})
 
 
 def pressure_eigensystem_2d(w: Prim2D, geom: FaceGeometry,
@@ -301,16 +312,16 @@ def pressure_eigensystem_2d(w: Prim2D, geom: FaceGeometry,
     up = u * nx + v * ny
     upar = -u * ny + v * nx
     theta2 = 0.5 * (u * u + v * v)
-    a = math.sqrt(g * w.p / w.rho)
+    a = np.sqrt(g * w.p / w.rho)
     s = a / math.sqrt(g * (g - 1.0))
     c = math.sqrt((g - 1.0) / g) * a
-    vecs = np.column_stack([
+    vecs = _matrix([
         [0.0, nx, ny, up - s],
         [upar, u * upar + theta2 * ny, v * upar - theta2 * nx, 0.0],
         [1.0, nx * up, ny * up, up * up - theta2],
         [0.0, nx, ny, up + s],
-    ])
-    return EigenSystem(np.array([-c, 0.0, 0.0, c]), vecs)
+    ], columns=True)
+    return EigenSystem(_vector(-c, 0.0, 0.0, c), vecs)
 
 
 def face_average(wL, wR):
@@ -320,7 +331,7 @@ def face_average(wL, wR):
     sqrt(rho), and p_bar = rho_bar mean(p/rho).  a^2 = gamma p/rho is thus
     weighted like p/rho, and gamma cancels.
     """
-    sL, sR = math.sqrt(wL.rho), math.sqrt(wR.rho)
+    sL, sR = np.sqrt(wL.rho), np.sqrt(wR.rho)
 
     def mean(qL, qR):
         return (sL * qL + sR * qR) / (sL + sR)
@@ -335,78 +346,66 @@ def face_average(wL, wR):
 def upwind_dissipation(es: EigenSystem, dU) -> np.ndarray:
     """R |Lambda| R^-1 dU for the basis R and eigenvalues Lambda of es.
 
-    The Jordan coupling is dropped, so where all eigenvalues are equal the
-    result is |lambda| dU, whatever the generalized eigenvectors.
+    dU is a jump (..., n) that broadcasts with the basis.  The Jordan
+    coupling is dropped, so where all eigenvalues are equal the result is
+    |lambda| dU, whatever the generalized eigenvectors.
     """
     R = es.vectors
-    return R @ (np.abs(es.eigenvalues) * np.linalg.solve(R, dU))
+    alpha = np.linalg.solve(R, np.asarray(dU)[..., None])
+    return (R @ (np.abs(es.eigenvalues)[..., None] * alpha))[..., 0]
 
 
 class RankTestError(RuntimeError):
     """Rank decision too close to call for the requested tolerance."""
 
 
-def _numerical_rank(M, tol_rel=1e-9, gap_guard=10.0, scale=None):
-    """Rank of M with singular values below tol_rel * scale counted as zero.
-
-    The scale defaults to the largest singular value of M itself; callers
-    working with powers of a matrix must pass the power of the base norm
-    instead, since a numerically nilpotent power is all round-off and its
-    own largest singular value is meaningless as a reference.
-    """
-    sv = np.linalg.svd(M, compute_uv=False)
-    smax = sv[0] if sv.size else 0.0
-    if smax == 0.0:
-        return 0
-    cut = tol_rel * (smax if scale is None else scale)
-    rank = int(np.sum(sv > cut))
-    # A singular value hugging the threshold makes the rank call unreliable.
-    near = (sv > cut / gap_guard) & (sv < cut * gap_guard)
-    if near.any():
-        raise RankTestError(
-            f"singular value {sv[near][0]:.3e} within a factor {gap_guard} "
-            f"of the rank cutoff {cut:.3e}")
-    return rank
-
-
-def jordan_block_signature(A: np.ndarray, lam: float,
-                           tol_rel: float = 1e-9) -> list[int]:
-    """Jordan block sizes for eigenvalue lam, from the rank sequence of
-    (A - lam I)^k.  Number of blocks of size >= k is r_{k-1} - r_k."""
-    n = A.shape[0]
-    B = A - lam * np.eye(n)
-    norm_b = max(float(np.linalg.norm(B, 2)), 1.0)
-    ranks = [n]
-    M = np.eye(n)
+def jordan_block_signature(A: np.ndarray, lam, tol_rel: float = 1e-9,
+                           gap_guard: float = 10.0):
+    """Jordan block sizes for eigenvalue lam, largest first: a list, or for
+    a stack A (..., n, n) with lam (...) an int array (..., n) per member,
+    padded with zeros.  r_{k-1} - r_k blocks have size >= k, r_k the rank of
+    B^k, B = A - lam I: singular values below tol_rel |B|^k count as zero
+    (a nilpotent power is all round-off), and one within a factor
+    gap_guard of that cutoff raises RankTestError."""
+    n = A.shape[-1]
+    B = A - np.asarray(lam)[..., None, None] * np.eye(n)
+    norm_b = np.maximum(np.linalg.norm(B, 2, axis=(-2, -1)), 1.0)[..., None]
+    ranks, M = [np.full(B.shape[:-2], n)], np.eye(n)
     for k in range(1, n + 1):
         M = M @ B
-        ranks.append(_numerical_rank(M, tol_rel, scale=norm_b ** k))
-        if ranks[-1] == ranks[-2]:
+        sv = np.linalg.svd(M, compute_uv=False)
+        cut = np.broadcast_to(tol_rel * norm_b ** k, sv.shape)
+        near = (sv > cut / gap_guard) & (sv < cut * gap_guard)
+        if near.any():
+            raise RankTestError(
+                f"singular value {sv[near][0]:.3e} within a factor "
+                f"{gap_guard} of the rank cutoff {cut[near][0]:.3e}")
+        ranks.append(np.sum(sv > cut, axis=-1))
+        if np.array_equal(ranks[-1], ranks[-2]):
             break
-    # blocks_ge[k] = number of blocks of size >= k+1
-    blocks_ge = [ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1)]
-    sizes = []
-    for k in range(len(blocks_ge) - 1, -1, -1):
-        exactly = blocks_ge[k] - (blocks_ge[k + 1] if k + 1 < len(blocks_ge)
-                                  else 0)
-        sizes.extend([k + 1] * exactly)
-    return sorted(sizes, reverse=True)
+    # at_least[..., k] blocks have size > k; the j-th largest, the count
+    # of such k with at_least[..., k] > j
+    at_least = -np.diff(np.stack(ranks, axis=-1))
+    sizes = np.sum(at_least[..., None, :] > np.arange(n)[:, None], axis=-1)
+    return sizes if A.ndim > 2 else [int(s) for s in sizes if s]
 
 
 def jordan_matrix(eigenvalues, chain_links):
-    """Assemble J from an EigenSystem's eigenvalue order and chain links."""
-    J = np.diag(np.asarray(eigenvalues, dtype=float))
+    """Assemble J (..., n, n) from an EigenSystem's eigenvalue order and
+    chain links."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    J = lam[..., None] * np.eye(lam.shape[-1])
     for k, j in chain_links.items():
-        J[j, k] = 1.0
+        J[..., j, k] = 1.0
     return J
 
 
-def verify_jordan(A: np.ndarray, es: EigenSystem) -> float:
+def verify_jordan(A: np.ndarray, es: EigenSystem):
     """Max-abs residual of R^-1 A R - J for the basis R of es, with J
-    assembled from its eigenvalues and chain links.  Raises LinAlgError on a
-    singular basis."""
+    assembled from its eigenvalues and chain links, per member of a stack.
+    Raises LinAlgError if a basis is singular."""
     R = es.vectors
-    if abs(np.linalg.det(R)) < 1e-300:
+    if (np.abs(np.linalg.det(R)) < 1e-300).any():
         raise np.linalg.LinAlgError("singular basis matrix")
     J = jordan_matrix(es.eigenvalues, es.chain_links)
-    return float(np.max(np.abs(np.linalg.solve(R, A @ R) - J)))
+    return np.max(np.abs(np.linalg.solve(R, A @ R) - J), axis=(-2, -1))

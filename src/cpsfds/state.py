@@ -48,14 +48,24 @@ class _PrimitiveFields:
     """Shared by the primitive states: the fields (rho, velocity
     components..., p), iterated in that order.  A state is physical by
     construction: building one with a field that is not finite, or a rho
-    or p that is not positive, raises NonPhysicalStateError."""
+    or p that is not positive, raises NonPhysicalStateError.  Fields that
+    are arrays of one shape make a stack of states: the error then names
+    the first bad member as its cell."""
 
     def __iter__(self):
         return (getattr(self, f.name) for f in fields(self))
 
     def __post_init__(self):
-        if not (self.rho > 0.0 and self.p > 0.0
-                and all(math.isfinite(q) for q in self)):
+        if isinstance(self.rho, np.ndarray):
+            q = np.stack(np.broadcast_arrays(*self))
+            bad = ~((q[0] > 0.0) & (q[-1] > 0.0) & np.isfinite(q).all(0))
+            if bad.any():
+                cell = first_index(bad)
+                raise NonPhysicalStateError(
+                    "non-physical primitive state", rho=float(q[0][cell]),
+                    p=float(q[-1][cell]), cell=cell)
+        elif not (self.rho > 0.0 and self.p > 0.0
+                  and all(math.isfinite(q) for q in self)):
             raise NonPhysicalStateError("non-physical primitive state",
                                         rho=self.rho, p=self.p)
 

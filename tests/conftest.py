@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-# the sampler and scale of cpsfds.checks, shared by the tests
-from cpsfds.checks import random_primitive, wave_scale  # noqa: F401
+# the samplers and scale of cpsfds.checks, shared by the tests
+from cpsfds.checks import random_normal, random_primitive, \
+    random_state_2d, wave_scale  # noqa: F401
 from cpsfds.state import GasModel
 
 

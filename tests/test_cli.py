@@ -520,15 +520,17 @@ def test_run_loads_no_check_code():
 @pytest.mark.parametrize("module,name,perturb,record", [
     (splittings, "pressure_jacobian", lambda v: v * (1.0 + 1e-3),
      "finite-difference Jacobians"),
-    (fds1d, "interface_flux", lambda v: v * (1.0 + 1e-9),
+    (fds1d, "interface_flux_batch", lambda v: v * (1.0 + 1e-9),
      "flux equals its eigenstructure"),
     (bench1d, "error3", lambda v: v + 1e-9, "steady-shock jump identity"),
-], ids=["pressure_jacobian", "interface_flux", "error3"])
+    (euler2d, "_flux_2d_kernel", lambda v: v * (1.0 + 1e-9),
+     "2D flux equals its eigenstructure"),
+], ids=["pressure_jacobian", "interface_flux", "error3", "flux_2d_kernel"])
 def test_a_perturbation_fails_exactly_its_check(module, name, perturb,
                                                 record, monkeypatch, capsys):
     """A small error in what a check compares fails that record and no
-    other: the flux check compares interface_flux with the flux assembled
-    from the eigensystems, so a 1e-9 relative error fails it."""
+    other: the flux check compares interface_flux_batch with the flux
+    assembled from the eigensystems, so a 1e-9 relative error fails it."""
     f = getattr(module, name)
     monkeypatch.setattr(module, name,
                         lambda *args, **kwargs: perturb(f(*args, **kwargs)))
@@ -549,7 +551,7 @@ def test_a_liou_steffen_basis_error_fails_the_jordan_records(monkeypatch,
     def perturbed(kind, *args, **kwargs):
         es = f(kind, *args, **kwargs)
         if kind is splittings.SplittingKind.LIOU_STEFFEN:
-            es.eigenvalues[0] *= 1.0 + 1e-6
+            es.eigenvalues[..., 0] *= 1.0 + 1e-6
         return es
 
     monkeypatch.setattr(splittings, "convection_eigensystem", perturbed)
@@ -560,6 +562,29 @@ def test_a_liou_steffen_basis_error_fails_the_jordan_records(monkeypatch,
               if not line.startswith("[PASS]")]
     assert failed == ["[FAIL] algebra: Jordan residuals",
                       "[FAIL] algebra: free-parameter invariance"]
+
+
+def test_algebra_builds_no_eigensystem_per_sample(monkeypatch):
+    """The algebra suite evaluates its records on stacks of states, so
+    how often it builds each eigensystem does not depend on SAMPLES."""
+    names = ("convection_eigensystem", "pressure_eigensystem",
+             "convection_eigensystem_2d", "pressure_eigensystem_2d")
+    counts = []
+    for samples in (10, 1000):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counting(*args, _name=name, _build=getattr(splittings, name),
+                         **kwargs):
+                calls[_name] += 1
+                return _build(*args, **kwargs)
+
+            monkeypatch.setattr(splittings, name, counting)
+        monkeypatch.setattr(checks, "SAMPLES", samples)
+        assert all(c.ok for c in checks.algebra(0))
+        monkeypatch.undo()
+        counts.append(calls)
+    assert counts[0] == counts[1]
+    assert min(counts[0].values()) > 0
 
 
 def test_a_check_without_samples_fails(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Flux splittings, Jacobians and the (generalized) eigenstructure."""
 
+import math
 import os
 import subprocess
 import sys
@@ -8,14 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_primitive, wave_scale
+from conftest import random_primitive, random_state_2d, wave_scale
 
-from cpsfds.splittings import (SplittingKind, EigenSystem, split_flux,
-                               convection_jacobian, pressure_jacobian,
-                               convection_eigensystem, pressure_eigensystem,
-                               jordan_block_signature, jordan_matrix,
-                               verify_jordan, upwind_dissipation,
-                               face_average)
+from cpsfds.splittings import (SplittingKind, EigenSystem, FaceGeometry,
+                               split_flux, convection_jacobian,
+                               pressure_jacobian, convection_eigensystem,
+                               pressure_eigensystem, convection_eigensystem_2d,
+                               pressure_eigensystem_2d, jordan_block_signature,
+                               jordan_matrix, verify_jordan,
+                               upwind_dissipation, face_average)
 from cpsfds.state import PrimitiveState, physical_flux, prim_to_cons_arrays, \
     total_energy
 
@@ -138,7 +140,8 @@ def test_liou_steffen_dissipation_jumps_at_rest(gas):
     g = gas.gamma
 
     def dissipation(es):
-        return np.column_stack([upwind_dissipation(es, e) for e in np.eye(3)])
+        # row j of the result is the dissipation of the jump e_j
+        return upwind_dissipation(es, np.eye(3)).T
 
     for u in (1e-6, -1e-6):
         w = PrimitiveState(1.3, u, 0.7)
@@ -245,6 +248,40 @@ def test_upwind_dissipation_of_a_chain_is_the_scaled_jump(gas, rng):
         np.testing.assert_allclose(got, abs(w.u) * dU, rtol=0,
                                    atol=1e-13 * cond * abs(w.u)
                                    * np.max(np.abs(dU)))
+
+
+def _bases(kind, w, gas):
+    """A convection and a pressure basis of kind at w, a state or a stack;
+    kind None is the 2D face split, at the normal of angle 0.4."""
+    if kind is None:
+        geom = FaceGeometry(math.cos(0.4), math.sin(0.4), 1.0)
+        return (convection_eigensystem_2d(w, geom, gas, 0.7, -1.3, -0.4),
+                pressure_eigensystem_2d(w, geom, gas))
+    return (convection_eigensystem(kind, w, gas, x1=0.7, x3=1.4),
+            pressure_eigensystem(kind, w, gas))
+
+
+@pytest.mark.parametrize("kind", [*ALL_KINDS, None],
+                         ids=[*(k.name for k in ALL_KINDS), "2D"])
+def test_upwind_dissipation_of_a_stack_is_one_call_per_member(kind, gas,
+                                                              rng):
+    """A (k, n) stack of jumps through one basis, and a stack of bases
+    with a jump each, give what k single calls give: each row of
+    R^-1 dU is scaled by its eigenvalue."""
+    w = (random_primitive if kind else random_state_2d)(rng, (4,))
+    jumps = rng.normal(size=(4, len(tuple(w))))
+    members = [_bases(kind, type(w)(*(q[i] for q in w)), gas)
+               for i in range(4)]
+    for k, stack in enumerate(_bases(kind, w, gas)):
+        one = members[0][k]
+        for got, want in (
+                (upwind_dissipation(one, jumps),
+                 [upwind_dissipation(one, dU) for dU in jumps]),
+                (upwind_dissipation(stack, jumps),
+                 [upwind_dissipation(m[k], dU)
+                  for m, dU in zip(members, jumps)])):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_splittings_does_not_load_the_2d_solver():

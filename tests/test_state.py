@@ -124,9 +124,11 @@ def test_nonphysical_states_raise_with_diagnostics():
 @pytest.mark.parametrize("cls", [PrimitiveState, Prim2D])
 def test_states_are_physical_by_construction(cls):
     """A field that is not finite, or a rho or p that is not positive: no
-    state is made, and the error carries rho and p."""
+    state is made, and the error carries rho and p.  In a stack of states
+    it also names the member."""
     good = (2.0, 0.5, 3.0) if cls is PrimitiveState else (2.0, 0.5, -0.5, 3.0)
     assert tuple(cls(*good)) == good
+    cls(*(np.full((2, 3), q) for q in good))
     bad = [(k, q) for k in range(len(good))
            for q in (math.nan, math.inf, -math.inf)]
     bad += [(k, q) for k in (0, len(good) - 1) for q in (0.0, -1.0)]
@@ -137,6 +139,10 @@ def test_states_are_physical_by_construction(cls):
                            match="non-physical primitive state") as err:
             cls(*w)
         np.testing.assert_equal((err.value.rho, err.value.p), (w[0], w[-1]))
+        stack = [np.full((2, 3), x) for x in good]
+        stack[k][1, 2] = q
+        with pytest.raises(NonPhysicalStateError, match=r"cell=\(1, 2\)"):
+            cls(*stack)
 
 
 def test_cons_to_prim_rejects_nan_density():
