@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_pair
+from conftest import random_pair, wave_scale
 
 from cpsfds import euler2d
 from cpsfds.fds1d import SchemeKind, interface_flux, interface_flux_batch
-from cpsfds.splittings import face_average
+from cpsfds.splittings import (SplittingKind, split_flux, face_average,
+                               convection_eigensystem, pressure_eigensystem,
+                               upwind_dissipation)
 from cpsfds.state import GasModel, Prim2D, PrimitiveState, \
     cons_to_prim_arrays, physical_flux, prim_to_cons_arrays
 
@@ -36,6 +38,33 @@ def test_flux_consistency_with_equal_states(scheme, rho, u, p):
     F = interface_flux(scheme, w, w, gas)
     np.testing.assert_allclose(F, physical_flux(w, gas), rtol=1e-12,
                                atol=1e-12 * max(p, rho * u * u))
+
+
+@pytest.mark.parametrize("kind", [SplittingKind.ZHA_BILGEN,
+                                  SplittingKind.TORO_VAZQUEZ],
+                         ids=["zbs", "tvs"])
+def test_pressure_part_u_property(kind, gas, rng):
+    """R Lambda R^-1 dU at the face state reproduces the pressure-flux jump.
+
+    The identity is exact in exact arithmetic; in floats the slow acoustic
+    speed (u_bar - beta_bar)/2 loses digits by cancellation when
+    u_bar^2 >> a_bar^2, so the tolerance is scaled by the full wave-speed
+    magnitude rather than by the (possibly tiny) eigenvalue itself.
+    """
+    for _ in range(200):
+        wL, wR = random_pair(rng)
+        wb = face_average(wL, wR)
+        es = pressure_eigensystem(kind, wb, gas)
+        R = es.vectors
+        al = np.linalg.solve(R, prim_to_cons_arrays(wR, gas.gamma)
+                             - prim_to_cons_arrays(wL, gas.gamma))
+        jump = split_flux(kind, wR, gas).pressure \
+            - split_flux(kind, wL, gas).pressure
+        resid = np.max(np.abs(R @ (al * es.eigenvalues) - jump))
+        a2 = gas.gamma * wb.p / wb.rho
+        speed = abs(wb.u) + np.sqrt(wb.u ** 2 + 4.0 * a2)
+        scale = float(np.sum(np.abs(al) * speed * np.max(np.abs(R), axis=0)))
+        assert resid <= 1e-12 * max(scale, 1.0)
 
 
 def test_stationary_contact_has_zero_dissipation(gas):
@@ -69,6 +98,41 @@ def test_mirror_symmetry(scheme, gas, rng):
         scale = max(np.max(np.abs(F)), 1.0)
         np.testing.assert_allclose(Fm, [-F[0], F[1], -F[2]],
                                    atol=1e-11 * scale)
+
+
+@pytest.mark.parametrize("scheme,kind", [
+    (SchemeKind.ZBS_FDS, SplittingKind.ZHA_BILGEN),
+    (SchemeKind.TVS_FDS, SplittingKind.TORO_VAZQUEZ),
+], ids=["zbs", "tvs"])
+@pytest.mark.parametrize("x1", [-3.0, 0.7])
+def test_batch_kernel_matches_the_eigenstructure(scheme, kind, x1, gas, rng):
+    """The kernel is 0.5 (F_L + F_R) - 0.5 (R_c|L_c|R_c^-1 dU +
+    R_p|L_p|R_p^-1 dU), assembled by upwind_dissipation from the splitting
+    eigensystems at the face state of face_average.  The free constants
+    x1, x3 of the generalized eigenvectors must leave no trace."""
+    for _ in range(200):
+        wL, wR = random_pair(rng)
+        wb = face_average(wL, wR)
+        dU = (prim_to_cons_arrays(wR, gas.gamma)
+              - prim_to_cons_arrays(wL, gas.gamma))
+        conv = convection_eigensystem(kind, wb, gas, x1=x1, x3=2.0 * x1)
+        press = pressure_eigensystem(kind, wb, gas)
+        dissipation = upwind_dissipation(conv, dU) \
+            + upwind_dissipation(press, dU)
+        FL, FR = physical_flux(wL, gas), physical_flux(wR, gas)
+        want = 0.5 * (FL + FR) - 0.5 * dissipation
+        got = interface_flux_batch(
+            scheme, *(np.array([v]) for v in (wL.rho, wL.u, wL.p,
+                                              wR.rho, wR.u, wR.p)),
+            gas.gamma)[:, 0]
+        # scale by the full wave speed: the slow TVS acoustic speed loses
+        # digits by cancellation when u_bar^2 >> a_bar^2
+        a2 = gas.gamma * wb.p / wb.rho
+        speed = abs(wb.u) + np.sqrt(wb.u ** 2 + 4.0 * a2)
+        scale = max(np.max(np.abs(FL)), np.max(np.abs(FR)),
+                    wave_scale(conv, dU, abs(wb.u)),
+                    wave_scale(press, dU, speed))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
 
 def amplification_radius(scheme, u0, cfl, gamma=1.4):
