@@ -359,14 +359,17 @@ class RankTestError(RuntimeError):
     """Rank decision too close to call for the requested tolerance."""
 
 
-def jordan_block_signature(A: np.ndarray, lam, tol_rel: float = 1e-9,
-                           gap_guard: float = 10.0):
-    """Jordan block sizes for eigenvalue lam, largest first: a list, or for
-    a stack A (..., n, n) with lam (...) an int array (..., n) per member,
-    padded with zeros.  r_{k-1} - r_k blocks have size >= k, r_k the rank of
-    B^k, B = A - lam I: singular values below tol_rel |B|^k count as zero
-    (a nilpotent power is all round-off), and one within a factor
-    gap_guard of that cutoff raises RankTestError."""
+# a singular value within this factor of the rank cutoff is too close to call
+_GAP_GUARD = 10.0
+
+
+def jordan_block_signature(A: np.ndarray, lam, tol_rel: float = 1e-9):
+    """Jordan block sizes for eigenvalue lam, largest first, padded with
+    zeros: an int array (..., n) for A (..., n, n) and lam (...).  r_{k-1}
+    - r_k blocks have size >= k, r_k the rank of B^k, B = A - lam I:
+    singular values below tol_rel |B|^k count as zero (a nilpotent power is
+    all round-off), and one within a factor _GAP_GUARD of that cutoff
+    raises RankTestError."""
     n = A.shape[-1]
     B = A - np.asarray(lam)[..., None, None] * np.eye(n)
     norm_b = np.maximum(np.linalg.norm(B, 2, axis=(-2, -1)), 1.0)[..., None]
@@ -375,19 +378,18 @@ def jordan_block_signature(A: np.ndarray, lam, tol_rel: float = 1e-9,
         M = M @ B
         sv = np.linalg.svd(M, compute_uv=False)
         cut = np.broadcast_to(tol_rel * norm_b ** k, sv.shape)
-        near = (sv > cut / gap_guard) & (sv < cut * gap_guard)
+        near = (sv > cut / _GAP_GUARD) & (sv < cut * _GAP_GUARD)
         if near.any():
             raise RankTestError(
                 f"singular value {sv[near][0]:.3e} within a factor "
-                f"{gap_guard} of the rank cutoff {cut[near][0]:.3e}")
+                f"{_GAP_GUARD} of the rank cutoff {cut[near][0]:.3e}")
         ranks.append(np.sum(sv > cut, axis=-1))
         if np.array_equal(ranks[-1], ranks[-2]):
             break
     # at_least[..., k] blocks have size > k; the j-th largest, the count
     # of such k with at_least[..., k] > j
     at_least = -np.diff(np.stack(ranks, axis=-1))
-    sizes = np.sum(at_least[..., None, :] > np.arange(n)[:, None], axis=-1)
-    return sizes if A.ndim > 2 else [int(s) for s in sizes if s]
+    return np.sum(at_least[..., None, :] > np.arange(n)[:, None], axis=-1)
 
 
 def jordan_matrix(eigenvalues, chain_links):

@@ -98,14 +98,14 @@ def test_convection_eigensystem_satisfies_chain_relations(kind, gas, rng):
         assert abs(np.linalg.det(es.vectors)) > 1e-12
 
 
-@pytest.mark.parametrize("u,expected", [(2.0, [2]), (0.0, [2, 1])],
+@pytest.mark.parametrize("u,expected", [(2.0, [2, 0, 0]), (0.0, [2, 1, 0])],
                          ids=["moving", "at-rest"])
 def test_liou_steffen_convection_blocks(u, expected, gas):
     """One order-two block for u, and at rest, where gamma u = u = 0, a
     second block of order one."""
     w = PrimitiveState(1.0, u, 3.0)
-    assert jordan_block_signature(convection_jacobian(LS, w, gas), u) \
-        == expected
+    np.testing.assert_array_equal(
+        jordan_block_signature(convection_jacobian(LS, w, gas), u), expected)
 
 
 def test_liou_steffen_basis_at_rest_is_a_jordan_basis(gas, rng):
@@ -185,23 +185,24 @@ def test_jordan_residual_independent_of_free_parameters(kind, gas, rng):
 
 
 @pytest.mark.parametrize("kind,expected", [
-    (SplittingKind.ZHA_BILGEN, [2, 1]),
-    (SplittingKind.TORO_VAZQUEZ, [2]),
-    (SplittingKind.LIOU_STEFFEN, [2]),
+    (SplittingKind.ZHA_BILGEN, [2, 1, 0]),
+    (SplittingKind.TORO_VAZQUEZ, [2, 0, 0]),
+    (SplittingKind.LIOU_STEFFEN, [2, 0, 0]),
 ])
 def test_block_signature_of_repeated_eigenvalue(kind, expected, gas):
     w = PrimitiveState(1.7, 1.9, 2.3)
     A = convection_jacobian(kind, w, gas)
-    assert jordan_block_signature(A, w.u) == expected
+    np.testing.assert_array_equal(jordan_block_signature(A, w.u), expected)
 
 
 def test_block_signature_identity_matrix():
-    assert jordan_block_signature(np.eye(4), 1.0) == [1, 1, 1, 1]
+    np.testing.assert_array_equal(jordan_block_signature(np.eye(4), 1.0),
+                                  [1, 1, 1, 1])
 
 
 def test_block_signature_single_chain():
     J = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]])
-    assert jordan_block_signature(J, 2.0) == [3]
+    np.testing.assert_array_equal(jordan_block_signature(J, 2.0), [3, 0, 0])
 
 
 def test_jordan_matrix_assembly():
