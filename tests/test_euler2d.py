@@ -111,6 +111,29 @@ def test_ramp_and_cylinder_grids_are_valid():
         ramp_grid(0.0, 10.0, 1.0, 30, 10, 0.5, 15.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda n: ramp_grid(0.0, 3.0, 1.0, n, n, 0.5, 15.0),
+    lambda n: half_cylinder_grid(n, n),
+    lambda n: cartesian_grid(0.0, 1.0, 0.0, 1.0, n, n)],
+    ids=["ramp", "half-cylinder", "cartesian"])
+def test_grid_keeps_no_cell_centres(build):
+    """A built grid holds fewer than 14.5 arrays of ni nj floats (16 with
+    stored centres), and its centres are the vertex means, bit for bit."""
+    import tracemalloc
+    n = 200
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        grid = build(n)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (kept - before) / np.empty((n, n)).nbytes < 14.5
+    for centre, v in ((grid.xc, grid.xv), (grid.yc, grid.yv)):
+        assert np.array_equal(
+            centre, 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[1:, 1:] + v[:-1, 1:]))
+
+
 def test_split_flux_2d_sums_to_normal_euler_flux(gas, rng):
     for _ in range(50):
         w = random_state_2d(rng)

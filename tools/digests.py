@@ -8,16 +8,19 @@ Run it on two checkouts and compare the output:
 Each line is "<run> <steps> <sha256 of U.tobytes()>".  The 2D runs are the
 shock reflection at order 1 to its steady-state stop and at order 2 to
 t = 0.3, the half cylinder at order 1, the 400 x 400 wedge to t = 0.0047
-and the 100 x 100 wedge at order 2.  The 1D runs are every registered case
-but `blast` (3000 cells; its order-2 runs blow up, and tests pin those)
-with both schemes at both orders.  The whole set takes about ten seconds
-on a 2-vCPU machine.
+and the 100 x 100 wedge at order 2.  Each 2D run prints a second line,
+"<run>-csv <steps> <sha256>", of the CSV text the CLI writes for it, so
+the cell centres in its x and y columns are checked byte for byte too.
+The 1D runs are every registered case but `blast` (3000 cells; its
+order-2 runs blow up, and tests pin those) with both schemes at both
+orders: 50 lines in all.  The whole set takes about ten seconds on a
+2-vCPU machine.
 """
 
 import hashlib
 import sys
 
-from cpsfds import bench1d, euler2d
+from cpsfds import bench1d, cli, euler2d
 from cpsfds.fds1d import SchemeKind
 from cpsfds.solver1d import Grid1D, ReconstructionConfig, TimeControls, \
     advance, initialize
@@ -36,8 +39,8 @@ RUNS_2D = (
 )
 
 
-def digest(U):
-    return hashlib.sha256(U.tobytes()).hexdigest()
+def digest(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 def runs_1d():
@@ -51,19 +54,23 @@ def runs_1d():
                                  grid, scheme, ReconstructionConfig(order),
                                  case.bc, TimeControls(case.t_final, case.cfl),
                                  GAS)
-                yield f"{case.name}-{scheme.value}-o{order}", log.steps, U
+                yield (f"{case.name}-{scheme.value}-o{order}", log.steps,
+                       U.tobytes())
 
 
 def runs_2d():
     for name, make, kw in RUNS_2D:
-        _, U, log = euler2d.run_case_2d(make(), GAS, **kw)
-        yield name, log.steps, U
+        case = make()
+        grid, U, log = euler2d.run_case_2d(case, GAS, **kw)
+        yield name, log.steps, U.tobytes()
+        csv = "".join(cli._csv_2d(grid, U, GAS, case.contour_levels))
+        yield f"{name}-csv", log.steps, csv.encode()
 
 
 def main():
     for runs in (runs_2d(), runs_1d()):
-        for name, steps, U in runs:
-            print(name, steps, digest(U), flush=True)
+        for name, steps, data in runs:
+            print(name, steps, digest(data), flush=True)
     return 0
 
 
