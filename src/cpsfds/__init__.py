@@ -9,7 +9,6 @@ everything else is imported from its module (`cpsfds.euler2d`,
 from .state import GasModel
 from .fds1d import SchemeKind
 from .solver1d import (Grid1D, BoundaryCondition, TimeControls,
-                       ReconstructionConfig, SolverBlowUp, advance,
-                       initialize)
+                       SolverBlowUp, advance, initialize)
 
 __version__ = "0.1.0"

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import exact_riemann
 from .fds1d import SchemeKind
-from .solver1d import BoundaryCondition, Grid1D, ReconstructionConfig, \
-    TimeControls, advance, check_t_final, initialize
+from .solver1d import BoundaryCondition, Grid1D, TimeControls, advance, \
+    check_t_final, initialize
 from .splittings import face_average
 from .state import GasModel, PrimitiveState, cons_to_prim_arrays, \
     prim_to_cons_arrays
@@ -176,9 +176,8 @@ def run_case(case: CaseSpec, scheme: SchemeKind, order: int = 1,
                   case.n_cells if n_cells is None else n_cells)
     U = initialize(grid, case.initial_profile, gas)
     controls = TimeControls(t_final if t_final is not None else case.t_final,
-                            cfl if cfl is not None else case.cfl)
-    recon = ReconstructionConfig(order=order)
-    U, log = advance(U, grid, scheme, recon, case.bc, controls, gas)
+                            cfl if cfl is not None else case.cfl, order=order)
+    U, log = advance(U, grid, scheme, case.bc, controls, gas)
     rho, u, p = cons_to_prim_arrays(U, gas.gamma)
     x = grid.centers()
     errors = None

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import bench1d, euler2d, exact_riemann, fds1d, splittings
 from .fds1d import SchemeKind
-from .solver1d import BoundaryCondition, Grid1D, ReconstructionConfig, \
-    TimeControls, advance
+from .solver1d import BoundaryCondition, Grid1D, TimeControls, advance
 from .splittings import FaceGeometry, SplittingKind
 from .state import GasModel, Prim2D, PrimitiveState, cons_to_prim_arrays, \
     physical_flux, prim_to_cons_arrays
@@ -330,15 +329,13 @@ def conservation(seed: int) -> list[Check]:
          1.0 + 0.2 * np.sin(4.0 * math.pi * x)), GAS.gamma)
     drift = []
     for scheme in SchemeKind:
-        U, _ = advance(U0, grid, scheme, ReconstructionConfig(order=1),
-                       periodic, TimeControls(0.1), GAS)
+        U, _ = advance(U0, grid, scheme, periodic, TimeControls(0.1), GAS)
         drift.append(np.abs(U.sum(axis=1) - U0.sum(axis=1))
                      / np.abs(U0).sum(axis=1))
     uniform = prim_to_cons_arrays((np.full(64, 1.3), np.full(64, 0.7),
                                    np.full(64, 2.1)), GAS.gamma)
-    U, _ = advance(uniform, grid, SchemeKind.TVS_FDS,
-                   ReconstructionConfig(order=2), periodic,
-                   TimeControls(0.1), GAS)
+    U, _ = advance(uniform, grid, SchemeKind.TVS_FDS, periodic,
+                   TimeControls(0.1, order=2), GAS)
     return [_check("periodic conservation", drift, 1e-12, len(drift)),
             _check("uniform-state preservation", np.abs(U - uniform),
                    1e-13, 1)]

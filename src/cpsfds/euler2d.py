@@ -22,8 +22,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .splittings import FaceGeometry
-from .solver1d import ReconstructionConfig, TimeControls, march, \
-    muscl_reconstruct
+from .solver1d import TimeControls, march, muscl_reconstruct
 from .state import GasModel, Prim2D, check_faces, cons_to_prim_arrays, \
     first_index, prim_to_cons_arrays
 
@@ -564,7 +563,7 @@ def _workspace(grid: StructuredGrid2D, order: int) -> _Workspace:
     return _Workspace(fields, states, tuple(plans))
 
 
-def _face_states(fields, states, recon: ReconstructionConfig, h):
+def _face_states(fields, states, h):
     """Write the MUSCL face states of the extended fields into states, the
     (2, 4, (ni + 3) m) i states and the (2, 4, ni m + 1) j states, m =
     nj + 2, and check them.
@@ -587,22 +586,20 @@ def _face_states(fields, states, recon: ReconstructionConfig, h):
     st_i, st_j = states
     for q, lo, hi in zip(fields[:, :, 2:-2], st_i[1, :, :(ni + 2) * m],
                          st_i[0, :, m:]):
-        muscl_reconstruct(q, h, recon.limiter_k,
-                          out=(lo.reshape(ni + 2, m)[:, 1:-1],
-                               hi.reshape(ni + 2, m)[:, 1:-1]))
+        muscl_reconstruct(q, h, out=(lo.reshape(ni + 2, m)[:, 1:-1],
+                                     hi.reshape(ni + 2, m)[:, 1:-1]))
     for q, lo, hi in zip(fields[:, 2:-2].transpose(0, 2, 1),
                          st_j[1, :, :ni * m], st_j[0, :, 1:]):
-        muscl_reconstruct(q, h, recon.limiter_k,
-                          out=(lo.reshape(ni, m).T, hi.reshape(ni, m).T))
+        muscl_reconstruct(q, h, out=(lo.reshape(ni, m).T,
+                                     hi.reshape(ni, m).T))
     st_j[0, :, m::m] = 1.0               # high values of extended column m - 1
     st_j[1, :, :ni * m:m] = 1.0          # low values of extended column 0
     check_faces(st_i[:, :, m + 1:(ni + 2) * m + 1].reshape(2, 4, ni + 1, m))
     check_faces(st_j[:, :, 1:1 + ni * m].reshape(2, 4, ni, m))
 
 
-def residual_2d(W, grid: StructuredGrid2D, bc: dict,
-                recon: ReconstructionConfig, gas: GasModel, ws=None,
-                out=None):
+def residual_2d(W, grid: StructuredGrid2D, bc: dict, order: int,
+                gas: GasModel, ws=None, out=None):
     """-(1/A) sum of face fluxes times face lengths; shape (4, ni, nj).
 
     W holds the primitive cell fields (rho, u, v, p).  ws is the workspace
@@ -620,10 +617,10 @@ def residual_2d(W, grid: StructuredGrid2D, bc: dict,
     """
     g = gas.gamma
     if ws is None:
-        ws = _workspace(grid, recon.order)
-    fields = _extend(W, grid, bc, recon.order, ws.fields)   # ng = order
-    if recon.order == 2:
-        _face_states(fields, ws.states, recon, grid.h)
+        ws = _workspace(grid, order)
+    fields = _extend(W, grid, bc, order, ws.fields)   # ng = order
+    if order == 2:
+        _face_states(fields, ws.states, grid.h)
     net = np.empty((4, grid.ni, grid.nj)) if out is None else out
     for plan in ws.plans:
         cells = net[:, plan.rows]
@@ -638,8 +635,7 @@ def residual_2d(W, grid: StructuredGrid2D, bc: dict,
     return net
 
 
-def advance_2d(U, grid: StructuredGrid2D, bc: dict,
-               recon: ReconstructionConfig, controls: TimeControls,
+def advance_2d(U, grid: StructuredGrid2D, bc: dict, controls: TimeControls,
                gas: GasModel):
     """March a (4, ni, nj) conserved field to controls.t_final (or steady
     state).
@@ -652,14 +648,15 @@ def advance_2d(U, grid: StructuredGrid2D, bc: dict,
     ghosted fields: the primitive recovery and the time step run faster
     on a contiguous array."""
     check_grid_shape(grid.ni, grid.nj)
-    ws = _workspace(grid, recon.order)
+    ws = _workspace(grid, controls.order)
     stage = np.empty((4, grid.ni, grid.nj))
     return march(
         U,
         lambda U: cons_to_prim_fields(U, gas.gamma, out=stage),
         lambda W: compute_dt_2d(*W, grid, gas, controls.cfl),
-        lambda W: residual_2d(W, grid, bc, recon, gas, ws=ws, out=W),
-        controls, recon.order, "zbs-2d")
+        lambda W: residual_2d(W, grid, bc, controls.order, gas, ws=ws,
+                              out=W),
+        controls, "zbs-2d")
 
 
 # --------------------------------------------------------------------------
@@ -788,9 +785,8 @@ def run_case_2d(case: CaseSpec2D, gas: GasModel = GasModel(1.4),
          for q in case.init(grid.xc, grid.yc)], gas.gamma)
     controls = TimeControls(t_final if t_final is not None else case.t_final,
                             cfl if cfl is not None else case.cfl,
-                            steady_drop=case.steady_drop)
-    recon = ReconstructionConfig(order)
-    U, log = advance_2d(U, grid, case.bc, recon, controls, gas)
+                            steady_drop=case.steady_drop, order=order)
+    U, log = advance_2d(U, grid, case.bc, controls, gas)
     return grid, U, log
 
 

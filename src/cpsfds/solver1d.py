@@ -80,27 +80,25 @@ def check_steady_drop(steady_drop):
 
 @dataclass(frozen=True)
 class TimeControls:
+    """The settings of one run.  order picks both the space and the time
+    discretisation: 1 is first-order faces and a forward Euler step, 2 is
+    limited MUSCL faces and the two-stage SSP step.  It lives here with the
+    march's other settings because the march and the reconstruction read it
+    together, and no run can pick them apart."""
     t_final: float
     cfl: float = 0.8
     steady_drop: Optional[float] = None   # stop when the density residual
     # falls by this factor from its value at the first step
+    order: int = 1
 
     def __post_init__(self):
         check_t_final(self.t_final)
         check_cfl(self.cfl)
         check_steady_drop(self.steady_drop)
-
-
-@dataclass(frozen=True)
-class ReconstructionConfig:
-    order: int = 1
-    limiter_k: float = 0.1
-
-    def __post_init__(self):
-        if self.order not in (1, 2):
+        # an integer: a float 2.0 would equal 2 here and fail in 2D later
+        if not (isinstance(self.order, (int, np.integer))
+                and self.order in (1, 2)):
             raise ValueError("order must be 1 or 2")
-        if self.order == 2 and not 0.0 < self.limiter_k < np.inf:
-            raise ValueError("limiter constant must be positive")
 
 
 @dataclass
@@ -133,18 +131,24 @@ def compute_dt(rho, u, p, gas: GasModel, dx: float, cfl: float) -> float:
     return cfl * dx / float(a.max())
 
 
-def muscl_reconstruct(q: np.ndarray, dx: float, k: float, out=None):
+# Venkatakrishnan's limiter constant K (J. Comput. Phys. 118, 1995).
+LIMITER_K = 0.1
+
+
+def muscl_reconstruct(q: np.ndarray, dx: float, out=None):
     """Limited face values for one variable.
 
     q includes one ghost value on each end; for each of the m-2 interior
     cells the pair (left-face value q_i - psi/2, right-face value
     q_i + psi/2) is returned, written into the pair of arrays out if it
-    is given.
+    is given.  The limiter is Venkatakrishnan's (1995) with
+    eps^2 = (K dx)^3, K = LIMITER_K.  2D passes grid.h, the square root of
+    the mean cell area, as dx.
     """
     c = q[1:-1]
     dplus = q[2:] - c
     dminus = c - q[:-2]
-    eps2 = (k * dx) ** 3
+    eps2 = (LIMITER_K * dx) ** 3
     # psi = ((dplus^2 + eps2) dminus + (dminus^2 + eps2) dplus)
     #       / (dplus^2 + dminus^2 + 2 eps2), in place in that order
     den = dplus ** 2
@@ -190,15 +194,14 @@ def _extend(W, ng, bc):
     return out
 
 
-def _residual(W, scheme, bc, recon, dx, gas):
+def _residual(W, scheme, bc, order, dx, gas):
     """-dF/dx for the (3, n) primitive cell array W."""
-    if recon.order == 1:
+    if order == 1:
         We = _extend(W, 1, bc)
         L, R = We[:, :-1], We[:, 1:]
     else:
         # muscl_reconstruct slices axis 0, so it takes the cells as rows
-        lo, hi = muscl_reconstruct(_extend(W, 2, bc).T, dx,
-                                   recon.limiter_k)
+        lo, hi = muscl_reconstruct(_extend(W, 2, bc).T, dx)
         # face j sits between extended cells j+1 and j+2
         L, R = hi[:-1].T, lo[1:].T
         # limited face states can lose positivity; reject them as cells are.
@@ -209,14 +212,14 @@ def _residual(W, scheme, bc, recon, dx, gas):
     return (F[:, :-1] - F[:, 1:]) / dx
 
 
-def march(U, to_prim, dt_fn, residual_fn, controls, order, label):
+def march(U, to_prim, dt_fn, residual_fn, controls, label):
     """Time-step policy shared by the 1D and 2D solvers.  Returns (U, StepLog).
 
     to_prim(U) recovers the primitives once per stage; the first stage's
-    serve both dt_fn(W) and residual_fn(W).  Order 1 takes a forward Euler
-    step, order 2 the two-stage SSP Runge-Kutta step.  dt is clamped to
-    land on controls.t_final, and at most MAX_STEPS are taken.  With
-    controls.steady_drop set, the march stops once the L2 norm of the
+    serve both dt_fn(W) and residual_fn(W).  At controls.order 1 it takes
+    a forward Euler step, at 2 the two-stage SSP Runge-Kutta step.  dt is
+    clamped to land on controls.t_final, and at most MAX_STEPS are taken.
+    With controls.steady_drop set, the march stops once the L2 norm of the
     first-stage density residual has fallen by that factor from its value
     at the first step.  No callback takes the step: the march alone wraps
     a NonPhysicalStateError in SolverBlowUp(label, step, cell).
@@ -229,6 +232,7 @@ def march(U, to_prim, dt_fn, residual_fn, controls, order, label):
     U = 0.5 U + 0.5 (U1 + dt R1).  IEEE addition commutes, so U += dt R
     rounds as U1 = U + dt R does.
     """
+    order = controls.order
     U = np.array(U, dtype=float)
     U1 = None if order == 1 else np.empty_like(U)
     log = StepLog()
@@ -265,9 +269,8 @@ def march(U, to_prim, dt_fn, residual_fn, controls, order, label):
     return U, log
 
 
-def advance(U: np.ndarray, grid: Grid1D, scheme: SchemeKind,
-            recon: ReconstructionConfig, bc, controls: TimeControls,
-            gas: GasModel):
+def advance(U: np.ndarray, grid: Grid1D, scheme: SchemeKind, bc,
+            controls: TimeControls, gas: GasModel):
     """March U (3, n_cells) to controls.t_final.  Returns (U, StepLog).
 
     Raises SolverBlowUp when a non-physical state appears anywhere.
@@ -277,8 +280,8 @@ def advance(U: np.ndarray, grid: Grid1D, scheme: SchemeKind,
         U,
         lambda U: cons_to_prim_arrays(U, gas.gamma),
         lambda W: compute_dt(*W, gas, dx, controls.cfl),
-        lambda W: _residual(W, scheme, bc, recon, dx, gas),
-        controls, recon.order, scheme.value)
+        lambda W: _residual(W, scheme, bc, controls.order, dx, gas),
+        controls, scheme.value)
 
 
 def initialize(grid: Grid1D, init_fn, gas: GasModel):

@@ -24,8 +24,8 @@ from cpsfds.euler2d import (Prim2D, BoundarySpec, Bc2DKind,
                             shock_reflection_case, wedge_case,
                             half_cylinder_case, stagnation_line_pressure)
 from cpsfds.fds1d import SchemeKind
-from cpsfds.solver1d import (Grid1D, ReconstructionConfig, SolverBlowUp,
-                             TimeControls, _residual, compute_dt, initialize)
+from cpsfds.solver1d import (Grid1D, SolverBlowUp, TimeControls, _residual,
+                             compute_dt, initialize)
 from cpsfds.state import GasModel, cons_to_prim_arrays
 
 GAS = GasModel(1.4)
@@ -298,8 +298,7 @@ def _free_stream_drift():
         np.full(shape, free.v), np.full(shape, free.p), GAS.gamma)
     bc = {k: BoundarySpec(Bc2DKind.SUPERSONIC_INFLOW, free)
           for k in ("imin", "imax", "jmin", "jmax")}
-    U, _ = advance_2d(U0, grid, bc, ReconstructionConfig(1),
-                      TimeControls(0.1, cfl=0.5), GAS)
+    U, _ = advance_2d(U0, grid, bc, TimeControls(0.1, cfl=0.5), GAS)
     return float(np.max(np.abs(U - U0)) / np.max(np.abs(U0)))
 
 
@@ -308,7 +307,6 @@ def _embedding_drift():
     case = get_case("sod")
     g1 = Grid1D(case.x_min, case.x_max, 100)
     U1 = initialize(g1, case.initial_profile, GAS)
-    recon = ReconstructionConfig(1)
     bc1 = case.bc
 
     g2 = cartesian_grid(case.x_min, case.x_max, 0.0, 0.8, 100, 4)
@@ -325,9 +323,9 @@ def _embedding_drift():
         r, u, p = cons_to_prim_arrays(U1, GAS.gamma)
         dt = compute_dt(r, u, p, GAS, g1.dx, 0.5)
         U1 = U1 + dt * _residual(np.array([r, u, p]), SchemeKind.ZBS_FDS,
-                                 bc1, recon, g1.dx, GAS)
+                                 bc1, 1, g1.dx, GAS)
         U2 = U2 + dt * residual_2d(cons_to_prim_fields(U2, GAS.gamma), g2,
-                                   bc2, recon, GAS)
+                                   bc2, 1, GAS)
     diff = max(
         float(np.max(np.abs(U2[0] - U1[0][:, None]))),
         float(np.max(np.abs(U2[1] - U1[1][:, None]))),

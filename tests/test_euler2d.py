@@ -16,8 +16,7 @@ from cpsfds.euler2d import (StructuredGrid2D, cartesian_grid, ramp_grid,
                             case_registry_2d, half_cylinder_case, ramp_case,
                             run_case_2d, shock_reflection_case,
                             stagnation_line_pressure, wedge_case)
-from cpsfds.solver1d import ReconstructionConfig, SolverBlowUp, \
-    TimeControls, muscl_reconstruct
+from cpsfds.solver1d import SolverBlowUp, TimeControls, muscl_reconstruct
 from cpsfds.state import GasModel, NonPhysicalStateError, Prim2D, \
     PrimitiveState, check_faces, prim_to_cons_arrays
 from cpsfds.splittings import (FaceGeometry, face_geometry, split_flux_2d,
@@ -469,8 +468,7 @@ def test_free_stream_is_preserved_on_a_curvilinear_grid(gas):
                              gas.gamma)
     bc = {k: BoundarySpec(Bc2DKind.SUPERSONIC_INFLOW, free)
           for k in ("imin", "imax", "jmin", "jmax")}
-    U, log = advance_2d(U0, grid, bc, ReconstructionConfig(1),
-                        TimeControls(0.05, cfl=0.5), gas)
+    U, log = advance_2d(U0, grid, bc, TimeControls(0.05, cfl=0.5), gas)
     assert log.steps >= 3
     assert np.max(np.abs(U - U0)) <= 1e-12 * np.max(np.abs(U0))
 
@@ -490,7 +488,6 @@ def test_residual_does_not_depend_on_the_flux_block_size(order, gas,
     geometry from the grid's face rows and writes only the workspace's
     shared buffers, so a workspace reused for a second residual, as in a
     march, gives the same answer."""
-    recon = ReconstructionConfig(order)
     rng = np.random.default_rng(5)
     default = euler2d._BLOCK_FACES
     for case in (half_cylinder_case(mach=2.0), shock_reflection_case(),
@@ -507,10 +504,10 @@ def test_residual_does_not_depend_on_the_flux_block_size(order, gas,
         # one block, one cell row, two rows, blocks of 5, 5 and 2 rows
         for faces in (default, 1, 40, 5 * 17, 10 ** 6):
             monkeypatch.setattr(euler2d, "_BLOCK_FACES", faces)
-            results.append(residual_2d(W, grid, case.bc, recon, gas))
+            results.append(residual_2d(W, grid, case.bc, order, gas))
             ws = euler2d._workspace(grid, order)
             for _ in range(2):
-                results.append(residual_2d(W, grid, case.bc, recon, gas,
+                results.append(residual_2d(W, grid, case.bc, order, gas,
                                            ws=ws))
         assert len(euler2d._workspace(grid, order).plans) == 1
         for got in results[1:]:
@@ -536,13 +533,13 @@ def test_march_with_reused_buffers_matches_a_fresh_array_reference(
                              2.9 + 0.3 * rng.uniform(-1, 1, shape),
                              0.3 * rng.uniform(-1, 1, shape),
                              0.7 + 0.1 * rng.uniform(size=shape), gas.gamma)
-    recon, t_final = ReconstructionConfig(order), 0.1
-    U, log = advance_2d(U0, grid, case.bc, recon,
-                        TimeControls(t_final, case.cfl), gas)
+    t_final = 0.1
+    U, log = advance_2d(U0, grid, case.bc,
+                        TimeControls(t_final, case.cfl, order=order), gas)
     want, steps = reference_march(
         U0, lambda U: cons_to_prim_fields(U, gas.gamma),
         lambda W: compute_dt_2d(*W, grid, gas, case.cfl),
-        lambda W: residual_2d(W, grid, case.bc, recon, gas), t_final, order)
+        lambda W: residual_2d(W, grid, case.bc, order, gas), t_final, order)
     assert log.steps == steps >= 3
     assert np.array_equal(U, want)
 
@@ -628,8 +625,7 @@ def test_first_order_face_sides_are_computed_once_per_cell(gas, monkeypatch):
     shape = grid.xc.shape
     W = (np.full(shape, 1.4), np.full(shape, 2.0), np.zeros(shape),
          np.ones(shape))
-    residual_2d(W, grid, half_cylinder_case(mach=2.0).bc,
-                ReconstructionConfig(1), gas)
+    residual_2d(W, grid, half_cylinder_case(mach=2.0).bc, 1, gas)
     assert sum(sizes) == (grid.ni + 2) * (grid.nj + 2)
 
 
@@ -649,8 +645,7 @@ def test_residual_matches_a_face_by_face_reference(order, faces, gas,
     shape = grid.xc.shape
     W = (1.0 + rng.uniform(size=shape), rng.uniform(-2.0, 2.0, shape),
          rng.uniform(-2.0, 2.0, shape), 1.0 + rng.uniform(size=shape))
-    recon = ReconstructionConfig(order)
-    got = residual_2d(W, grid, half_cylinder_case(mach=2.0).bc, recon, gas)
+    got = residual_2d(W, grid, half_cylinder_case(mach=2.0).bc, order, gas)
 
     def state(i, j):
         return [q[i, j] for q in W]
@@ -661,10 +656,8 @@ def test_residual_matches_a_face_by_face_reference(order, faces, gas,
         if order == 1:
             return state(*cells[1]), state(*cells[2])
         q = np.array([state(*c) for c in cells]).T     # (4 fields, 4 cells)
-        left = [muscl_reconstruct(f[:3], grid.h, recon.limiter_k)[1][0]
-                for f in q]
-        right = [muscl_reconstruct(f[1:], grid.h, recon.limiter_k)[0][0]
-                 for f in q]
+        left = [muscl_reconstruct(f[:3], grid.h)[1][0] for f in q]
+        right = [muscl_reconstruct(f[1:], grid.h)[0][0] for f in q]
         return left, right
 
     def flux(cells, a, b):
@@ -750,18 +743,18 @@ def test_first_order_residual_allocates_nothing_block_sized(gas,
                   2.0 + 0.5 * rng.uniform(-1, 1, shape),
                   0.5 * rng.uniform(-1, 1, shape),
                   1.0 + 0.2 * rng.uniform(size=shape)])
-    bc, recon = half_cylinder_case(mach=2.0).bc, ReconstructionConfig(1)
-    residual_2d(W, grid, bc, recon, gas, ws=ws)          # warm
+    bc = half_cylinder_case(mach=2.0).bc
+    residual_2d(W, grid, bc, 1, gas, ws=ws)          # warm
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        net = residual_2d(W, grid, bc, recon, gas, ws=ws)
+        net = residual_2d(W, grid, bc, 1, gas, ws=ws)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - before - net.nbytes < np.empty((rows, grid.nj)).nbytes
-    assert np.array_equal(net, residual_2d(W, grid, bc, recon, gas))
+    assert np.array_equal(net, residual_2d(W, grid, bc, 1, gas))
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -787,9 +780,10 @@ def test_march_allocates_no_field_per_step(order, gas, monkeypatch):
                   0.5 * rng.uniform(-1, 1, shape),
                   1.0 + 0.2 * rng.uniform(size=shape)])
     U0 = prim_to_cons_fields(*W, gas.gamma)
-    bc, recon = half_cylinder_case(mach=2.0).bc, ReconstructionConfig(order)
+    bc = half_cylinder_case(mach=2.0).bc
     dt = compute_dt_2d(*W, grid, gas, 0.5)
-    advance_2d(U0, grid, bc, recon, TimeControls(0.5 * dt, 0.5), gas)  # warm
+    warm = TimeControls(0.5 * dt, 0.5, order=order)
+    advance_2d(U0, grid, bc, warm, gas)
     allowed = np.empty((4, euler2d._block_rows(grid), grid.nj)).nbytes
     tracemalloc.start()
     try:
@@ -800,14 +794,14 @@ def test_march_allocates_no_field_per_step(order, gas, monkeypatch):
             fields = euler2d._extend(W, grid, bc, 2, ws.fields)
             tracemalloc.reset_peak()
             start, _ = tracemalloc.get_traced_memory()
-            euler2d._face_states(fields, ws.states, recon, grid.h)
+            euler2d._face_states(fields, ws.states, grid.h)
             allowed += tracemalloc.get_traced_memory()[1] - start
             del fields
         del ws
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        _, log = advance_2d(U0, grid, bc, recon,
-                            TimeControls(3.5 * dt, 0.5), gas)
+        _, log = advance_2d(U0, grid, bc,
+                            TimeControls(3.5 * dt, 0.5, order=order), gas)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -873,7 +867,7 @@ def test_face_scan_names_the_grid_face_in_either_sweep(axis, dip, gas):
     bc = dict.fromkeys(("imin", "imax", "jmin", "jmax"),
                        BoundarySpec(Bc2DKind.SUPERSONIC_OUTFLOW))
     with pytest.raises(NonPhysicalStateError) as err:
-        residual_2d(W, grid, bc, ReconstructionConfig(2), gas)
+        residual_2d(W, grid, bc, 2, gas)
     assert str(err.value) == f"reconstructed p not positive, cell={face}"
 
 
@@ -894,7 +888,7 @@ def test_face_scan_reports_an_i_face_before_a_j_face_across_blocks(
             p[cell] = 100.0 if k % 2 else 0.1
         W = (np.ones_like(p), np.zeros_like(p), np.zeros_like(p), p)
         with pytest.raises(NonPhysicalStateError) as err:
-            residual_2d(W, grid, bc, ReconstructionConfig(2), gas)
+            residual_2d(W, grid, bc, 2, gas)
         assert str(err.value) == \
             f"reconstructed p not positive, cell={face}"
 
@@ -930,7 +924,7 @@ def test_boundary_spec_rejects_a_1d_fixed_state(gas):
                               Prim2D(2.0, 0.5, 0.0, 3.0))
     W = np.stack([np.ones((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)),
                   np.ones((4, 4))])
-    R = residual_2d(W, grid, bc, ReconstructionConfig(1), gas)
+    R = residual_2d(W, grid, bc, 1, gas)
     np.testing.assert_allclose(R[:, 0, 0], [2.58579, 6.60280, 0.0, 21.3146],
                                rtol=1e-5, atol=1e-14)
 
@@ -953,12 +947,12 @@ def test_march_stops_on_the_steady_state_test(gas):
     case = shock_reflection_case()
     grid = case.grid_factory(24, 8)
     U0 = prim_to_cons_fields(*case.init(grid.xc, grid.yc), gas.gamma)
-    recon, t_final = ReconstructionConfig(1), 6.0
-    _, steady = advance_2d(U0, grid, case.bc, recon,
+    t_final = 6.0
+    _, steady = advance_2d(U0, grid, case.bc,
                            TimeControls(t_final, case.cfl, steady_drop=1e4),
                            gas)
-    _, full = advance_2d(U0, grid, case.bc, recon,
-                         TimeControls(t_final, case.cfl), gas)
+    _, full = advance_2d(U0, grid, case.bc, TimeControls(t_final, case.cfl),
+                         gas)
     assert steady.t < t_final <= full.t
     assert steady.steps < full.steps
 
@@ -993,9 +987,9 @@ def test_rotational_objectivity_quarter_turn(gas):
     wall = BoundarySpec(Bc2DKind.SLIP_WALL)
     bcx = {"imin": out, "imax": out, "jmin": wall, "jmax": wall}
     bcy = {"imin": wall, "imax": wall, "jmin": out, "jmax": out}
-    recon, ctrl = ReconstructionConfig(1), TimeControls(0.1, cfl=0.5)
-    Uxf, _ = advance_2d(Ux, gx, bcx, recon, ctrl, gas)
-    Uyf, _ = advance_2d(Uy, gy, bcy, recon, ctrl, gas)
+    ctrl = TimeControls(0.1, cfl=0.5)
+    Uxf, _ = advance_2d(Ux, gx, bcx, ctrl, gas)
+    Uyf, _ = advance_2d(Uy, gy, bcy, ctrl, gas)
     rotated = np.stack([Uyf[0].T, Uyf[2].T, Uyf[1].T, Uyf[3].T])
     assert np.max(np.abs(Uxf - rotated)) <= 1e-12 * np.max(np.abs(Uxf))
 
@@ -1023,8 +1017,8 @@ def slip_box_drift(grid, order, gas):
     """Relative change of total mass and energy over a march of the slip
     box to t = 0.2 at CFL 0.5, and the number of steps."""
     U0 = prim_to_cons_fields(*slip_box_fields(grid), gas.gamma)
-    U, log = advance_2d(U0, grid, SLIP_BOX, ReconstructionConfig(order),
-                        TimeControls(0.2, cfl=0.5), gas)
+    U, log = advance_2d(U0, grid, SLIP_BOX,
+                        TimeControls(0.2, cfl=0.5, order=order), gas)
     drift = [float(np.sum((U[c] - U0[c]) * grid.area))
              / float(np.sum(U0[c] * grid.area)) for c in (0, 3)]
     return drift, log.steps
@@ -1057,8 +1051,7 @@ def test_order_1_slip_walls_conserve_on_curvilinear_grids(ni, nj, ramp,
     W = np.stack([10.0 ** rng.uniform(-1.0, 1.0, shape),
                   rng.uniform(-2.0, 2.0, shape), rng.uniform(-2.0, 2.0, shape),
                   10.0 ** rng.uniform(-1.0, 1.0, shape)])
-    R = residual_2d(W, grid, SLIP_BOX, ReconstructionConfig(1),
-                    GasModel(1.4))
+    R = residual_2d(W, grid, SLIP_BOX, 1, GasModel(1.4))
     for c in (0, 3):
         terms = R[c] * grid.area
         assert abs(terms.sum()) <= 1e-13 * np.abs(terms).sum(), c
@@ -1085,8 +1078,7 @@ def test_second_order_slip_walls_leak_on_curvilinear_grids(
     drift, n = slip_box_drift(grid, 2, gas)
     assert n == steps
     np.testing.assert_allclose(drift, [mass, energy], rtol=1e-3)
-    R = residual_2d(slip_box_fields(grid), grid, SLIP_BOX,
-                    ReconstructionConfig(2), gas)
+    R = residual_2d(slip_box_fields(grid), grid, SLIP_BOX, 2, gas)
     assert float(np.sum(R[0] * grid.area)) == pytest.approx(flux, rel=1e-3)
 
 

@@ -12,8 +12,8 @@ from cpsfds import euler2d, solver1d
 from cpsfds.bench1d import get_case, run_case
 from cpsfds.fds1d import SchemeKind
 from cpsfds.solver1d import (Grid1D, BoundaryCondition, TimeControls,
-                             ReconstructionConfig, SolverBlowUp, compute_dt,
-                             muscl_reconstruct, advance, initialize, _extend)
+                             SolverBlowUp, compute_dt, muscl_reconstruct,
+                             advance, initialize, _extend)
 from cpsfds.state import NonPhysicalStateError, check_faces, \
     cons_to_prim_arrays
 
@@ -47,18 +47,21 @@ def test_controls_validation():
         TimeControls(1.0, cfl=1.5)
 
 
-@pytest.mark.parametrize("limiter_k", [0.0, -0.1, float("nan"),
-                                       float("inf")])
-def test_reconstruction_rejects_a_non_positive_limiter_constant_at_order_2(
-        limiter_k):
-    """Order 1 does not use the constant, so it accepts any."""
-    with pytest.raises(ValueError) as err:
-        ReconstructionConfig(order=2, limiter_k=limiter_k)
-    assert str(err.value) == "limiter constant must be positive"
-    with pytest.raises(ValueError) as err:
-        ReconstructionConfig(order=3, limiter_k=limiter_k)
-    assert str(err.value) == "order must be 1 or 2"
-    ReconstructionConfig(order=1, limiter_k=limiter_k)
+@pytest.mark.parametrize("order", [0, 3, 2.0])
+def test_an_order_other_than_the_integer_1_or_2_is_rejected(order, gas):
+    """A float 2.0 equals 2, yet it passed the check before: 1D then ran
+    order 2, and 2D failed with a TypeError when it sized its ghost
+    layers.  A numpy integer is an integer."""
+    for make in (lambda: TimeControls(1.0, order=order),
+                 lambda: run_case(get_case("sod"), SchemeKind.ZBS_FDS,
+                                  order=order, n_cells=20),
+                 lambda: euler2d.run_case_2d(euler2d.shock_reflection_case(),
+                                             gas, grid_shape=(12, 4),
+                                             order=order)):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == "order must be 1 or 2"
+    assert TimeControls(1.0, order=np.int64(2)).order == 2
 
 
 @pytest.mark.parametrize("t_final", [np.nan, -1.0, 0.0])
@@ -104,7 +107,7 @@ def test_compute_dt_formula(gas):
 def test_limited_reconstruction_reproduces_linear_data():
     x = np.linspace(0.0, 1.0, 12)
     q = 3.0 + 2.0 * x
-    lo, hi = muscl_reconstruct(q, x[1] - x[0], k=0.1)
+    lo, hi = muscl_reconstruct(q, x[1] - x[0])
     dx = x[1] - x[0]
     np.testing.assert_allclose(lo, q[1:-1] - dx, rtol=1e-12)
     np.testing.assert_allclose(hi, q[1:-1] + dx, rtol=1e-12)
@@ -112,7 +115,7 @@ def test_limited_reconstruction_reproduces_linear_data():
 
 def test_limited_reconstruction_shrinks_at_extrema():
     q = np.array([0.0, 1.0, 0.0])
-    lo, hi = muscl_reconstruct(q, 0.1, k=0.1)
+    lo, hi = muscl_reconstruct(q, 0.1)
     # at a symmetric extremum the limited slope nearly vanishes
     assert abs(hi[0] - lo[0]) < 1e-3
 
@@ -122,8 +125,8 @@ def test_face_count_and_uniform_preservation(gas):
     U0 = initialize(grid, lambda x: (1.0, 0.5, 2.0), gas)
     for order in (1, 2):
         for scheme in SCHEMES:
-            U, log = advance(U0, grid, scheme, ReconstructionConfig(order),
-                             PERIODIC, TimeControls(0.05), gas)
+            U, log = advance(U0, grid, scheme, PERIODIC,
+                             TimeControls(0.05, order=order), gas)
             assert log.steps > 0
             np.testing.assert_allclose(U, U0, rtol=1e-13, atol=1e-13)
 
@@ -138,8 +141,8 @@ def test_periodic_conservation(order, scheme, gas):
                 np.full_like(x, 1.0))
 
     U0 = initialize(grid, init, gas)
-    U, _ = advance(U0, grid, scheme, ReconstructionConfig(order),
-                   PERIODIC, TimeControls(0.3), gas)
+    U, _ = advance(U0, grid, scheme, PERIODIC,
+                   TimeControls(0.3, order=order), gas)
     tot0 = U0.sum(axis=1) * grid.dx
     tot = U.sum(axis=1) * grid.dx
     scale = np.abs(U0).sum(axis=1) * grid.dx
@@ -155,8 +158,7 @@ def test_reflective_walls_conserve_mass_and_energy(scheme, gas):
                 np.zeros_like(x), np.full_like(x, 1.0))
 
     U0 = initialize(grid, init, gas)
-    U, _ = advance(U0, grid, scheme, ReconstructionConfig(1),
-                   REFLECTIVE, TimeControls(0.4), gas)
+    U, _ = advance(U0, grid, scheme, REFLECTIVE, TimeControls(0.4), gas)
     for comp in (0, 2):   # mass and energy; momentum is exchanged with walls
         tot0 = U0[comp].sum() * grid.dx
         tot = U[comp].sum() * grid.dx
@@ -172,8 +174,8 @@ def test_reflective_wall_symmetry(gas):
                 np.full_like(x, 1.0))
 
     U0 = initialize(grid, init, gas)
-    U, _ = advance(U0, grid, SchemeKind.ZBS_FDS, ReconstructionConfig(1),
-                   REFLECTIVE, TimeControls(0.3), gas)
+    U, _ = advance(U0, grid, SchemeKind.ZBS_FDS, REFLECTIVE,
+                   TimeControls(0.3), gas)
     rho, u, p = cons_to_prim_arrays(U, gas.gamma)
     np.testing.assert_allclose(rho, rho[::-1], rtol=1e-12)
     np.testing.assert_allclose(u, -u[::-1], atol=1e-12)
@@ -189,8 +191,8 @@ def test_transmissive_boundaries_pass_a_wave_out(gas):
         return 1.0 + bump, a0 * bump, 1.0 + 1.4 * bump
 
     U0 = initialize(grid, init, gas)
-    U, _ = advance(U0, grid, SchemeKind.ZBS_FDS, ReconstructionConfig(1),
-                   TRANSMISSIVE, TimeControls(0.6), gas)
+    U, _ = advance(U0, grid, SchemeKind.ZBS_FDS, TRANSMISSIVE,
+                   TimeControls(0.6), gas)
     rho, _, _ = cons_to_prim_arrays(U, gas.gamma)
     # the small entropy residue (quadratic in the pulse amplitude) and the
     # first-order boundary footprint are all that may remain
@@ -208,8 +210,8 @@ def test_blow_up_carries_step_and_cell_diagnostics(gas):
 
     U0 = initialize(grid, init, gas)
     with pytest.raises(SolverBlowUp) as err:
-        advance(U0, grid, SchemeKind.ZBS_FDS, ReconstructionConfig(1),
-                TRANSMISSIVE, TimeControls(0.5), gas)
+        advance(U0, grid, SchemeKind.ZBS_FDS, TRANSMISSIVE,
+                TimeControls(0.5), gas)
     assert err.value.step >= 0
     assert err.value.cell is not None
     assert "blew up" in str(err.value)
@@ -218,8 +220,8 @@ def test_blow_up_carries_step_and_cell_diagnostics(gas):
 def test_time_marching_hits_t_final_exactly(gas):
     grid = Grid1D(0.0, 1.0, 20)
     U0 = initialize(grid, lambda x: (1.0, 0.0, 1.0), gas)
-    _, log = advance(U0, grid, SchemeKind.TVS_FDS, ReconstructionConfig(1),
-                     TRANSMISSIVE, TimeControls(0.123), gas)
+    _, log = advance(U0, grid, SchemeKind.TVS_FDS, TRANSMISSIVE,
+                     TimeControls(0.123), gas)
     assert log.t == pytest.approx(0.123, abs=1e-14)
 
 
@@ -278,8 +280,8 @@ def test_primitives_are_recovered_once_per_stage(order, scheme, gas,
     case = get_case("sod")
     grid = Grid1D(case.x_min, case.x_max, 50)
     U0 = initialize(grid, case.initial_profile, gas)
-    _, log = advance(U0, grid, scheme, ReconstructionConfig(order), case.bc,
-                     TimeControls(case.t_final, case.cfl), gas)
+    _, log = advance(U0, grid, scheme, case.bc,
+                     TimeControls(case.t_final, case.cfl, order=order), gas)
     assert log.steps > 0
     assert calls["prim"] == order * log.steps
     assert calls["muscl"] == (2 * log.steps if order == 2 else 0)
@@ -312,13 +314,12 @@ def test_march_in_place_matches_a_fresh_array_reference(order, scheme, gas):
     case = get_case("sod")
     grid = Grid1D(case.x_min, case.x_max, 50)
     U0 = initialize(grid, case.initial_profile, gas)
-    recon = ReconstructionConfig(order)
-    U, log = advance(U0, grid, scheme, recon, case.bc,
-                     TimeControls(case.t_final, case.cfl), gas)
+    U, log = advance(U0, grid, scheme, case.bc,
+                     TimeControls(case.t_final, case.cfl, order=order), gas)
     want, steps = reference_march(
         U0, lambda U: cons_to_prim_arrays(U, gas.gamma),
         lambda W: compute_dt(*W, gas, grid.dx, case.cfl),
-        lambda W: solver1d._residual(W, scheme, case.bc, recon, grid.dx,
+        lambda W: solver1d._residual(W, scheme, case.bc, order, grid.dx,
                                      gas),
         case.t_final, order)
     assert log.steps == steps > 0
@@ -349,8 +350,8 @@ def test_face_scan_of_the_1d_sides_names_the_field_and_face(gas):
     p[3], p[4] = 0.1, 100.0
     U0 = initialize(grid, lambda x: (1.0, 0.0, p), gas)
     with pytest.raises(SolverBlowUp) as err:
-        advance(U0, grid, SchemeKind.TVS_FDS, ReconstructionConfig(2),
-                TRANSMISSIVE, TimeControls(1.0), gas)
+        advance(U0, grid, SchemeKind.TVS_FDS, TRANSMISSIVE,
+                TimeControls(1.0, order=2), gas)
     assert (err.value.step, err.value.cell) == (0, 4)
     assert str(err.value.__cause__) == \
         "reconstructed p not positive, cell=4"

@@ -22,8 +22,7 @@ import sys
 
 from cpsfds import bench1d, cli, euler2d
 from cpsfds.fds1d import SchemeKind
-from cpsfds.solver1d import Grid1D, ReconstructionConfig, TimeControls, \
-    advance, initialize
+from cpsfds.solver1d import Grid1D, TimeControls, advance, initialize
 from cpsfds.state import GasModel
 
 GAS = GasModel(1.4)
@@ -51,9 +50,9 @@ def runs_1d():
         for scheme in SchemeKind:
             for order in (1, 2):
                 U, log = advance(initialize(grid, case.initial_profile, GAS),
-                                 grid, scheme, ReconstructionConfig(order),
-                                 case.bc, TimeControls(case.t_final, case.cfl),
-                                 GAS)
+                                 grid, scheme, case.bc,
+                                 TimeControls(case.t_final, case.cfl,
+                                              order=order), GAS)
                 yield (f"{case.name}-{scheme.value}-o{order}", log.steps,
                        U.tobytes())
 
