@@ -218,42 +218,37 @@ def convergence_table(case: CaseSpec, scheme: SchemeKind, cell_counts,
 # --------------------------------------------------------------------------
 # steady-shock diagnostic
 
-def steady_shock_states(mach: float, gas: GasModel = GasModel(1.4)):
+def steady_shock_states(mach, gas: GasModel = GasModel(1.4)):
     """Pre/post states of a stationary normal shock with unit upstream
-    density and speed; upstream pressure 1/(gamma M^2) makes a = u/M."""
-    if not mach > 1.0:
+    density and speed, for one Mach number or an array of them (states
+    whose fields have its shape); upstream pressure 1/(gamma M^2) makes
+    a = u/M."""
+    mach = np.asarray(mach, dtype=float)
+    if not np.all(mach > 1.0):
         raise ValueError("shock Mach number must exceed 1")
     g = gas.gamma
     m2 = mach * mach
     pl = 1.0 / (g * m2)
-    wl = PrimitiveState(1.0, 1.0, pl)
+    wl = PrimitiveState(np.ones_like(pl), np.ones_like(pl), pl)
     pr = pl * (2.0 * g * m2 - (g - 1.0)) / (g + 1.0)
     gr = (g + 1.0) / (g - 1.0)
     rr = (gr * pr / pl + 1.0) / (gr + pr / pl)
-    ur = math.sqrt(g * (2.0 + (g - 1.0) * m2) * pr
-                   / ((2.0 * g * m2 + 1.0 - g) * rr))
+    ur = np.sqrt(g * (2.0 + (g - 1.0) * m2) * pr
+                 / ((2.0 * g * m2 + 1.0 - g) * rr))
     return wl, PrimitiveState(rr, ur, pr)
 
 
 def error3(wL: PrimitiveState, wR: PrimitiveState,
-           gas: GasModel = GasModel(1.4)) -> float:
-    """Residual of the averaged-jump identity for the energy component:
+           gas: GasModel = GasModel(1.4)):
+    """Residual of the averaged-jump identity for the energy component,
+    for one pair of states or a stack:
     d(rho E) - dp/(gamma-1) - (u_bar^2 d rho + 2 rho_bar u_bar du)/2."""
     wb = face_average(wL, wR)
     dU = (prim_to_cons_arrays(wR, gas.gamma)
           - prim_to_cons_arrays(wL, gas.gamma))
-    return float(dU[2] - (wR.p - wL.p) / (gas.gamma - 1.0)
-                 - 0.5 * (wb.u * wb.u * dU[0]
-                          + 2.0 * wb.rho * wb.u * (wR.u - wL.u)))
-
-
-def error3_sweep(machs, gas: GasModel = GasModel(1.4)):
-    """Per Mach number: (M, error3 residual, density ratio across shock)."""
-    out = []
-    for m in machs:
-        wl, wr = steady_shock_states(m, gas)
-        out.append((m, error3(wl, wr, gas), wr.rho / wl.rho))
-    return out
+    return (dU[2] - (wR.p - wL.p) / (gas.gamma - 1.0)
+            - 0.5 * (wb.u * wb.u * dU[0]
+                     + 2.0 * wb.rho * wb.u * (wR.u - wL.u)))
 
 
 # --------------------------------------------------------------------------
@@ -270,9 +265,6 @@ def fan_jump_ratio(rho, x, fan_lo, fan_hi) -> float:
     if idx.size < 4:
         raise ValueError("fan window too narrow for the jump diagnostic")
     jumps = np.abs(np.diff(rho[idx[0]:idx[-1] + 1]))
-    worst = 0.0
-    for k in range(1, jumps.size - 1):
-        neighbors = 0.5 * (jumps[k - 1] + jumps[k + 1])
-        if neighbors > 0.0:
-            worst = max(worst, jumps[k] / neighbors)
-    return worst
+    neighbors = 0.5 * (jumps[:-2] + jumps[2:])
+    seen = neighbors > 0.0
+    return float(np.max(jumps[1:-1][seen] / neighbors[seen], initial=0.0))

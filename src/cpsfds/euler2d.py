@@ -269,29 +269,20 @@ def _sides_flux(left, right, nx, ny, gamma, half_ds, out, tmp):
     return out
 
 
-def _flux_2d_kernel(rL, uL, vL, pL, rR, uR, vR, pR, nx, ny, gamma,
-                    ds=1.0, out=None):
-    """_sides_flux of the primitive face states (rL, uL, vL, pL) and
-    (rR, uR, vR, pR), which broadcast together with nx, ny and ds; out is
-    allocated if not given.  The call makes its own workspace."""
-    shape = np.broadcast(rL, uL, vL, pL, rR, uR, vR, pR, nx, ny, ds).shape
-    if out is None:
-        out = np.empty((4,) + shape)
-    ws = np.empty((19,) + shape)
-    return _sides_flux(_face_sides(rL, uL, vL, pL, gamma, ws[9:14]),
-                       _face_sides(rR, uR, vR, pR, gamma, ws[14:]), nx, ny,
-                       gamma, 0.5 * ds, out, ws[:9])
-
-
 def interface_flux_2d(wL: Prim2D, wR: Prim2D, geom: FaceGeometry,
                       gas: GasModel) -> np.ndarray:
-    """Flux of (rho, rho u, rho v, rho E) across one face, per unit face
-    length: `_flux_2d_kernel` on one-element arrays, at the unit normal of
-    geom.  geom.ds is not applied; a caller wanting the flux through the
-    face multiplies by it."""
-    return _flux_2d_kernel(
-        *(np.array([q]) for w in (wL, wR) for q in w),
-        geom.n_x, geom.n_y, gas.gamma)[:, 0]
+    """Flux of (rho, rho u, rho v, rho E) through a face of normal
+    (geom.n_x, geom.n_y) and length geom.ds: `_sides_flux` of the states
+    wL and wR, one pair or a stack, whose fields broadcast together with
+    geom's.  Returns (4,) + that shape; the call makes its own
+    workspace, whose rows carry a leading unit axis so that a row is an
+    array for one face too."""
+    shape = (1,) + np.broadcast(*wL, *wR, geom.n_x, geom.n_y, geom.ds).shape
+    ws = np.empty((19,) + shape)
+    return _sides_flux(_face_sides(*wL, gas.gamma, ws[9:14]),
+                       _face_sides(*wR, gas.gamma, ws[14:]), geom.n_x,
+                       geom.n_y, gas.gamma, 0.5 * geom.ds,
+                       np.empty((4,) + shape), ws[:9])[:, 0]
 
 
 # --------------------------------------------------------------------------

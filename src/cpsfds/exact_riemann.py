@@ -109,44 +109,45 @@ def solve_star(wL: PrimitiveState, wR: PrimitiveState, gas: GasModel,
 
 
 def sample(star: StarState, wL: PrimitiveState, wR: PrimitiveState,
-           gas: GasModel, xi: float) -> PrimitiveState:
-    """Solution state at similarity coordinate xi = x/t."""
+           gas: GasModel, xi) -> PrimitiveState:
+    """Solution states at similarity coordinates xi = x/t, a number or an
+    array: one PrimitiveState whose fields have the shape of xi.
+
+    Masks pick the regions in the order of the waves on each side of the
+    contact: the outer state, then the star state or, for a rarefaction,
+    the fan between them.  The fan's powers use np.float_power, which
+    rounds as Python's ** does."""
     g = gas.gamma
-    if xi <= star.u_star:
-        wk, rho_star, sgn = wL, star.rho_star_L, 1.0
-    else:
-        wk, rho_star, sgn = wR, star.rho_star_R, -1.0
-    ak = sound_speed(wk, gas)
+    xi = np.asarray(xi, dtype=float)
     ps = star.p_star
-
-    if ps > wk.p:  # shock on this side
-        ms = ak * math.sqrt((g + 1.0) / (2.0 * g) * ps / wk.p
-                            + (g - 1.0) / (2.0 * g))
-        s_shock = wk.u - sgn * ms
-        if sgn * (xi - s_shock) < 0.0:
-            return wk
-        return PrimitiveState(rho_star, star.u_star, ps)
-
-    # rarefaction on this side
-    a_star = ak * (ps / wk.p) ** ((g - 1.0) / (2.0 * g))
-    head = wk.u - sgn * ak
-    tail = star.u_star - sgn * a_star
-    if sgn * (xi - head) < 0.0:
-        return wk
-    if sgn * (xi - tail) > 0.0:
-        return PrimitiveState(rho_star, star.u_star, ps)
-    # inside the fan
-    a = (2.0 / (g + 1.0)) * (ak + sgn * 0.5 * (g - 1.0) * (wk.u - xi))
-    u = (2.0 / (g + 1.0)) * (sgn * ak + 0.5 * (g - 1.0) * wk.u + xi)
-    rho = wk.rho * (a / ak) ** (2.0 / (g - 1.0))
-    p = wk.p * (a / ak) ** (2.0 * g / (g - 1.0))
+    left = xi <= star.u_star
+    rho = np.where(left, star.rho_star_L, star.rho_star_R)
+    u = np.full(xi.shape, star.u_star)
+    p = np.full(xi.shape, ps)
+    for wk, sgn, side in ((wL, 1.0, left), (wR, -1.0, ~left)):
+        ak = sound_speed(wk, gas)
+        if ps > wk.p:  # shock on this side
+            ms = ak * math.sqrt((g + 1.0) / (2.0 * g) * ps / wk.p
+                                + (g - 1.0) / (2.0 * g))
+            s_shock = wk.u - sgn * ms
+            outer = side & (sgn * (xi - s_shock) < 0.0)
+        else:  # rarefaction on this side
+            a_star = ak * (ps / wk.p) ** ((g - 1.0) / (2.0 * g))
+            head = wk.u - sgn * ak
+            tail = star.u_star - sgn * a_star
+            outer = side & (sgn * (xi - head) < 0.0)
+            fan = side & ~outer & ~(sgn * (xi - tail) > 0.0)
+            x = xi[fan]
+            a = (2.0 / (g + 1.0)) * (ak + sgn * 0.5 * (g - 1.0) * (wk.u - x))
+            u[fan] = (2.0 / (g + 1.0)) * (sgn * ak + 0.5 * (g - 1.0) * wk.u
+                                          + x)
+            rho[fan] = wk.rho * np.float_power(a / ak, 2.0 / (g - 1.0))
+            p[fan] = wk.p * np.float_power(a / ak, 2.0 * g / (g - 1.0))
+        rho[outer], u[outer], p[outer] = wk
     return PrimitiveState(rho, u, p)
 
 
 def sample_profile(wL, wR, gas, x, t, x0=0.0):
-    """Vector of primitive states at positions x and time t > 0."""
+    """Primitive fields (rho, u, p) at positions x and time t > 0."""
     star = solve_star(wL, wR, gas)
-    xi = (np.asarray(x) - x0) / t
-    rho, u, p = np.array([tuple(sample(star, wL, wR, gas, float(v)))
-                          for v in xi]).T
-    return rho, u, p
+    return tuple(sample(star, wL, wR, gas, (np.asarray(x) - x0) / t))

@@ -9,8 +9,8 @@ R |Lambda| R^-1 dU, each from its splitting's eigensystem at the
 sqrt(rho)-weighted face state.  No entropy fix is applied anywhere.
 
 `interface_flux_batch` is the one implementation of the flux, in closed form;
-the 1D solver calls it on whole-grid sweeps and `interface_flux` on
-one-element arrays for a single face.  Its reference is
+the 1D solver calls it on whole-grid sweeps, and `interface_flux` calls it on
+the fields of two states, one state or a stack.  Its reference is
 `splittings.upwind_dissipation` at `splittings.face_average`, the same oracle
 that the 2D kernel is checked against.
 """
@@ -31,15 +31,15 @@ class SchemeKind(enum.Enum):
 
 def interface_flux(scheme: SchemeKind, wL: PrimitiveState, wR: PrimitiveState,
                    gas: GasModel) -> np.ndarray:
-    """Flux across one face: `interface_flux_batch` on one-element arrays."""
-    return interface_flux_batch(
-        scheme, *(np.array([q]) for w in (wL, wR) for q in w),
-        gas.gamma)[:, 0]
+    """`interface_flux_batch` across one face, (3,), or a stack of faces,
+    (3,) + the fields' shape."""
+    return interface_flux_batch(scheme, *wL, *wR, gas.gamma)
 
 
 def interface_flux_batch(scheme: SchemeKind, rhoL, uL, pL, rhoR, uR, pR,
                          gamma: float) -> np.ndarray:
-    """Vectorized interface flux over many faces; returns (3, n).
+    """Interface flux over faces whose fields have one shape, or are
+    numbers for one face; returns (3,) + that shape.
 
     The dissipation R_c |L_c| R_c^-1 dU + R_p |L_p| R_p^-1 dU at the face
     state (rho_bar, u_bar, a_bar) of `splittings.face_average`, folded.  At

@@ -12,7 +12,7 @@ from cpsfds import bench1d
 from cpsfds.bench1d import (case_registry, get_case, run_case,
                             error_norms, eoc, convergence_table,
                             reference_profile, steady_shock_states, error3,
-                            error3_sweep, fan_jump_ratio)
+                            fan_jump_ratio)
 from cpsfds.fds1d import SchemeKind
 from cpsfds.state import GasModel
 
@@ -95,12 +95,29 @@ def test_energy_jump_identity_holds_for_arbitrary_state_pairs(gas, rng):
 
 
 def test_error3_sweep_shape_and_density_ratio_limit():
-    rows = error3_sweep([1.5, 2.0, 1000.0])
-    assert len(rows) == 3
-    machs, errs, ratios = zip(*rows)
-    assert machs == (1.5, 2.0, 1000.0)
+    machs = np.array([1.5, 2.0, 1000.0])
+    wl, wr = steady_shock_states(machs)
+    ratios = wr.rho / wl.rho
+    assert error3(wl, wr).shape == ratios.shape == machs.shape
     # strong-shock limit of the density ratio is (gamma+1)/(gamma-1) = 6
     assert ratios[-1] == pytest.approx(6.0, abs=1e-2)
+
+
+def test_steady_shock_states_of_an_array_equal_its_scalar_calls():
+    """Every field of the states for an array of Mach numbers, and their
+    error3 residual, equals the call on that one Mach number bit for bit,
+    and one Mach number at or below 1 in the array is refused."""
+    machs = np.array([[1.5, 2.0, 5.0], [10.0, 100.0, 1000.0]])
+    wl, wr = steady_shock_states(machs)
+    residual = error3(wl, wr)
+    for k in np.ndindex(machs.shape):
+        one = steady_shock_states(float(machs[k]))
+        for stack, w in zip((wl, wr), one):
+            assert [np.shape(q) for q in stack] == [machs.shape] * 3
+            assert all(np.array_equal(q[k], r) for q, r in zip(stack, w))
+        assert np.array_equal(residual[k], error3(*one))
+    with pytest.raises(ValueError, match="must exceed 1"):
+        steady_shock_states(np.array([2.0, 1.0]))
 
 
 def test_fan_jump_ratio_flags_an_isolated_jump():
@@ -112,6 +129,23 @@ def test_fan_jump_ratio_flags_an_isolated_jump():
     assert fan_jump_ratio(with_jump, x, 0.1, 0.9) > 10.0
     with pytest.raises(ValueError):
         fan_jump_ratio(smooth, x, 0.49, 0.51)
+
+
+def test_fan_jump_ratio_equals_its_per_jump_loop(rng):
+    """The ratio over an array is the per-jump loop's bit for bit, flat
+    stretches (jumps with no neighbouring jump) included."""
+    x = np.linspace(0.0, 1.0, 60)
+    window = np.where((x > 0.1) & (x < 0.9))[0]
+    for _ in range(50):
+        rho = 1.0 + np.cumsum(rng.uniform(size=60)
+                              * (rng.uniform(size=60) > 0.4))
+        jumps = np.abs(np.diff(rho[window[0]:window[-1] + 1]))
+        worst = 0.0
+        for k in range(1, jumps.size - 1):
+            neighbors = 0.5 * (jumps[k - 1] + jumps[k + 1])
+            if neighbors > 0.0:
+                worst = max(worst, jumps[k] / neighbors)
+        assert fan_jump_ratio(rho, x, 0.1, 0.9) == worst
 
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))

@@ -523,7 +523,7 @@ def test_run_loads_no_check_code():
     (fds1d, "interface_flux_batch", lambda v: v * (1.0 + 1e-9),
      "flux equals its eigenstructure"),
     (bench1d, "error3", lambda v: v + 1e-9, "steady-shock jump identity"),
-    (euler2d, "_flux_2d_kernel", lambda v: v * (1.0 + 1e-9),
+    (euler2d, "interface_flux_2d", lambda v: v * (1.0 + 1e-9),
      "2D flux equals its eigenstructure"),
 ], ids=["pressure_jacobian", "interface_flux", "error3", "flux_2d_kernel"])
 def test_a_perturbation_fails_exactly_its_check(module, name, perturb,

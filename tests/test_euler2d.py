@@ -22,11 +22,9 @@ from cpsfds.state import GasModel, NonPhysicalStateError, Prim2D, \
 from cpsfds.splittings import (FaceGeometry, face_geometry, split_flux_2d,
                                convection_jacobian_2d, pressure_jacobian_2d,
                                convection_eigensystem_2d,
-                               pressure_eigensystem_2d, face_average,
-                               upwind_dissipation, verify_jordan)
+                               pressure_eigensystem_2d, verify_jordan)
 
-from conftest import random_normal, random_state_2d, reference_march, \
-    wave_scale
+from conftest import random_normal, random_state_2d, reference_march
 
 
 def test_face_geometry_normal_points_right_of_traversal():
@@ -133,19 +131,6 @@ def test_grid_keeps_no_cell_centres(build):
             centre, 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[1:, 1:] + v[:-1, 1:]))
 
 
-def test_split_flux_2d_sums_to_normal_euler_flux(gas, rng):
-    for _ in range(50):
-        w = random_state_2d(rng)
-        geom = random_normal(rng)
-        sf = split_flux_2d(w, geom, gas)
-        up = w.u * geom.n_x + w.v * geom.n_y
-        rE = w.p / (gas.gamma - 1.0) + 0.5 * w.rho * (w.u ** 2 + w.v ** 2)
-        F = np.array([w.rho * up, w.rho * w.u * up + w.p * geom.n_x,
-                      w.rho * w.v * up + w.p * geom.n_y, (rE + w.p) * up])
-        np.testing.assert_allclose(sf.total, F, rtol=1e-12,
-                                   atol=1e-12 * np.max(np.abs(F)))
-
-
 @pytest.mark.parametrize("part", ["convection", "pressure"])
 def test_2d_jacobians_match_finite_differences(part, gas, rng):
     for _ in range(10):
@@ -204,43 +189,6 @@ def test_2d_pressure_eigensystem_relations(gas, rng):
         assert np.max(np.abs(resid)) <= 1e-10 * scale
 
 
-@pytest.mark.parametrize("x1,xt,x4", [(-3.0, 0.5, 2.0), (0.7, -1.3, -0.4)])
-def test_flux_kernel_matches_the_eigenstructure(x1, xt, x4, gas, rng):
-    """The kernel is 0.5 (F_L + F_R) - 0.5 (R_c|L_c|R_c^-1 dU +
-    R_p|L_p|R_p^-1 dU), assembled by upwind_dissipation from the face
-    eigensystems at the state of face_average, times the face length.  The
-    free constants of the generalized eigenvector must leave no trace, and
-    no draw is skipped."""
-    checked = 0
-    for _ in range(200):
-        wL, wR = random_state_2d(rng), random_state_2d(rng)
-        geom = random_normal(rng)
-        ds = rng.uniform(0.1, 10.0)
-        w_avg = face_average(wL, wR)
-        dU = (prim_to_cons_arrays(wR, gas.gamma)
-              - prim_to_cons_arrays(wL, gas.gamma))
-        conv = convection_eigensystem_2d(w_avg, geom, gas, x1=x1, xt=xt,
-                                         x4=x4)
-        press = pressure_eigensystem_2d(w_avg, geom, gas)
-        dissipation = upwind_dissipation(conv, dU) \
-            + upwind_dissipation(press, dU)
-        FL = split_flux_2d(wL, geom, gas).total
-        FR = split_flux_2d(wR, geom, gas).total
-        want = ds * (0.5 * (FL + FR) - 0.5 * dissipation)
-        got = euler2d._flux_2d_kernel(
-            *(np.array([q]) for q in (wL.rho, wL.u, wL.v, wL.p,
-                                      wR.rho, wR.u, wR.v, wR.p)),
-            geom.n_x, geom.n_y, gas.gamma, np.array([ds]))[:, 0]
-        u_perp = w_avg.u * geom.n_x + w_avg.v * geom.n_y
-        speed = abs(u_perp) + math.sqrt(gas.gamma * w_avg.p / w_avg.rho)
-        scale = ds * max(np.max(np.abs(FL)), np.max(np.abs(FR)),
-                         wave_scale(conv, dU, abs(u_perp)),
-                         wave_scale(press, dU, speed))
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
-        checked += 1
-    assert checked == 200
-
-
 def test_interface_flux_2d_consistency_and_rotation(gas, rng):
     for _ in range(50):
         w = random_state_2d(rng)
@@ -249,6 +197,26 @@ def test_interface_flux_2d_consistency_and_rotation(gas, rng):
         np.testing.assert_allclose(F, split_flux_2d(w, geom, gas).total,
                                    rtol=1e-12,
                                    atol=1e-12 * max(np.max(np.abs(F)), 1.0))
+
+
+def test_interface_flux_2d_of_a_stack_equals_its_one_state_results(gas,
+                                                                  rng):
+    """Member by member, bit for bit, through faces of random normal and
+    length: the flux is through the face, so one state's flux is ds times
+    its flux through a face of unit length (halving ds is exact)."""
+    wL, wR = random_state_2d(rng, (3, 4)), random_state_2d(rng, (3, 4))
+    unit = random_normal(rng, (3, 4))
+    geom = FaceGeometry(unit.n_x, unit.n_y, rng.uniform(0.1, 10.0, (3, 4)))
+    F = interface_flux_2d(wL, wR, geom, gas)
+    assert F.shape == (4, 3, 4)
+    for k in np.ndindex(3, 4):
+        pair = [Prim2D(*(q[k] for q in w)) for w in (wL, wR)]
+        one = interface_flux_2d(*pair, FaceGeometry(*(q[k] for q in (
+            geom.n_x, geom.n_y, geom.ds))), gas)
+        assert np.array_equal(F[(slice(None), *k)], one)
+        per_length = interface_flux_2d(*pair, FaceGeometry(
+            geom.n_x[k], geom.n_y[k], 1.0), gas)
+        assert np.array_equal(one, geom.ds[k] * per_length)
 
 
 positive = st.floats(min_value=1e-2, max_value=1e2,
@@ -634,9 +602,10 @@ def test_first_order_face_sides_are_computed_once_per_cell(gas, monkeypatch):
 def test_residual_matches_a_face_by_face_reference(order, faces, gas,
                                                    monkeypatch):
     """On cells at least two away from every boundary, the residual is
-    -(1/A) times the sum of interface_flux_2d times the face length over
-    the cell's four faces, each face taken from its vertices.  At order 2
-    the face states are the MUSCL values of the two cells on either side.
+    -(1/A) times the sum of interface_flux_2d, the flux through a face of
+    its length, over the cell's four faces, each face taken from its
+    vertices.  At order 2 the face states are the MUSCL values of the two
+    cells on either side.
     A face side, flux buffer or direction that reads another's storage
     changes the residual."""
     monkeypatch.setattr(euler2d, "_BLOCK_FACES", faces)
@@ -664,8 +633,7 @@ def test_residual_matches_a_face_by_face_reference(order, faces, gas,
         wL, wR = face_states(cells)
         geom = face_geometry((grid.xv[a], grid.yv[a]),
                              (grid.xv[b], grid.yv[b]))
-        return geom.ds * interface_flux_2d(Prim2D(*wL), Prim2D(*wR), geom,
-                                           gas)
+        return interface_flux_2d(Prim2D(*wL), Prim2D(*wR), geom, gas)
 
     for i in range(2, grid.ni - 2):
         for j in range(2, grid.nj - 2):
@@ -717,8 +685,8 @@ def test_flux_kernel_allocates_nothing_block_sized(gas):
     assert peak - before < np.empty(shape).nbytes
     assert np.array_equal(
         ws[10:14],
-        euler2d._flux_2d_kernel(*states[0], *states[1], nx, ny, gas.gamma,
-                                ds))
+        interface_flux_2d(Prim2D(*states[0]), Prim2D(*states[1]),
+                          FaceGeometry(nx, ny, ds), gas))
 
 
 def test_first_order_residual_allocates_nothing_block_sized(gas,

@@ -139,6 +139,32 @@ def test_sample_profile_shapes_and_symmetry():
     np.testing.assert_allclose(u, -u[::-1], atol=1e-12)
 
 
+@pytest.mark.parametrize("wL,wR", [
+    (PrimitiveState(1.0, 0.0, 1.0), PrimitiveState(0.125, 0.0, 0.1)),
+    (PrimitiveState(1.0, -2.0, 0.4), PrimitiveState(1.0, 2.0, 0.4)),
+], ids=["sod", "double-rarefaction"])
+def test_sample_of_an_array_equals_its_one_xi_results(wL, wR):
+    """Member by member, bit for bit, over both outer states, the fans,
+    the star states and Sod's shock, each wave position included; the
+    fields take the shape of xi."""
+    gas = GasModel(GAMMA)
+    star = solve_star(wL, wR, gas)
+    aL, aR = sound_speed(wL, gas), sound_speed(wR, gas)
+    g = GAMMA
+    shock = wR.u + aR * math.sqrt((g + 1.0) / (2.0 * g) * star.p_star / wR.p
+                                  + (g - 1.0) / (2.0 * g))
+    xi = np.append(np.linspace(-3.0, 3.0, 599),
+                   [wL.u - aL, star.u_star, wR.u + aR, shock]).reshape(3, 201)
+    stack = sample(star, wL, wR, gas, xi)
+    assert [q.shape for q in stack] == [xi.shape] * 3
+    for k in np.ndindex(xi.shape):
+        one = sample(star, wL, wR, gas, float(xi[k]))
+        assert all(np.array_equal(q[k], r) for q, r in zip(stack, one))
+    outer = (stack.p == wL.p) | (stack.p == wR.p)
+    at_star = stack.p == star.p_star
+    assert outer.any() and at_star.any() and (~outer & ~at_star).any()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     rhoL=st.floats(0.05, 20.0), pL=st.floats(0.05, 100.0),

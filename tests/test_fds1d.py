@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_pair, wave_scale
+from conftest import random_pair, random_primitive, wave_scale
 
 from cpsfds import euler2d
 from cpsfds.fds1d import SchemeKind, interface_flux, interface_flux_batch
-from cpsfds.splittings import (SplittingKind, split_flux, face_average,
-                               convection_eigensystem, pressure_eigensystem,
-                               upwind_dissipation)
+from cpsfds.splittings import (FaceGeometry, SplittingKind, split_flux,
+                               face_average, convection_eigensystem,
+                               pressure_eigensystem, upwind_dissipation)
 from cpsfds.state import GasModel, Prim2D, PrimitiveState, \
     cons_to_prim_arrays, physical_flux, prim_to_cons_arrays
 
@@ -20,6 +20,18 @@ positive = st.floats(min_value=1e-3, max_value=1e3,
                      allow_nan=False, allow_infinity=False)
 velocity = st.floats(min_value=-100.0, max_value=100.0,
                      allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_interface_flux_of_a_stack_equals_its_one_state_results(scheme, gas,
+                                                               rng):
+    wL, wR = random_primitive(rng, (3, 4)), random_primitive(rng, (3, 4))
+    F = interface_flux(scheme, wL, wR, gas)
+    assert F.shape == (3, 3, 4)
+    for k in np.ndindex(3, 4):
+        one = interface_flux(scheme, *(PrimitiveState(*(q[k] for q in w))
+                                       for w in (wL, wR)), gas)
+        assert np.array_equal(F[(slice(None), *k)], one)
 
 
 def test_face_average_reduces_to_the_state_itself():
@@ -188,7 +200,7 @@ def amplification_radius_2d(w, cfl, gamma=1.4):
     2D scheme on unit square cells, linearized about the uniform state
     w = (rho, u, v, p), with dt from compute_dt_2d at cfl.  The face
     Jacobians A_L, A_R of the x and the y faces are central differences of
-    euler2d._flux_2d_kernel in conserved variables, and the step's symbol
+    euler2d.interface_flux_2d in conserved variables, and the step's symbol
     is G = I - dt (S_x(kx) + S_y(ky)), S(k) = A_L + A_R e^ik - A_L e^-ik
     - A_R."""
     U0 = prim_to_cons_arrays(w, gamma)
@@ -197,9 +209,9 @@ def amplification_radius_2d(w, cfl, gamma=1.4):
     bumped = base + np.hstack([h * np.eye(4), -h * np.eye(4)])
 
     def face_jacobian(UL, UR, nx, ny):
-        F = euler2d._flux_2d_kernel(*cons_to_prim_arrays(UL, gamma),
-                                    *cons_to_prim_arrays(UR, gamma),
-                                    nx, ny, gamma)
+        F = euler2d.interface_flux_2d(
+            *(Prim2D(*cons_to_prim_arrays(U, gamma)) for U in (UL, UR)),
+            FaceGeometry(nx, ny, 1.0), GasModel(gamma))
         return (F[:, :4] - F[:, 4:]) / (2.0 * h)
 
     def symbol(nx, ny, k):

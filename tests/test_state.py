@@ -121,6 +121,26 @@ def test_nonphysical_states_raise_with_diagnostics():
     assert err.value.cell == ()
 
 
+def test_a_stack_is_checked_whatever_field_is_a_number():
+    """A field given as one number is shared by every member of a stack,
+    rho included: the stack is made, or its first bad member is named.
+    One state's error keeps its message, with no cell."""
+    w = PrimitiveState(1.0, np.array([0.5, 0.2]), 1.0)
+    assert np.array_equal(w.u, [0.5, 0.2])
+    with pytest.raises(NonPhysicalStateError) as err:
+        PrimitiveState(1.0, 0.5, np.array([1.0, -1.0]))
+    assert (err.value.rho, err.value.p, err.value.cell) == (1.0, -1.0, 1)
+    assert str(err.value) == \
+        "non-physical primitive state, rho=1.0, p=-1.0, cell=1"
+    with pytest.raises(NonPhysicalStateError) as err:
+        Prim2D(2.0, np.array([[0.1, 0.2], [0.3, math.nan]]), 0.0, 1.0)
+    assert err.value.cell == (1, 1)
+    with pytest.raises(NonPhysicalStateError) as err:
+        PrimitiveState(-1.0, 0.0, 1.0)
+    assert str(err.value) == "non-physical primitive state, rho=-1.0, p=1.0"
+    assert err.value.cell is None
+
+
 @pytest.mark.parametrize("cls", [PrimitiveState, Prim2D])
 def test_states_are_physical_by_construction(cls):
     """A field that is not finite, or a rho or p that is not positive: no

@@ -13,12 +13,16 @@ and the 100 x 100 wedge at order 2.  Each 2D run prints a second line,
 the cell centres in its x and y columns are checked byte for byte too.
 The 1D runs are every registered case but `blast` (3000 cells; its
 order-2 runs blow up, and tests pin those) with both schemes at both
-orders: 50 lines in all.  The whole set takes about ten seconds on a
-2-vCPU machine.
+orders.  Each 1D case with a reference solution prints one more line,
+"<case>-reference - <sha256>", of the stacked (rho, u, p) of
+`bench1d.reference_profile` at its registered grid and t_final: 59 lines
+in all.  The whole set takes about ten seconds on a 2-vCPU machine.
 """
 
 import hashlib
 import sys
+
+import numpy as np
 
 from cpsfds import bench1d, cli, euler2d
 from cpsfds.fds1d import SchemeKind
@@ -47,6 +51,10 @@ def runs_1d():
         if case.name == "blast":
             continue
         grid = Grid1D(case.x_min, case.x_max, case.n_cells)
+        if case.reference is not bench1d.ReferenceKind.NONE:
+            ref = bench1d.reference_profile(case, grid.centers(),
+                                            case.t_final, GAS)
+            yield f"{case.name}-reference", "-", np.stack(ref).tobytes()
         for scheme in SchemeKind:
             for order in (1, 2):
                 U, log = advance(initialize(grid, case.initial_profile, GAS),
